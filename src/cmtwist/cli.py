@@ -591,8 +591,17 @@ _HANDLERS: dict[str, Callable[[dict], Report]] = {
 
 
 def run(job: JobSpec) -> Report:
-    """Dispatch a validated job to its owning module and collect the report."""
-    return _HANDLERS[job.command](job.payload)
+    """Dispatch a validated job to its owning module and collect the report.
+
+    A library ``ValueError`` that no handler mapped is a malformed job and
+    becomes an :class:`InputError`; a :class:`HypothesisError` passes through.
+    """
+    try:
+        return _HANDLERS[job.command](job.payload)
+    except (InputError, HypothesisError):
+        raise
+    except ValueError as exc:
+        raise InputError(f"payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -49,22 +49,29 @@ class AbelianField:
 
 
 def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
-def _reduction_kernel(m: int, m2: int) -> frozenset[int]:
-    """Kernel of (Z/m)^x -> (Z/m2)^x for m2 | m."""
-    target = 1 % m2
-    return frozenset(x for x in unit_group(m) if x % m2 == target)
+    """Divisors of m, ascending, by trial division up to sqrt(m)."""
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d * d != m:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
 
 
 def field_from(m: int, elements) -> AbelianField:
-    """Conductor-normalized field for a fixed group given as a residue set."""
+    """Conductor-normalized field for a fixed group given as a residue set.
+
+    The conductor is the least m2 | m whose reduction kernel, the units
+    1 + k*m2 of (Z/m)^x, lies in the fixed group.
+    """
     H = elements if isinstance(elements, Subgroup) else subgroup(m, elements)
     if H.modulus != m:
         raise ValueError("fixed group modulus mismatch")
     for m2 in _divisors(m):
-        if _reduction_kernel(m, m2) <= H.elements:
+        if all(x in H.elements for x in range(1, m, m2) if gcd(x, m) == 1):
             if m2 == m:
                 return AbelianField(m, H)
             if m2 == 1:
@@ -247,8 +254,12 @@ def restrict_coset(
 def roots_of_unity_order(K: AbelianField) -> int:
     """The number w(K) of roots of unity in K (always even).
 
-    Brute force: the cyclotomic field of any root of unity in K has
-    conductor dividing the conductor of K, so only N | 2m can occur.
+    For N | m, h in (Z/m)^x sends zeta_N to zeta_N^h, so zeta_N lies in K
+    exactly when every h in the fixed group H is 1 mod N; the largest such
+    N is g = gcd(m, h - 1 for h in H).  Any root of unity zeta_N in K
+    generates a cyclotomic field of conductor N, or N/2 when N = 2 mod 4,
+    and that conductor divides m; so N | 2m, zeta_N lies in the group
+    generated by zeta_g and -1, and w(K) = lcm(2, g).
 
     >>> roots_of_unity_order(quadratic(-3))
     6
@@ -257,14 +268,8 @@ def roots_of_unity_order(K: AbelianField) -> int:
     >>> roots_of_unity_order(quadratic(-7))
     2
     """
-    m = K.conductor
-    best = 1
-    for N in _divisors(2 * m):
-        if N > best and is_subfield(cyclotomic(N), K):
-            best = N
-    if best % 2 != 0:
-        raise AssertionError("root-of-unity count must be even (-1 is everywhere)")
-    return best
+    g = gcd(K.conductor, *(h - 1 for h in K.fixed_group.elements))
+    return g if g % 2 == 0 else 2 * g
 
 
 def subfields(K: AbelianField) -> tuple[AbelianField, ...]:

@@ -2,9 +2,13 @@
 
 Everything at desk scale: subgroups are explicit element sets, quotients
 are explicit coset lists, and invariant factors come from peeling
-maximal-order elements.  No matrix Smith-form machinery; every result is
-cheap to re-derive by brute force, which is exactly how the test suite
-checks it.
+maximal-order elements.  No matrix Smith-form machinery.  A subgroup is
+generated by coset extension, <S, g> = S u gS u g^2 S u ..., so building
+it costs about its size; the order of a coset xH comes from stripping the
+primes of |G/H| while a power of x stays in H, never from walking powers.
+Every quotient basis is still verified by :func:`is_quotient_basis`
+before it is returned, and the brute-force versions of these kernels live
+in the test suite as oracles.
 
 Group elements are plain residues (ints coprime to the modulus); a coset
 of a subgroup is a ``frozenset`` of residues.  The modulus m = 1 denotes
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable
 
 
@@ -68,8 +72,38 @@ class Subgroup:
         return tuple(sorted(self.elements))
 
 
+def _adjoin(m: int, group: set[int], g: int, within: frozenset[int] | None = None) -> None:
+    """Grow the subgroup ``group`` to <group, g> in place by coset extension.
+
+    <S, g> is the union of the cosets g^i S for i below the first power of
+    g that lies in S.  With ``within``, every new element must lie in that
+    set (g already does); the first one outside it raises ValueError naming
+    two elements of ``within`` whose product is not in it.
+    """
+    powers, p = [], g
+    while p not in group:
+        if within is not None and p not in within:
+            raise _not_closed(m, powers[-1], g)
+        powers.append(p)
+        p = p * g % m
+    base = tuple(group)
+    new = [s * p % m for p in powers for s in base]
+    if within is not None and not within.issuperset(new):
+        i = next(i for i, y in enumerate(new) if y not in within)
+        raise _not_closed(m, base[i % len(base)], powers[i // len(base)])
+    group.update(new)
+
+
+def _not_closed(m: int, a: int, b: int) -> ValueError:
+    return ValueError(f"set not closed under multiplication mod {m}: {a}*{b}")
+
+
 def subgroup(m: int, elements: Iterable[int]) -> Subgroup:
     """Validated subgroup from an element list (must already be closed).
+
+    Closure is checked exactly: the set is generated from its own elements
+    in ascending order, and the first product that leaves the set is
+    reported.
 
     >>> subgroup(7, [1, 2, 4]).order
     3
@@ -85,10 +119,10 @@ def subgroup(m: int, elements: Iterable[int]) -> Subgroup:
         _check_unit(m, x)
     if 1 not in elems:
         raise ValueError("subgroup must contain 1")
-    for a in elems:
-        for b in elems:
-            if (a * b) % m not in elems:
-                raise ValueError(f"set not closed under multiplication mod {m}: {a}*{b}")
+    group = {1}
+    for x in sorted(elems):
+        if x not in group:
+            _adjoin(m, group, x, within=elems)
     return Subgroup(m, elems)
 
 
@@ -112,17 +146,11 @@ def subgroup_generated(m: int, gens: Iterable[int]) -> Subgroup:
         if any(g != 0 for g in gens):
             raise ValueError("modulus 1 carries the trivial group")
         return Subgroup(1, frozenset())
-    gen_list = [_check_unit(m, g) for g in gens]
-    elems = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_list:
-            y = (x * g) % m
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return Subgroup(m, frozenset(elems))
+    group = {1}
+    for g in gens:
+        if _check_unit(m, g) not in group:
+            _adjoin(m, group, g)
+    return Subgroup(m, frozenset(group))
 
 
 def element_order(m: int, x: int) -> int:
@@ -194,15 +222,38 @@ def coset_order(m: int, H: Subgroup, x: int) -> int:
 # recurse on the quotient, lifting the recursive basis back with the usual
 # order-preserving adjustment.
 
+def _prime_divisors(n: int) -> list[int]:
+    """Distinct primes dividing n, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
+    """Least residue whose coset has maximal order in (Z/m)^x / H, and that order.
+
+    The order of xH divides n = |G/H|: start from n and strip each prime q
+    while x^(e/q) still lies in H.
+    """
+    n = group_order(m) // len(H_elems)
+    primes = _prime_divisors(n)
     best_x, best_e = 1, 1
     for x in unit_group(m):
-        e, y = 1, x
-        while y not in H_elems:
-            y = (y * x) % m
-            e += 1
+        e = n
+        for q in primes:
+            while e % q == 0 and pow(x, e // q, m) in H_elems:
+                e //= q
         if e > best_e:
             best_x, best_e = x, e
+            if e == n:
+                break
     return best_x, best_e
 
 
@@ -212,8 +263,9 @@ def _quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
     if len(units) == len(H_elems):
         return []
     x, e = _max_order_residue(m, H_elems)
-    bigger = subgroup_generated(m, set(H_elems) | {x}).elements
-    rest = _quotient_basis(m, bigger)
+    bigger = set(H_elems)
+    _adjoin(m, bigger, x)
+    rest = _quotient_basis(m, frozenset(bigger))
     x_inv = pow(x, -1, m)
     adjusted = []
     for y, ey in rest:
@@ -230,31 +282,22 @@ def _quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
 
 
 def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
-    """Do the residues hit every coset of H exactly once as a product box?"""
+    """Do the residues hit every coset of H exactly once as a product box?
+
+    The box of products g_1^a_1 ... g_r^a_r, 0 <= a_i < d_i, meets every
+    coset once exactly when it has |G/H| residues and their cosets cover G.
+    """
+    basis = tuple(basis)
     if m == 1:
-        return len(tuple(basis)) == 0
-    combos = [(g, d) for g, d in basis]
-    seen: set[frozenset[int]] = set()
-    ok = True
-
-    def _expand(prefix: int, idx: int) -> None:
-        nonlocal ok
-        if not ok:
-            return
-        if idx == len(combos):
-            c = coset_of(m, H, prefix)
-            if c in seen:
-                ok = False
-            seen.add(c)
-            return
-        g, d = combos[idx]
-        y = prefix
-        for _ in range(d):
-            _expand(y, idx + 1)
-            y = (y * g) % m
-
-    _expand(1, 0)
-    return ok and len(seen) == group_order(m) // H.order
+        return len(basis) == 0
+    if prod(d for _, d in basis) != group_order(m) // H.order:
+        return False
+    box = [1]
+    for g, d in basis:
+        _check_unit(m, g)
+        powers = [pow(g, a, m) for a in range(d)]
+        box = [x * p % m for p in powers for x in box]
+    return len({x * h % m for x in box for h in H.elements}) == group_order(m)
 
 
 def invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int], ...]:

@@ -92,6 +92,83 @@ def subgroups_two_generated(m: int) -> set[frozenset[int]]:
 # ---------------------------------------------------------------------------
 # Brute-force oracles.
 
+def pairwise_closure_witness(m: int, elems: frozenset[int]):
+    """A pair (a, b) of the set whose product mod m leaves it, or None."""
+    for a in elems:
+        for b in elems:
+            if (a * b) % m not in elems:
+                return a, b
+    return None
+
+
+def bfs_subgroup_generated(m: int, gens) -> frozenset[int]:
+    """Subgroup generated by ``gens``: multiply every element by every generator."""
+    gens = list(gens)
+    elems = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = (x * g) % m
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    return frozenset(elems)
+
+
+def power_walk_coset_order(m: int, H_elems: frozenset[int], x: int) -> int:
+    """Order of xH, by walking the powers of x until one lands in H."""
+    e, y = 1, x
+    while y not in H_elems:
+        y = (y * x) % m
+        e += 1
+    return e
+
+
+def peeled_quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
+    """Basis of (Z/m)^x / H by peeling the least residue of maximal order.
+
+    Orders by power walks, the enlarged subgroup by BFS; the recursive
+    basis is lifted back so each generator keeps its order.  Orders come
+    out non-increasing.
+    """
+    units = unit_group(m)
+    if len(units) == len(H_elems):
+        return []
+    x, e = 1, 1
+    for y in units:
+        ey = power_walk_coset_order(m, H_elems, y)
+        if ey > e:
+            x, e = y, ey
+    rest = peeled_quotient_basis(m, bfs_subgroup_generated(m, H_elems | {x}))
+    x_inv = pow(x, -1, m)
+    adjusted = []
+    for y, ey in rest:
+        t, c = pow(y, ey, m), 0
+        while t not in H_elems:
+            t = (t * x_inv) % m
+            c += 1
+        assert c % ey == 0
+        adjusted.append(((y * pow(x_inv, c // ey, m)) % m, ey))
+    return [(x, e)] + adjusted
+
+
+def coset_box_is_basis(m: int, H: Subgroup, basis) -> bool:
+    """Does the product box of ``basis`` meet every coset of H once?  By listing cosets."""
+    box = [1]
+    for g, d in basis:
+        box = [(x * pow(g, a, m)) % m for x in box for a in range(d)]
+    cosets = {frozenset((x * h) % m for h in H.elements) for x in box}
+    return len(cosets) == len(box) == len(quotient_cosets(m, H))
+
+
+def peeled_invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int], ...]:
+    """The oracle basis in ``invariant_factor_basis`` order (d_1 | d_2 | ...)."""
+    if m == 1:
+        return ()
+    return tuple(reversed(peeled_quotient_basis(m, H.elements)))
+
+
 def abstract_order_histogram(factors) -> Counter:
     """Element-order multiset of Z/d_1 x ... x Z/d_r, by full enumeration."""
     hist: Counter = Counter()

@@ -13,11 +13,25 @@ from cmtwist.cli import (
     validate_input,
 )
 from cmtwist.fields import cyclotomic, quadratic
-from helpers import example41_field
+from helpers import cm_fields, example41_field, peeled_invariant_factor_basis
 
 
 def run_command(command, payload=None):
     return run(JobSpec(command, payload or {}))
+
+
+def example41_twist_job(order):
+    """twist-x payload for the example-41 datum with a character of this order."""
+    return {
+        "base": {"quadratic": -3},
+        "components": [{
+            "field": {"compositum": [{"quadratic": -3},
+                                     {"real_subfield_of": 17}]},
+            "type": [[0, 0], [0, 1], [0, 4], [0, 7],
+                     [1, 2], [1, 3], [1, 5], [1, 6]],
+        }],
+        "character": {"order": order},
+    }
 
 
 class TestValidateInput:
@@ -82,6 +96,14 @@ class TestDeclaredBasis:
     def test_cyclic_galois_group_unchanged(self):
         basis = declared_basis(cyclotomic(7))
         assert [d for _, d in basis] == [6]
+
+    def test_matches_the_peeling_oracle_on_cm_fields(self, monkeypatch):
+        # the declared basis feeds the byte-stable coordinate_basis report
+        corpus = cm_fields(40, 8)
+        fast = [declared_basis(K) for K in corpus]
+        monkeypatch.setattr("cmtwist.cli.invariant_factor_basis",
+                            peeled_invariant_factor_basis)
+        assert fast == [declared_basis(K) for K in corpus]
 
 
 class TestReports:
@@ -209,18 +231,8 @@ class TestMainExitCodes:
         assert "NOT CONCLUDED" in capsys.readouterr().out
 
     def test_hypothesis_failure_in_twist(self, tmp_path, capsys):
-        doc = {
-            "base": {"quadratic": -3},
-            "components": [{
-                "field": {"compositum": [{"quadratic": -3},
-                                         {"real_subfield_of": 17}]},
-                "type": [[0, 0], [0, 1], [0, 4], [0, 7],
-                         [1, 2], [1, 3], [1, 5], [1, 6]],
-            }],
-            "character": {"order": 2},
-        }
         path = tmp_path / "job.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(example41_twist_job(2)))
         assert main(["twist-x", "--input", str(path)]) == 2
         assert "n does not divide r" in capsys.readouterr().err
 
@@ -239,3 +251,37 @@ class TestMainExitCodes:
 
     def test_missing_input_file(self, capsys):
         assert main(["field", "--input", "/nonexistent/job.json"]) == 1
+
+    def test_twist_e_dimension_mismatch_is_input_error(self, tmp_path, capsys):
+        # the datum has dimension 3 + 1 = 4, but dim(X) + dim(Y) = 6
+        doc = {
+            "base": {"quadratic": -7},
+            "components": [
+                {"field": {"cyclotomic": 7}, "type": [1, 2, 3]},
+                {"field": {"quadratic": -7}, "type": [3]},
+            ],
+            "dim_x": 5,
+            "dim_y": 1,
+        }
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        assert main(["twist-e", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "datum dimension 4" in err
+        assert "Traceback" not in err
+
+    def test_trivial_character_order_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(example41_twist_job(1)))
+        assert main(["twist-x", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "at least 2" in err
+        assert "Traceback" not in err
+
+    def test_field_job_at_conductor_100003(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"field": {"cyclotomic": 100003}}))
+        assert main(["field", "--input", str(path), "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["invariant_factors"] == [100002]
+        assert results["field"]["roots_of_unity"] == 200006

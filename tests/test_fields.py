@@ -20,8 +20,8 @@ from cmtwist.fields import (
     roots_of_unity_order,
     subfields,
 )
-from cmtwist.residues import subgroup, subgroup_generated
-from helpers import example41_field
+from cmtwist.residues import invariant_factors, subgroup, subgroup_generated
+from helpers import cm_fields, example41_field
 
 
 class TestKroneckerSymbol:
@@ -190,11 +190,13 @@ class TestRootsOfUnity:
 
     def test_divisor_closure(self):
         # the roots of unity form one cyclic group: zeta_N lies in K
-        # exactly when N divides w(K)
-        corpus = subfields(cyclotomic(51)) + subfields(cyclotomic(84))
+        # exactly when N divides w(K), and every such N divides 2m
+        corpus = (subfields(cyclotomic(51)) + subfields(cyclotomic(84))
+                  + cm_fields(40, 8))
         for K in corpus:
             w = roots_of_unity_order(K)
             assert w % 2 == 0
+            assert (2 * K.conductor) % w == 0
             for N in range(1, 2 * K.conductor + 1):
                 if (2 * K.conductor) % N == 0:
                     assert is_subfield(cyclotomic(N), K) == (w % N == 0)
@@ -203,6 +205,13 @@ class TestRootsOfUnity:
         for K in subfields(cyclotomic(84)):
             if is_totally_real(K):
                 assert roots_of_unity_order(K) == 2
+
+
+def test_large_quadratic_conductor():
+    K = quadratic(-99991)
+    assert (K.conductor, K.degree) == (99991, 2)
+    assert invariant_factors(K.conductor, K.fixed_group) == (2,)
+    assert roots_of_unity_order(K) == 2
 
 
 def test_field_hashable_and_comparable():

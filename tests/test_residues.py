@@ -23,6 +23,10 @@ from cmtwist.residues import (
 )
 from helpers import (
     abstract_order_histogram,
+    bfs_subgroup_generated,
+    coset_box_is_basis,
+    pairwise_closure_witness,
+    peeled_invariant_factor_basis,
     quotient_order_histogram,
     subgroups_two_generated,
 )
@@ -198,3 +202,73 @@ class TestSubgroupEnumeration:
             assert len({S.elements for S in subs}) == len(subs)
             for S in subs:
                 subgroup(m, S.elements)  # re-validates closure
+
+
+class TestAgainstQuadraticOracles:
+    """Coset extension and prime stripping against the brute-force kernels."""
+
+    def test_invariant_factor_basis_matches_peeling_for_every_subgroup(self):
+        for m in range(1, 101):
+            for S in all_subgroups(m):
+                assert invariant_factor_basis(m, S) == (
+                    peeled_invariant_factor_basis(m, S)
+                ), (m, S.sorted_elements())
+
+    def test_is_quotient_basis_matches_coset_listing(self):
+        # swap one generator for every unit, as declared_basis does
+        verdicts = set()
+        for m in range(3, 33):
+            for S in all_subgroups(m):
+                basis = invariant_factor_basis(m, S)
+                for i, (_, d) in enumerate(basis):
+                    for u in unit_group(m):
+                        candidate = basis[:i] + ((u, d),) + basis[i + 1:]
+                        verdict = is_quotient_basis(m, S, candidate)
+                        assert verdict == coset_box_is_basis(m, S, candidate)
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @given(st.integers(min_value=2, max_value=150), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_subgroup_generated_matches_bfs(self, m, data):
+        gens = data.draw(st.lists(st.sampled_from(unit_group(m)), max_size=4))
+        assert subgroup_generated(m, gens).elements == bfs_subgroup_generated(m, gens)
+
+    @given(st.integers(min_value=2, max_value=120), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_closure_check_matches_pairwise(self, m, data):
+        units = unit_group(m)
+        # half the draws start from a subgroup, so closed sets come up often
+        if data.draw(st.booleans()):
+            base = subgroup_generated(
+                m, data.draw(st.lists(st.sampled_from(units), max_size=2))
+            ).elements
+        else:
+            base = frozenset({1})
+        added = data.draw(st.lists(st.sampled_from(units), max_size=3))
+        removed = data.draw(st.lists(st.sampled_from(units[1:] or units), max_size=1))
+        elems = (base | frozenset(added)) - (frozenset(removed) - {1})
+        witness = pairwise_closure_witness(m, elems)
+        if witness is None:
+            assert subgroup(m, elems).elements == elems
+            return
+        with pytest.raises(ValueError, match="not closed") as info:
+            subgroup(m, elems)
+        a, b = (int(v) for v in str(info.value).rsplit(": ", 1)[1].split("*"))
+        assert a in elems and b in elems
+        assert (a * b) % m not in elems
+
+    def test_closure_witness_from_a_power(self):
+        # 3*3 = 2 mod 7 is the first product the generation meets
+        with pytest.raises(ValueError, match=r"mod 7: 3\*3$"):
+            subgroup(7, [1, 3])
+
+
+class TestLargeInputs:
+    """Values at conductors the quadratic kernels could not reach in time."""
+
+    def test_prime_conductor_10007(self):
+        assert invariant_factors(10007, trivial_subgroup(10007)) == (10006,)
+
+    def test_conductor_4095(self):
+        assert invariant_factors(4095, trivial_subgroup(4095)) == (2, 6, 12, 12)
