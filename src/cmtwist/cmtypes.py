@@ -5,6 +5,14 @@ with Galois elements, so a CM-type is a set of cosets containing exactly
 one of each conjugate pair.  Restriction multiplicities n_sigma are fiber
 counts of CM-types over the Galois group of a base CM field; the Weil
 condition is their invariance under conjugation.
+
+Galois elements appear as frozenset cosets only where they meet the
+caller: ``CMType.psi``, the multiplicity keys, and the residue sets the
+reports print.  Every product, conjugate and comparison goes through the
+field's cached residue-to-coset table (``fields._coset_index``) instead:
+the coset of g*c is ``galois_group(K)[index[min(g) * min(c) % m]]`` and
+complex conjugation sends c to the coset of (m - 1) * min(c).  So the
+stabilizer of psi costs |psi|^2 lookups.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from typing import Iterable, Optional
 
 from .fields import (
     AbelianField,
+    _coset_index,
     complex_conjugation,
     field_from,
     galois_group,
@@ -21,7 +30,7 @@ from .fields import (
     is_subfield,
     restrict_coset,
 )
-from .residues import Subgroup, coset_mul, coset_of
+from .residues import Subgroup, coset_of
 
 
 @dataclass(frozen=True)
@@ -74,19 +83,23 @@ def validate_cm_type(K: AbelianField, psi: Iterable) -> CMType:
         raise ValueError(
             f"half-system must have {len(group) // 2} elements, got {len(cosets)}"
         )
-    conj = complex_conjugation(K)
-    for c in sorted(cosets, key=min):
-        if coset_mul(K.conductor, conj, c) in cosets:
+    m, index = K.conductor, _coset_index(K)
+    reps = sorted(min(c) for c in cosets)
+    chosen = {index[r] for r in reps}
+    for r in reps:
+        if index[(m - 1) * r % m] in chosen:
             raise ValueError(
-                f"not a half-system: {sorted(c)} appears together with its conjugate"
+                f"not a half-system: {sorted(group[index[r]])} appears together with its conjugate"
             )
     return CMType(K, cosets)
 
 
 def translate(T: CMType, g: frozenset[int]) -> CMType:
     """The CM-type g * psi (still a CM-type for any Galois element g)."""
-    m = T.field.conductor
-    return CMType(T.field, frozenset(coset_mul(m, g, c) for c in T.psi))
+    K = T.field
+    m, group, index = K.conductor, galois_group(K), _coset_index(K)
+    a = min(g)
+    return CMType(K, frozenset(group[index[a * min(c) % m]] for c in T.psi))
 
 
 def conjugate_type(T: CMType) -> CMType:
@@ -97,13 +110,21 @@ def stabilizer(T: CMType) -> Subgroup:
     """Stabilizer {g : g psi = psi}, returned as its preimage in (Z/m)^x.
 
     The preimage is the union of the stabilizing cosets, a subgroup
-    containing the fixed group of the field.
+    containing the fixed group of the field.  A g with g psi = psi carries
+    the first element c0 of psi into psi, so only the |psi| candidates
+    g = c c0^-1 (c in psi) are tested; g psi <= psi suffices because both
+    sets have |psi| elements.
     """
-    m = T.field.conductor
+    K = T.field
+    m, group, index = K.conductor, galois_group(K), _coset_index(K)
+    reps = [min(c) for c in T.psi]
+    chosen = {index[r] for r in reps}
+    r0_inv = pow(reps[0], -1, m)
     residues: set[int] = set()
-    for g in galois_group(T.field):
-        if frozenset(coset_mul(m, g, c) for c in T.psi) == T.psi:
-            residues |= g
+    for r in reps:
+        g = r * r0_inv % m
+        if all(index[g * s % m] in chosen for s in reps):
+            residues |= group[index[g]]
     return Subgroup(m, frozenset(residues))
 
 
@@ -136,7 +157,8 @@ def reflex_type(T: CMType, convention: str = "inverse") -> ReflexType:
     m = K.conductor
     refl = reflex_field(T)
     if convention == "inverse":
-        source = (frozenset(pow(a, -1, m) for a in c) for c in T.psi)
+        group, index = galois_group(K), _coset_index(K)
+        source = (group[index[pow(min(c), -1, m)]] for c in T.psi)
     else:
         source = iter(conjugate_type(T).psi)
     restricted = frozenset(restrict_coset(K, refl, c) for c in source)
@@ -203,16 +225,12 @@ def restriction_multiplicities(D: WeilDatum) -> dict[frozenset[int], int]:
 def is_weil_type(D: WeilDatum) -> bool:
     """True when n_sigma = n_{sigma-bar} for every embedding of the base."""
     counts = restriction_multiplicities(D)
-    conj = complex_conjugation(D.base)
-    m = D.base.conductor
+    k = D.base
+    m, group, index = k.conductor, galois_group(k), _coset_index(k)
     return all(
-        counts[sigma] == counts[coset_mul(m, conj, sigma)] for sigma in counts
+        counts[sigma] == counts[group[index[(m - 1) * min(sigma) % m]]]
+        for sigma in counts
     )
-
-
-def divisibility_check(D: WeilDatum) -> bool:
-    """[k:Q] | dim(A); automatic for Weil-type data."""
-    return D.dim % D.base.degree == 0
 
 
 def balance_product(D: WeilDatum) -> Optional[CMType]:
@@ -232,34 +250,29 @@ def balance_product(D: WeilDatum) -> Optional[CMType]:
     return None
 
 
+def _conjugate_pairs(K: AbelianField) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Gal(K/Q) as pairs (c, conjugate of c), c running in coset order."""
+    m, group, index = K.conductor, galois_group(K), _coset_index(K)
+    if m == 1:
+        return [(group[0], group[0])]
+    pairs = []
+    seen: set[int] = set()
+    for i, c in enumerate(group):
+        if i not in seen:
+            j = index[(m - 1) * min(c) % m]
+            seen.update((i, j))
+            pairs.append((c, group[j]))
+    return pairs
+
+
 def canonical_cm_type(K: AbelianField) -> CMType:
     """Some CM-type on K: the least representative of each conjugate pair."""
-    conj = complex_conjugation(K)
-    m = K.conductor
-    chosen = []
-    seen: set[frozenset[int]] = set()
-    for c in galois_group(K):
-        if c in seen:
-            continue
-        seen.add(c)
-        seen.add(coset_mul(m, conj, c))
-        chosen.append(c)
-    return validate_cm_type(K, chosen)
+    return validate_cm_type(K, [c for c, _ in _conjugate_pairs(K)])
 
 
 def all_cm_types(K: AbelianField) -> tuple[CMType, ...]:
     """Every CM-type on K (2^(degree/2) of them); degree kept desk-scale."""
-    conj = complex_conjugation(K)
-    m = K.conductor
-    pairs = []
-    seen: set[frozenset[int]] = set()
-    for c in galois_group(K):
-        if c in seen:
-            continue
-        cc = coset_mul(m, conj, c)
-        seen.add(c)
-        seen.add(cc)
-        pairs.append((c, cc))
+    pairs = _conjugate_pairs(K)
     if len(pairs) > 12:
         raise ValueError("refusing to enumerate more than 2^12 CM-types")
     types = []

@@ -188,11 +188,22 @@ def intersect(K1: AbelianField, K2: AbelianField) -> AbelianField:
 def is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
     """True when K1 is contained in K2.
 
+    Conductors are minimal, so K1 <= K2 forces m1 | m2: K1 would otherwise
+    lie in the cyclotomic field of conductor gcd(m1, m2) < m1.  Given
+    m1 | m2, K1 <= K2 exactly when the fixed group H2 of K2 lies in the
+    lift of H1 to (Z/m2)^x, that is when every h in H2 reduces mod m1 into
+    H1.  That costs |H2| membership tests.
+
     >>> is_subfield(quadratic(-7), cyclotomic(7))
     True
     """
-    M = lcm(K1.conductor, K2.conductor)
-    return _lift(K1, M) >= _lift(K2, M)
+    m1 = K1.conductor
+    if m1 == 1:
+        return True
+    if K2.conductor % m1 != 0:
+        return False
+    H1 = K1.fixed_group.elements
+    return all(h % m1 in H1 for h in K2.fixed_group.elements)
 
 
 def is_totally_real(K: AbelianField) -> bool:
@@ -232,10 +243,23 @@ def galois_group(K: AbelianField) -> tuple[frozenset[int], ...]:
     return quotient_cosets(K.conductor, K.fixed_group)
 
 
-def identity_coset(K: AbelianField) -> frozenset[int]:
-    if K.conductor == 1:
-        return frozenset()
-    return frozenset(K.fixed_group.elements)
+@lru_cache(maxsize=None)
+def _coset_index(K: AbelianField) -> tuple[int, ...]:
+    """Position in :func:`galois_group` of the coset of each residue mod m.
+
+    Entry x is the index of the coset containing x, or -1 when x is not a
+    unit.  Galois arithmetic is done on these indices: the product of the
+    cosets of a and b is coset ``index[a * b % m]``, whatever
+    representatives a and b are.
+
+    >>> _coset_index(quadratic(-7))
+    (-1, 0, 0, 1, 0, 1, 1)
+    """
+    index = [-1] * K.conductor
+    for i, c in enumerate(galois_group(K)):
+        for x in c:
+            index[x] = i
+    return tuple(index)
 
 
 def restrict_coset(
@@ -247,7 +271,7 @@ def restrict_coset(
     if K_small.conductor == 1:
         return frozenset()
     rep = min(c)
-    return coset_of(K_small.conductor, K_small.fixed_group, rep % K_small.conductor)
+    return galois_group(K_small)[_coset_index(K_small)[rep % K_small.conductor]]
 
 
 @lru_cache(maxsize=None)
@@ -273,14 +297,31 @@ def roots_of_unity_order(K: AbelianField) -> int:
 
 
 def subfields(K: AbelianField) -> tuple[AbelianField, ...]:
-    """All subfields of K, via subgroups of (Z/m)^x containing the fixed group."""
-    from .residues import all_subgroups
+    """All subfields of K, via the subgroups of Gal(K/Q).
 
+    A subfield is the fixed field of a subgroup S of (Z/m)^x containing the
+    fixed group H.  Each such S is a join of the cyclic subgroups <H, x>,
+    one per coset of H, so those [K:Q] groups are joined until nothing new
+    appears.
+    """
     m = K.conductor
+    if m == 1:
+        return (K,)
     H = K.fixed_group.elements
-    fields = []
-    for S in all_subgroups(m):
-        if S.elements >= (H if m > 1 else frozenset()):
-            fields.append(field_from(m, S))
-    return tuple(sorted(set(fields), key=lambda F: (F.degree, F.conductor,
-                                                    F.fixed_group.sorted_elements())))
+    cyclics = {subgroup_generated(m, H | {min(c)}).elements for c in galois_group(K)}
+    subs = set(cyclics)
+    frontier = set(cyclics)
+    while frontier:
+        new = set()
+        for S in frontier:
+            for C in cyclics:
+                if C <= S:
+                    continue
+                T = subgroup_generated(m, S | C).elements
+                if T not in subs:
+                    subs.add(T)
+                    new.add(T)
+        frontier = new
+    fields = {field_from(m, Subgroup(m, S)) for S in subs}
+    return tuple(sorted(fields, key=lambda F: (F.degree, F.conductor,
+                                               F.fixed_group.sorted_elements())))

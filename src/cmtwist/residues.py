@@ -10,16 +10,19 @@ Every quotient basis is still verified by :func:`is_quotient_basis`
 before it is returned, and the brute-force versions of these kernels live
 in the test suite as oracles.
 
-Group elements are plain residues (ints coprime to the modulus); a coset
-of a subgroup is a ``frozenset`` of residues.  The modulus m = 1 denotes
-the trivial group and is represented by an empty element set of order 1.
+Group elements are plain residues (ints coprime to the modulus).  A coset
+of a subgroup is handed out as a ``frozenset`` of residues, sorted into a
+tuple by :func:`quotient_cosets`.  Arithmetic on cosets happens on their
+positions in that tuple, through the residue-to-coset table of
+:mod:`cmtwist.fields`, never on the sets.  The modulus m = 1 denotes the
+trivial group and is represented by an empty element set of order 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable
 
 
@@ -163,27 +166,13 @@ def element_order(m: int, x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cosets of a subgroup.  A coset is a frozenset of residues; the product of
-# two cosets is the literal element-wise product set, which equals the coset
-# of any representative product, so nothing here depends on representatives.
+# Cosets of a subgroup, each a frozenset of residues.
 
 def coset_of(m: int, H: Subgroup, x: int) -> frozenset[int]:
     if m == 1:
         return frozenset()
     _check_unit(m, x)
     return frozenset((x * h) % m for h in H.elements)
-
-
-def coset_mul(m: int, c1: frozenset[int], c2: frozenset[int]) -> frozenset[int]:
-    if m == 1:
-        return frozenset()
-    return frozenset((a * b) % m for a in c1 for b in c2)
-
-
-def coset_inv(m: int, c: frozenset[int]) -> frozenset[int]:
-    if m == 1:
-        return frozenset()
-    return frozenset(pow(a, -1, m) for a in c)
 
 
 def quotient_cosets(m: int, H: Subgroup) -> tuple[frozenset[int], ...]:
@@ -236,23 +225,58 @@ def _prime_divisors(n: int) -> list[int]:
     return primes
 
 
+@lru_cache(maxsize=None)
+def _unit_generators(m: int) -> tuple[int, ...]:
+    """Generators of (Z/m)^x, one or two per prime power q || m, joined by CRT.
+
+    For odd p, (Z/p^e)^x is cyclic, generated by the least primitive root g
+    mod p, or by g + p when g^(p-1) = 1 mod p^2.  (Z/2^e)^x is generated by
+    -1 and 5 (by -1 alone for e = 2, and is trivial for e = 1).  Each local
+    generator becomes the residue that is 1 mod m/q.
+    """
+    gens = []
+    for p in _prime_divisors(m):
+        q = p
+        while m % (q * p) == 0:
+            q *= p
+        if p == 2:
+            local = [q - 1, 5][:q.bit_length() - 2]
+        else:
+            order_primes = _prime_divisors(p - 1)
+            g = next(g for g in range(2, p)
+                     if all(pow(g, (p - 1) // r, p) != 1 for r in order_primes))
+            local = [g + p if pow(g, p - 1, p * p) == 1 else g]
+        rest = m // q
+        for g in local:
+            gens.append((g + q * ((1 - g) * pow(q, -1, rest) % rest)) % m)
+    return tuple(gens)
+
+
 def _max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
     """Least residue whose coset has maximal order in (Z/m)^x / H, and that order.
 
     The order of xH divides n = |G/H|: start from n and strip each prime q
-    while x^(e/q) still lies in H.
+    while x^(e/q) still lies in H.  The maximal order is the exponent of
+    G/H, the lcm of the orders of the images of generators of (Z/m)^x, so
+    the ascending scan stops at the first residue of that order.
     """
     n = group_order(m) // len(H_elems)
     primes = _prime_divisors(n)
-    best_x, best_e = 1, 1
-    for x in unit_group(m):
+
+    def order(x: int) -> int:
         e = n
         for q in primes:
             while e % q == 0 and pow(x, e // q, m) in H_elems:
                 e //= q
+        return e
+
+    exponent = lcm(*(order(g) for g in _unit_generators(m)))
+    best_x, best_e = 1, 1
+    for x in unit_group(m):
+        e = order(x)
         if e > best_e:
             best_x, best_e = x, e
-            if e == n:
+            if e == exponent:
                 break
     return best_x, best_e
 
@@ -331,34 +355,3 @@ def invariant_factors(m: int, H: Subgroup) -> tuple[int, ...]:
     if H.modulus != m:
         raise ValueError("subgroup modulus mismatch")
     return tuple(d for _, d in invariant_factor_basis(m, H))
-
-
-# ---------------------------------------------------------------------------
-# Subgroup enumeration, used for Galois lattices and brute-force oracles.
-
-def cyclic_subgroups(m: int) -> set[frozenset[int]]:
-    subs = {trivial_subgroup(m).elements}
-    for x in unit_group(m):
-        subs.add(subgroup_generated(m, [x]).elements)
-    return subs
-
-
-def all_subgroups(m: int) -> tuple[Subgroup, ...]:
-    """Every subgroup of (Z/m)^x, by saturating joins of cyclic subgroups."""
-    cyclics = cyclic_subgroups(m)
-    subs = set(cyclics)
-    frontier = set(cyclics)
-    while frontier:
-        new = set()
-        for S in frontier:
-            for C in cyclics:
-                if C <= S:
-                    continue
-                T = subgroup_generated(m, S | C).elements
-                if T not in subs:
-                    subs.add(T)
-                    new.add(T)
-        frontier = new
-    return tuple(
-        Subgroup(m, s) for s in sorted(subs, key=lambda s: (len(s), sorted(s)))
-    )

@@ -80,19 +80,6 @@ def make_character(k: AbelianField, n: int, label: str = "M") -> CharacterSpec:
     return CharacterSpec(k, n, label)
 
 
-def central_twist_transfer(values_central: bool, end_a_over_f: bool) -> Optional[bool]:
-    """Does End_F carry over to the twist?  True for central cocycles.
-
-    Central values transfer the F-rational endomorphism ring to the twist;
-    when additionally both endomorphism fields equal F, the cocycle is
-    forced to be a character valued in the units of the center.  With
-    non-central values nothing is concluded (None).
-    """
-    if values_central:
-        return True
-    return None
-
-
 @dataclass(frozen=True)
 class DiscondResult:
     """Galois groups of M / F_Phi(B) / F cut out by an order-n character.

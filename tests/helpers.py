@@ -9,6 +9,8 @@ from math import gcd, lcm
 
 from cmtwist.cmtypes import (
     CMType,
+    WeilDatum,
+    _as_coset,
     canonical_cm_type,
     conjugate_type,
     validate_cm_type,
@@ -16,21 +18,59 @@ from cmtwist.cmtypes import (
 )
 from cmtwist.fields import (
     AbelianField,
+    _lift,
+    complex_conjugation,
     compositum,
     cyclotomic,
     field_from,
+    galois_group,
     is_cm,
     maximal_real_subfield,
     quadratic,
 )
 from cmtwist.residues import (
     Subgroup,
-    all_subgroups,
+    _prime_divisors,
+    coset_of,
     coset_order,
+    group_order,
     quotient_cosets,
     subgroup_generated,
+    trivial_subgroup,
     unit_group,
 )
+
+
+# ---------------------------------------------------------------------------
+# Subgroup enumeration of (Z/m)^x.
+
+def cyclic_subgroups(m: int) -> set[frozenset[int]]:
+    subs = {trivial_subgroup(m).elements}
+    for x in unit_group(m):
+        subs.add(subgroup_generated(m, [x]).elements)
+    return subs
+
+
+@lru_cache(maxsize=None)
+def all_subgroups(m: int) -> tuple[Subgroup, ...]:
+    """Every subgroup of (Z/m)^x, by saturating joins of cyclic subgroups."""
+    cyclics = cyclic_subgroups(m)
+    subs = set(cyclics)
+    frontier = set(cyclics)
+    while frontier:
+        new = set()
+        for S in frontier:
+            for C in cyclics:
+                if C <= S:
+                    continue
+                T = subgroup_generated(m, S | C).elements
+                if T not in subs:
+                    subs.add(T)
+                    new.add(T)
+        frontier = new
+    return tuple(
+        Subgroup(m, s) for s in sorted(subs, key=lambda s: (len(s), sorted(s)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +209,33 @@ def peeled_invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int],
     return tuple(reversed(peeled_quotient_basis(m, H.elements)))
 
 
+def full_scan_max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
+    """Least residue of maximal coset order in (Z/m)^x / H, scanning every unit
+    unless one reaches the order |G/H| itself."""
+    n = group_order(m) // len(H_elems)
+    primes = _prime_divisors(n)
+    best_x, best_e = 1, 1
+    for x in unit_group(m):
+        e = n
+        for q in primes:
+            while e % q == 0 and pow(x, e // q, m) in H_elems:
+                e //= q
+        if e > best_e:
+            best_x, best_e = x, e
+            if e == n:
+                break
+    return best_x, best_e
+
+
+def subgroup_lattice_subfields(K: AbelianField) -> tuple[AbelianField, ...]:
+    """Subfields of K from every subgroup of (Z/m)^x containing the fixed group."""
+    m = K.conductor
+    H = K.fixed_group.elements
+    fields = {field_from(m, S) for S in all_subgroups(m) if S.elements >= H}
+    return tuple(sorted(fields, key=lambda F: (F.degree, F.conductor,
+                                               F.fixed_group.sorted_elements())))
+
+
 def abstract_order_histogram(factors) -> Counter:
     """Element-order multiset of Z/d_1 x ... x Z/d_r, by full enumeration."""
     hist: Counter = Counter()
@@ -201,6 +268,108 @@ def brute_stabilizer_subgroup(T: CMType) -> Subgroup:
         ):
             best = S.elements
     return Subgroup(m, best)
+
+
+# ---------------------------------------------------------------------------
+# Galois arithmetic on literal coset sets: the product of two cosets is the
+# element-wise product set, which is the coset of any representative
+# product.  Oracles for the coset-index lookups of ``cmtypes``.
+
+def coset_mul(m: int, c1: frozenset[int], c2: frozenset[int]) -> frozenset[int]:
+    if m == 1:
+        return frozenset()
+    return frozenset((a * b) % m for a in c1 for b in c2)
+
+
+def coset_inv(m: int, c: frozenset[int]) -> frozenset[int]:
+    if m == 1:
+        return frozenset()
+    return frozenset(pow(a, -1, m) for a in c)
+
+
+def lift_is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
+    """K1 <= K2 by comparing both fixed groups lifted to the lcm conductor."""
+    M = lcm(K1.conductor, K2.conductor)
+    return _lift(K1, M) >= _lift(K2, M)
+
+
+def coset_mul_validate_cm_type(K: AbelianField, psi) -> CMType:
+    """Half-system check with each conjugate formed by ``coset_mul``."""
+    if not is_cm(K):
+        raise ValueError(f"{K!r} is not a CM field")
+    cosets = frozenset(_as_coset(K, e) for e in psi)
+    group = galois_group(K)
+    if len(cosets) != len(group) // 2:
+        raise ValueError(
+            f"half-system must have {len(group) // 2} elements, got {len(cosets)}"
+        )
+    conj = complex_conjugation(K)
+    for c in sorted(cosets, key=min):
+        if coset_mul(K.conductor, conj, c) in cosets:
+            raise ValueError(
+                f"not a half-system: {sorted(c)} appears together with its conjugate"
+            )
+    return CMType(K, cosets)
+
+
+def coset_mul_conjugate_pairs(K: AbelianField) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Gal(K/Q) as pairs (c, conjugate of c), c running in coset order."""
+    conj = complex_conjugation(K)
+    pairs = []
+    seen: set[frozenset[int]] = set()
+    for c in galois_group(K):
+        if c not in seen:
+            cc = coset_mul(K.conductor, conj, c)
+            seen.update((c, cc))
+            pairs.append((c, cc))
+    return pairs
+
+
+def coset_mul_translate(T: CMType, g: frozenset[int]) -> CMType:
+    m = T.field.conductor
+    return CMType(T.field, frozenset(coset_mul(m, g, c) for c in T.psi))
+
+
+def coset_mul_conjugate_type(T: CMType) -> CMType:
+    return coset_mul_translate(T, complex_conjugation(T.field))
+
+
+def coset_mul_stabilizer(T: CMType) -> Subgroup:
+    """Union of the Galois elements g with g psi = psi, trying every g."""
+    m = T.field.conductor
+    residues: set[int] = set()
+    for g in galois_group(T.field):
+        if frozenset(coset_mul(m, g, c) for c in T.psi) == T.psi:
+            residues |= g
+    return Subgroup(m, frozenset(residues))
+
+
+def coset_mul_restriction_multiplicities(D: WeilDatum) -> dict[frozenset[int], int]:
+    """n_sigma, restricting each type element by the coset of its least residue."""
+    k = D.base
+    counts = {sigma: 0 for sigma in galois_group(k)}
+    for T in D.components:
+        assert lift_is_subfield(k, T.field)
+        for c in T.psi:
+            counts[coset_of(k.conductor, k.fixed_group, min(c) % k.conductor)] += 1
+    return counts
+
+
+def coset_mul_is_weil_type(D: WeilDatum) -> bool:
+    counts = coset_mul_restriction_multiplicities(D)
+    conj = complex_conjugation(D.base)
+    m = D.base.conductor
+    return all(counts[s] == counts[coset_mul(m, conj, s)] for s in counts)
+
+
+def induced_cm_type(K: AbelianField, T_small: CMType) -> CMType:
+    """The CM-type of K lying over ``T_small`` on a CM subfield of K."""
+    k = T_small.field
+    psi = frozenset(
+        c for c in galois_group(K)
+        if coset_of(k.conductor, k.fixed_group, min(c) % k.conductor) in T_small.psi
+    )
+    return validate_cm_type(K, psi)
 
 
 # ---------------------------------------------------------------------------

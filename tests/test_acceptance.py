@@ -27,11 +27,12 @@ from cmtwist.inertia import (
     seven_divisibility,
     unit_generator_check,
 )
-from cmtwist.residues import coset_mul, invariant_factors, subgroup_generated
+from cmtwist.residues import invariant_factors, subgroup_generated
 from cmtwist.twists import make_character, twist_x
 from helpers import (
     brute_stabilizer_subgroup,
     cm_fields,
+    coset_mul,
     example41_field,
     example41_type,
     synthetic_weil_datum,

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtwist.cmtypes import (
     CMType,
@@ -17,27 +21,36 @@ from cmtwist.cmtypes import (
     weil_datum,
     weil_r,
     weil_r_from_dims,
-    divisibility_check,
 )
 from cmtwist.fields import (
     complex_conjugation,
+    compositum,
     cyclotomic,
     field_from,
     galois_group,
-    identity_coset,
     is_cm,
     is_subfield,
+    maximal_real_subfield,
     quadratic,
     restrict_coset,
     subfields,
 )
-from cmtwist.residues import coset_mul
+from cmtwist.residues import unit_group
 from helpers import (
     brute_stabilizer_subgroup,
     cm_fields,
+    coset_mul,
+    coset_mul_conjugate_pairs,
+    coset_mul_conjugate_type,
+    coset_mul_is_weil_type,
+    coset_mul_restriction_multiplicities,
+    coset_mul_stabilizer,
+    coset_mul_translate,
+    coset_mul_validate_cm_type,
     example41_field,
     example41_residues,
     example41_type,
+    induced_cm_type,
 )
 
 
@@ -153,7 +166,7 @@ class TestReflexType:
     def test_quadratic_reflex(self):
         T = validate_cm_type(SQRT_M7, [1])
         inv = reflex_type(T, "inverse")
-        assert inv.cm_type.psi == {identity_coset(SQRT_M7)}
+        assert inv.cm_type.psi == {galois_group(SQRT_M7)[0]}
         # the conjugate convention flips a quadratic type to the other one
         conj = reflex_type(T, "conjugate")
         assert conj.cm_type.psi == {complex_conjugation(SQRT_M7)}
@@ -268,7 +281,7 @@ class TestWeilDatum:
                 for T in all_cm_types(K):
                     D = weil_datum(k, [T])
                     if is_weil_type(D):
-                        assert divisibility_check(D)
+                        assert D.dim % k.degree == 0
 
 
 class TestBalanceProduct:
@@ -294,3 +307,81 @@ class TestBalanceProduct:
         elliptic = validate_cm_type(SQRT_M7, [3])
         D = weil_datum(SQRT_M7, [jacobian_type(), elliptic])
         assert balance_product(D) is None
+
+
+# ---------------------------------------------------------------------------
+# Coset-index lookups against Galois arithmetic on literal coset sets.
+
+@lru_cache(maxsize=None)
+def degree_96_field():
+    """Q(sqrt(-3)) times the real subfield of the 97th cyclotomic field
+    (|H| = 2), with its CM subfields."""
+    K = compositum(quadratic(-3), maximal_real_subfield(cyclotomic(97)))
+    return K, tuple(k for k in subfields(K) if is_cm(k))
+
+
+def check_against_oracles(T, gs, bases):
+    assert stabilizer(T) == coset_mul_stabilizer(T)
+    assert conjugate_type(T) == coset_mul_conjugate_type(T)
+    for g in gs:
+        assert translate(T, g) == coset_mul_translate(T, g)
+    for k in bases:
+        D = weil_datum(k, [T])
+        counts = restriction_multiplicities(D)
+        assert list(counts.items()) == list(coset_mul_restriction_multiplicities(D).items())
+        assert is_weil_type(D) == coset_mul_is_weil_type(D)
+
+
+def draw_half_system(data, K):
+    """One residue from each conjugate pair's drawn side, in pair order."""
+    pairs = coset_mul_conjugate_pairs(K)
+    bits = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [data.draw(st.sampled_from(sorted(pair[b]))) for pair, b in zip(pairs, bits)]
+
+
+def outcome(validate, K, psi):
+    try:
+        return validate(K, psi)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstCosetMulOracles:
+    def test_every_type_on_small_cm_fields(self):
+        for K in cm_fields(40, 8):
+            pairs = coset_mul_conjugate_pairs(K)
+            assert canonical_cm_type(K) == validate_cm_type(K, [c for c, _ in pairs])
+            types = all_cm_types(K)
+            assert [T.psi for T in types] == [
+                frozenset(p[(mask >> i) & 1] for i, p in enumerate(pairs))
+                for mask in range(1 << len(pairs))
+            ]
+            bases = [k for k in subfields(K) if is_cm(k)]
+            for T in types:
+                check_against_oracles(T, galois_group(K), bases)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_half_systems_on_degree_96_field(self, data):
+        # half the draws lie over a type of a CM subfield L, so their
+        # stabilizer contains Gal(K/L)
+        K, cm_subfields = degree_96_field()
+        assert (K.degree, K.fixed_group.order) == (96, 2)
+        L = data.draw(st.sampled_from(cm_subfields)) if data.draw(st.booleans()) else K
+        T = induced_cm_type(K, validate_cm_type(L, draw_half_system(data, L)))
+        assert validate_cm_type(K, T.psi) == T
+        g = data.draw(st.sampled_from(galois_group(K)))
+        check_against_oracles(T, [g], {quadratic(-3), L})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_validate_rejects_like_the_oracle(self, data):
+        K = data.draw(st.sampled_from(cm_fields(40, 8) + (degree_96_field()[0],)))
+        psi = draw_half_system(data, K)
+        # replace a few entries by arbitrary units, or drop one
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(psi) - 1))
+            psi[i] = data.draw(st.sampled_from(unit_group(K.conductor)))
+        if data.draw(st.booleans()):
+            psi = psi[1:]
+        assert outcome(validate_cm_type, K, psi) == outcome(coset_mul_validate_cm_type, K, psi)

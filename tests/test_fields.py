@@ -21,7 +21,12 @@ from cmtwist.fields import (
     subfields,
 )
 from cmtwist.residues import invariant_factors, subgroup, subgroup_generated
-from helpers import cm_fields, example41_field
+from helpers import (
+    cm_fields,
+    example41_field,
+    lift_is_subfield,
+    subgroup_lattice_subfields,
+)
 
 
 class TestKroneckerSymbol:
@@ -108,6 +113,7 @@ class TestLatticeOperations:
         for K1 in corpus:
             for K2 in corpus:
                 sub = is_subfield(K1, K2)
+                assert sub == lift_is_subfield(K1, K2)
                 assert sub == (compositum(K1, K2) == K2)
                 assert sub == (intersect(K1, K2) == K1)
                 if sub:
@@ -135,6 +141,27 @@ class TestLatticeOperations:
             big = compositum(K1, K2)
             small = intersect(K1, K2)
             assert big.degree * small.degree == K1.degree * K2.degree
+
+    def test_subfields_match_the_subgroup_lattice(self):
+        corpus = cm_fields(40, 8) + (
+            RATIONALS, cyclotomic(51), cyclotomic(84), example41_field(),
+            maximal_real_subfield(cyclotomic(51)), quadratic(5),
+        )
+        for K in corpus:
+            assert subfields(K) == subgroup_lattice_subfields(K), K
+
+    def test_subfields_of_degree_12_conductor_1001(self):
+        # cubic field of conductor 7 times Q(sqrt(-11)) times Q(sqrt(13)):
+        # Gal = Z/3 x Z/2 x Z/2 has ten subgroups
+        cubic = maximal_real_subfield(cyclotomic(7))
+        K = compositum(compositum(cubic, quadratic(-11)), quadratic(13))
+        assert (K.conductor, K.degree) == (1001, 12)
+        subs = subfields(K)
+        assert [F.degree for F in subs] == [1, 2, 2, 2, 3, 4, 6, 6, 6, 12]
+        assert subs[0] == RATIONALS and subs[-1] == K and cubic in subs
+        assert {F for F in subs if F.degree == 2} == {
+            quadratic(-11), quadratic(13), quadratic(-143)}
+        assert all(is_subfield(F, K) for F in subs)
 
     def test_normalization_idempotent(self):
         for K in subfields(cyclotomic(84)):

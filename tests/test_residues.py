@@ -5,9 +5,8 @@ from sympy import totient
 
 from cmtwist.residues import (
     Subgroup,
-    all_subgroups,
-    coset_inv,
-    coset_mul,
+    _max_order_residue,
+    _unit_generators,
     coset_of,
     coset_order,
     element_order,
@@ -23,8 +22,12 @@ from cmtwist.residues import (
 )
 from helpers import (
     abstract_order_histogram,
+    all_subgroups,
     bfs_subgroup_generated,
     coset_box_is_basis,
+    coset_inv,
+    coset_mul,
+    full_scan_max_order_residue,
     pairwise_closure_witness,
     peeled_invariant_factor_basis,
     quotient_order_histogram,
@@ -213,6 +216,32 @@ class TestAgainstQuadraticOracles:
                 assert invariant_factor_basis(m, S) == (
                     peeled_invariant_factor_basis(m, S)
                 ), (m, S.sorted_elements())
+
+    def test_max_order_residue_matches_full_scan(self):
+        # the exponent stop keeps the least residue of maximal order
+        for m in range(3, 120):
+            for S in all_subgroups(m):
+                if S.order < group_order(m):
+                    assert _max_order_residue(m, S.elements) == (
+                        full_scan_max_order_residue(m, S.elements)
+                    ), (m, S.sorted_elements())
+
+    def test_unit_generators_generate_the_unit_group(self):
+        assert _unit_generators(1) == _unit_generators(2) == ()
+        assert _unit_generators(4) == (3,)
+        for m in range(3, 1000):
+            assert subgroup_generated(m, _unit_generators(m)).order == group_order(m), m
+
+    def test_unit_generator_lifted_off_a_wieferich_root(self):
+        # 5 is the least primitive root mod 40487 but 5^(p-1) = 1 mod p^2,
+        # so (Z/p^2)^x needs 5 + p, of order p(p - 1)
+        p = 40487
+        assert pow(5, p - 1, p * p) == 1
+        (g,) = _unit_generators(p * p)
+        assert g == 5 + p
+        n = p * (p - 1)
+        assert 2 * 31 * 653 == p - 1
+        assert all(pow(g, n // r, p * p) != 1 for r in (2, 31, 653, p))
 
     def test_is_quotient_basis_matches_coset_listing(self):
         # swap one generator for every unit, as declared_basis does

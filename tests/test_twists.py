@@ -13,7 +13,6 @@ from cmtwist.twists import (
     HYP_WEIL_TYPE,
     CharacterSpec,
     HypothesisError,
-    central_twist_transfer,
     discond_groups,
     hodge_exponent_constraint,
     make_character,
@@ -57,18 +56,6 @@ class TestMakeCharacter:
             k = cyclotomic(2 * n)
             c = make_character(k, n)
             assert roots_of_unity_order(c.value_field) % c.order == 0
-
-
-class TestCentralTransfer:
-    def test_central_values_transfer(self):
-        assert central_twist_transfer(True, True) is True
-
-    def test_non_central_is_indeterminate(self):
-        assert central_twist_transfer(False, True) is None
-
-    def test_product_cocycle_is_central(self):
-        # values of the form (1, +-1) lie in the center of a product algebra
-        assert central_twist_transfer(True, False) is True
 
 
 class TestDiscondGroups:
