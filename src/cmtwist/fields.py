@@ -5,6 +5,10 @@ the fixed field of H acting on the m-th cyclotomic field, and m is always
 normalized to be minimal.  The whole Galois lattice (compositum,
 intersection, subfield tests, real subfields, conjugation) then reduces
 to subgroup arithmetic from :mod:`cmtwist.residues`.
+
+Every constructor refuses a conductor above :data:`MAX_CONDUCTOR` before
+any unit-group work: that work is linear in phi(m) at best, and an
+unbounded conductor from a job document would otherwise run without end.
 """
 
 from __future__ import annotations
@@ -13,10 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from sympy import factorint
-
 from .residues import (
     Subgroup,
+    _prime_divisors,
     coset_of,
     group_order,
     quotient_cosets,
@@ -25,6 +28,18 @@ from .residues import (
     trivial_subgroup,
     unit_group,
 )
+
+
+# Largest conductor any constructor accepts.  cyclotomic(999983), the
+# largest prime conductor inside it, builds in about 0.2 s.
+MAX_CONDUCTOR = 10**6
+
+
+def _check_conductor(m: int) -> None:
+    if m > MAX_CONDUCTOR:
+        raise ValueError(
+            f"conductor {m} exceeds the budget MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+        )
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,7 @@ def field_from(m: int, elements) -> AbelianField:
     The conductor is the least m2 | m whose reduction kernel, the units
     1 + k*m2 of (Z/m)^x, lies in the fixed group.
     """
+    _check_conductor(m)
     H = elements if isinstance(elements, Subgroup) else subgroup(m, elements)
     if H.modulus != m:
         raise ValueError("fixed group modulus mismatch")
@@ -95,6 +111,26 @@ def cyclotomic(m: int) -> AbelianField:
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     return field_from(m, trivial_subgroup(m))
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, by trial division.
+
+    >>> factorint(360)
+    {2: 3, 3: 2, 5: 1}
+    >>> factorint(1)
+    {}
+    """
+    if n < 1:
+        raise ValueError(f"can only factor a positive integer, got {n}")
+    factors = {}
+    for p in _prime_divisors(n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors[p] = e
+    return factors
 
 
 def is_squarefree(d: int) -> bool:
@@ -148,10 +184,11 @@ def quadratic(d: int) -> AbelianField:
     """
     if d in (0, 1):
         raise ValueError("d must be a squarefree integer other than 0 and 1")
-    if not is_squarefree(d):
-        raise ValueError(f"{d} is not squarefree")
     disc = d if d % 4 == 1 else 4 * d
     m = abs(disc)
+    _check_conductor(m)
+    if not is_squarefree(d):
+        raise ValueError(f"{d} is not squarefree")
     H = frozenset(a for a in unit_group(m) if kronecker_symbol(disc, a) == 1)
     field = field_from(m, H)
     if field.degree != 2 or field.conductor != m:
@@ -177,11 +214,13 @@ def compositum(K1: AbelianField, K2: AbelianField) -> AbelianField:
     12
     """
     M = lcm(K1.conductor, K2.conductor)
+    _check_conductor(M)
     return field_from(M, _lift(K1, M) & _lift(K2, M))
 
 
 def intersect(K1: AbelianField, K2: AbelianField) -> AbelianField:
     M = lcm(K1.conductor, K2.conductor)
+    _check_conductor(M)
     return field_from(M, subgroup_generated(M, _lift(K1, M) | _lift(K2, M)))
 
 

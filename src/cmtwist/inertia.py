@@ -12,22 +12,134 @@ conclusion is only emitted when every check passes.
 Finite-field arithmetic happens in F_p[x] modulo x^6 + x^5 + ... + x + 1,
 using x^7 = 1: multiply with exponents mod 7, then cancel the degree-6
 coefficient against the modulus.
+
+Primality is decided here too, with the standard library only: trial
+division by the primes below 50, then Miller-Rabin with a base set proven
+deterministic for the range of n (the smallest known sets below 2^64,
+J. Sinclair's seven bases at the top; the first 12 or 13 primes up to
+3.3e24, after Sorenson and Webster, Math. Comp. 86, 2017), and above that
+the strong Baillie-PSW test (Baillie and Wagstaff, Math. Comp. 35, 1980),
+for which no counterexample is known.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
-from sympy import isprime
-
+from .fields import kronecker_symbol
 from .residues import element_order
 
 # Seed for the sampled half of the ring-map comparison; the basis vectors
 # are always tested, so sampling never decides correctness alone.
 SAMPLE_SEED = 0x2457
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# (bound, bases): the strong probable-prime test to these bases decides
+# primality for every odd n < bound.  A base is reduced mod n first and
+# skipped when it falls below 2, as the searches that found these sets did.
+_MR_BASES = (
+    (341_531, (9345883071009581737,)),
+    (350_269_456_337, (4230279247111683200, 14694767155120705706,
+                       16641139526367750375)),
+    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117,
+                          11096072698276303650)),
+    (7_999_252_175_582_851, (2, 4130806001517, 149795463772692060,
+                             186635894390467037, 3967304179347715805)),
+    (585_226_005_592_931_977, (2, 123635709730000, 9233062284813009,
+                               43835965440333360, 761179012939631437,
+                               1263739024124850375)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES[:13]),
+)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin: is odd n > 2 a strong probable prime to every base?"""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in bases:
+        a %= n
+        if a < 2:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+            if x == 1:
+                return False
+        else:
+            return False
+    return True
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 47.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A ladder carries
+    (V_k, V_(k+1), Q^k) along the bits of d; U_d = 0 is read off as
+    2 V_(d+1) - V_d = D U_d = 0, since D is a unit mod n.
+    """
+    if isqrt(n) ** 2 == n:
+        return False        # no D has (D/n) = -1
+    D = 5
+    while (j := kronecker_symbol(D, n)) != -1:
+        if j == 0:
+            return False    # 1 < gcd(D, n) <= |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    v, w, qk = 1, (1 - 2 * Q) % n, Q % n      # k = 1
+    for bit in bin(d)[3:]:
+        if bit == "1":                         # k -> 2k + 1
+            qk1 = qk * Q
+            v = (v * w - qk) % n
+            w = (w * w - 2 * qk1) % n
+            qk = qk * qk1 % n
+        else:                                  # k -> 2k
+            w = (v * w - qk) % n
+            v = (v * v - 2 * qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
+def isprime(n: int) -> bool:
+    """Is n prime?  Deterministic below 3.3e24, strong Baillie-PSW above.
+
+    >>> [n for n in range(30) if isprime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> isprime(3215031751), isprime(2**89 - 1)
+    (False, True)
+    """
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 53 * 53:
+        return True
+    for bound, bases in _MR_BASES:
+        if n < bound:
+            return _strong_probable_prime(n, bases)
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
 def _require_prime(p: int) -> None:
@@ -73,6 +185,10 @@ def inertia_order(p: int) -> int:
     78624
     """
     _check_congruence(p)
+    return _inertia_order(p)
+
+
+def _inertia_order(p: int) -> int:
     big = p**6 - 1
     q = p**2 + p + 1
     if gcd(big, p**3 * q) != q:
@@ -92,6 +208,10 @@ def frobenius_exponents(p: int) -> tuple[int, int, int]:
     (6, 4, 5)
     """
     _check_congruence(p)
+    return _frobenius_exponents(p)
+
+
+def _frobenius_exponents(p: int) -> tuple[int, int, int]:
     triple = (pow(p, 3, 7), pow(p, 4, 7), pow(p, 5, 7))
     if triple != (6, 4, 5):
         raise AssertionError(f"unexpected Frobenius exponents {triple} at p={p}")
@@ -111,6 +231,10 @@ def seven_divisibility(p: int) -> tuple[bool, bool]:
     _require_prime(p)
     if p == 7:
         raise ValueError("p must differ from 7")
+    return _seven_divisibility(p)
+
+
+def _seven_divisibility(p: int) -> tuple[bool, bool]:
     return ((p * p + p + 1) % 7 == 0, (p * p - 1) % 7 == 0)
 
 
@@ -319,6 +443,10 @@ class InertiaCertificate:
 def kitself_certificate(p: int) -> InertiaCertificate:
     """Run every inertia check at p; conclude K' = K only if all pass.
 
+    p is proved prime once, here; the checks below use the unvalidated
+    forms of :func:`inertia_order`, :func:`frobenius_exponents` and
+    :func:`seven_divisibility`.
+
     >>> kitself_certificate(3).conclusion
     "K' = K"
     >>> kitself_certificate(2).passed
@@ -342,7 +470,7 @@ def kitself_certificate(p: int) -> InertiaCertificate:
     frob: Optional[tuple[int, int, int]] = None
     if congruent:
         q = p * p + p + 1
-        order_val = inertia_order(p)
+        order_val = _inertia_order(p)
         gcd_ok = gcd(p**6 - 1, p**3 * q) == q
         checks.append(CheckResult(
             "inertia_order",
@@ -356,7 +484,7 @@ def kitself_certificate(p: int) -> InertiaCertificate:
             bool(gcd_ok),
             f"gcd({p**6 - 1}, {p**3 * q}) = {gcd(p**6 - 1, p**3 * q)}",
         ))
-        frob = frobenius_exponents(p)
+        frob = _frobenius_exponents(p)
         checks.append(CheckResult(
             "frobenius_exponents",
             "p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)",
@@ -364,7 +492,7 @@ def kitself_certificate(p: int) -> InertiaCertificate:
             f"(p^3, p^4, p^5) = {frob} (mod 7)",
         ))
 
-    no_div_q, _ = seven_divisibility(p)
+    no_div_q, _ = _seven_divisibility(p)
     checks.append(CheckResult(
         "seven_nondivisibility",
         "7 does not divide p^2 + p + 1",

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import cmtwist
 from cmtwist.cli import (
     EXAMPLE_42_ASSUMED,
     InputError,
@@ -285,3 +291,24 @@ class TestMainExitCodes:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["invariant_factors"] == [100002]
         assert results["field"]["roots_of_unity"] == 200006
+
+    @pytest.mark.parametrize("field", [{"quadratic": -2305843009213693951},
+                                       {"cyclotomic": 10**12}])
+    def test_field_over_the_conductor_budget_exits_1_at_once(self, field, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"field": field}))
+        t0 = time.perf_counter()
+        assert main(["field", "--input", str(path)]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "MAX_CONDUCTOR" in err
+        assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_sympy():
+    src = str(Path(cmtwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cmtwist.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

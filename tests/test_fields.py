@@ -1,17 +1,21 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 from sympy import jacobi_symbol, primerange
 
 from cmtwist.fields import (
+    MAX_CONDUCTOR,
     RATIONALS,
     AbelianField,
     complex_conjugation,
     compositum,
     cyclotomic,
+    factorint,
     field_from,
     intersect,
     is_cm,
+    is_squarefree,
     is_subfield,
     is_totally_real,
     kronecker_symbol,
@@ -239,6 +243,36 @@ def test_large_quadratic_conductor():
     assert (K.conductor, K.degree) == (99991, 2)
     assert invariant_factors(K.conductor, K.fixed_group) == (2,)
     assert roots_of_unity_order(K) == 2
+
+
+def test_factorint_and_squarefree_match_sympy_below_ten_to_the_five():
+    for n in range(1, 10**5):
+        expected = sympy.factorint(n)
+        assert factorint(n) == expected, n
+        assert is_squarefree(n) == is_squarefree(-n) == all(e == 1 for e in expected.values()), n
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
+class TestConductorBudget:
+    def test_inputs_at_the_budget_build(self):
+        assert cyclotomic(MAX_CONDUCTOR).conductor == MAX_CONDUCTOR
+        assert cyclotomic(999983).conductor == 999983
+
+    def test_inputs_over_the_budget_are_refused_before_any_work(self):
+        over = f"exceeds the budget MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+        for build in (
+            lambda: cyclotomic(MAX_CONDUCTOR + 1),
+            lambda: cyclotomic(10**12),
+            lambda: quadratic(-2305843009213693951),   # 2^61 - 1, prime
+            lambda: quadratic(250002),                 # conductor 4 * 250002
+            lambda: quadratic(-(10**40)),              # not squarefree either
+            lambda: field_from(10**12, [1]),
+            lambda: compositum(cyclotomic(999983), cyclotomic(999979)),
+            lambda: intersect(cyclotomic(999983), cyclotomic(999979)),
+        ):
+            with pytest.raises(ValueError, match=over):
+                build()
 
 
 def test_field_hashable_and_comparable():

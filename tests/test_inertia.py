@@ -2,8 +2,11 @@ from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import GF, Poly, Symbol, expand, primerange
 
+import cmtwist.inertia
 from cmtwist.inertia import (
     CLASS_NUMBER_ASSUMPTION,
     GOOD_REDUCTION_ASSUMPTION,
@@ -12,6 +15,7 @@ from cmtwist.inertia import (
     frobenius_exponents,
     galois_vs_frobenius,
     inertia_order,
+    isprime,
     kitself_certificate,
     requires_p_3_mod_7,
     residue_order_mod7,
@@ -20,6 +24,73 @@ from cmtwist.inertia import (
 )
 
 INERT_PRIMES_3_MOD_7 = [p for p in primerange(3, 500) if p % 7 == 3]
+
+# The least strong pseudoprimes psi_k to the first k prime bases,
+# k = 1..13 (Jaeschke; Sorenson and Webster); several k share one value.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745,
+              825265, 321197185, 5394826801, 232250619601, 9746347772161)
+# Composites passing the strong Lucas test with Selfridge's parameters.
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+
+
+class TestIsPrime:
+    """Differential tests against sympy.isprime, the reference."""
+
+    def test_every_n_below_ten_to_the_five(self):
+        assert [n for n in range(-3, 10**5) if isprime(n) != sympy.isprime(n)] == []
+
+    def test_around_each_base_set_threshold(self):
+        # Each odd bound is the least strong pseudoprime to the base set
+        # used below it, so a bound moved up makes isprime(bound) wrong.
+        bounds = (53 * 53, 341531, 350269456337, 55245642489451, 7999252175582851,
+                  585226005592931977, 2**64, 318665857834031151167461,
+                  3317044064679887385961981)
+        for n in (n for b in bounds for n in range(b - 2, b + 3)):
+            assert isprime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL + STRONG_LUCAS_PSEUDOPRIMES)
+    def test_pseudoprimes_are_composite(self, n):
+        assert not sympy.isprime(n)
+        assert not isprime(n)
+
+    def test_lucas_half_on_its_pseudoprimes_and_on_squares(self):
+        # 1093^2 and 3511^2 are strong base-2 pseudoprimes.  A square has no
+        # D with (D/n) = -1, so the Lucas half must reject it without a
+        # search for D that would run up to its square root.
+        for n in STRONG_LUCAS_PSEUDOPRIMES + (1093**2, 3511**2, (2**61 - 1) ** 2):
+            assert (cmtwist.inertia._strong_lucas_probable_prime(n)
+                    == sympy.ntheory.primetest.is_strong_lucas_prp(n)), n
+
+    @given(st.integers(min_value=0, max_value=2**128))
+    @settings(max_examples=1500, deadline=None)
+    def test_random_integers_below_2_to_the_128(self, n):
+        assert isprime(n) == sympy.isprime(n)
+
+    @given(st.integers(min_value=2**90, max_value=2**128).map(lambda n: n | 1))
+    @settings(max_examples=300, deadline=None)
+    def test_lucas_half_on_large_odd_integers(self, n):
+        if all(n % q for q in cmtwist.inertia._SMALL_PRIMES):
+            assert (cmtwist.inertia._strong_lucas_probable_prime(n)
+                    == sympy.ntheory.primetest.is_strong_lucas_prp(n))
+
+    @given(st.integers(min_value=2**49, max_value=2**51),
+           st.integers(min_value=2**49, max_value=2**51))
+    @settings(max_examples=60, deadline=None)
+    def test_products_of_two_primes_of_about_50_bits(self, a, b):
+        p, q = sympy.nextprime(a), sympy.nextprime(b)
+        assert isprime(p) and isprime(q)
+        assert not isprime(p * q)
+
+    def test_large_primes_and_their_neighbours(self):
+        for p in (2**89 - 1, 2**107 - 1, 2**127 - 1, 10**30 + 57):
+            assert sympy.isprime(p)
+            assert isprime(p)
+            assert isprime(p + 2) == sympy.isprime(p + 2)
 
 
 class TestResidueOrders:
@@ -214,6 +285,27 @@ class TestCertificates:
         assert cert.conclusion is None
         assert not cert.certificate_q.congruence_check
         assert not cert.odd_check
+
+    def test_one_primality_proof_per_certificate(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return isprime(n)
+
+        monkeypatch.setattr(cmtwist.inertia, "isprime", counted)
+        for p in (3, 2, 13, 10**30 + 57):
+            calls.clear()
+            kitself_certificate(p)
+            assert calls == [p]
+        calls.clear()
+        base_certificate(3, 17)
+        assert calls == [3, 17]
+        calls.clear()
+        inertia_order(17)
+        frobenius_exponents(17)
+        seven_divisibility(17)
+        assert calls == [17, 17, 17]
 
     def test_parallel_certification_is_deterministic(self):
         from concurrent.futures import ThreadPoolExecutor
