@@ -18,11 +18,11 @@ from typing import Any, Callable, Optional
 from . import __version__
 from .cmtypes import (
     CMType,
+    _reflex_type,
     balance_product,
     is_primitive,
     is_weil_type,
     reflex_field,
-    reflex_type,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -32,7 +32,9 @@ from .cmtypes import (
 from .fields import (
     AbelianField,
     compositum,
+    coset,
     cyclotomic,
+    field_from,
     is_cm,
     is_totally_real,
     maximal_real_subfield,
@@ -270,11 +272,7 @@ def validate_input(document: Any) -> JobSpec:
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers.
-
-def _coset(c: frozenset[int]) -> list[int]:
-    return sorted(c)
-
+# Serialization helpers: Galois elements become residue lists only here.
 
 def field_dict(K: AbelianField) -> dict:
     return {
@@ -291,11 +289,8 @@ def _cmtype_list(T: CMType) -> list[list[int]]:
     return [list(t) for t in T.sorted_psi()]
 
 
-def _mults_list(counts: dict[frozenset[int], int]) -> list[dict]:
-    return [
-        {"coset": _coset(sigma), "n": counts[sigma]}
-        for sigma in sorted(counts, key=min)
-    ]
+def _mults_list(k: AbelianField, counts: dict[int, int]) -> list[dict]:
+    return [{"coset": coset(k, sigma), "n": counts[sigma]} for sigma in sorted(counts)]
 
 
 def _basis_list(basis) -> list[dict]:
@@ -323,15 +318,16 @@ def _run_field(payload: dict) -> Report:
 def _run_cmtype(payload: dict) -> Report:
     K = parse_field_literal(payload["field"])
     T, basis = parse_cm_type(K, payload["type"])
-    refl = reflex_field(T)
-    inv = reflex_type(T, "inverse")
-    conj = reflex_type(T, "conjugate")
+    stab = stabilizer(T)
+    refl = field_from(K.conductor, stab)    # the reflex field
+    inv = _reflex_type(T, refl, "inverse")
+    conj = _reflex_type(T, refl, "conjugate")
     results = {
         "field": field_dict(K),
         "type": _cmtype_list(T),
         "valid": True,
-        "stabilizer": sorted(stabilizer(T).elements),
-        "primitive": is_primitive(T),
+        "stabilizer": sorted(stab.elements),
+        "primitive": stab.elements == K.fixed_group.elements,
         "reflex_field": field_dict(refl),
         "reflex_type_inverse": _cmtype_list(inv.cm_type),
         "reflex_type_conjugate": _cmtype_list(conj.cm_type),
@@ -374,7 +370,7 @@ def _run_twist_x(payload: dict) -> Report:
     report = twist_x(datum, char, **assume)
     results = {
         "base": field_dict(base),
-        "multiplicities": _mults_list(restriction_multiplicities(datum)),
+        "multiplicities": _mults_list(base, restriction_multiplicities(datum)),
         "weil_r": report.r,
         "twist": report.to_dict(),
     }
@@ -394,7 +390,7 @@ def _run_twist_e(payload: dict) -> Report:
     report = twist_e(dim_x, dim_y, base, datum, extension_label=label, **assume)
     results = {
         "base": field_dict(base),
-        "multiplicities": _mults_list(restriction_multiplicities(datum)),
+        "multiplicities": _mults_list(base, restriction_multiplicities(datum)),
         "weil_r": weil_r(datum),
         "twist": report.to_dict(),
     }
@@ -493,6 +489,8 @@ def _run_example_41(payload: dict) -> Report:
     counts = restriction_multiplicities(datum)
     char = make_character(k, 3, "M")
     report = twist_x(datum, char)
+    primitive = is_primitive(T)
+    reflex_is_K = reflex_field(T) == K
     results = {
         "field_K": field_dict(K),
         "field_k": field_dict(k),
@@ -502,9 +500,9 @@ def _run_example_41(payload: dict) -> Report:
         "psi_coordinates": [list(t) for t in EXAMPLE_41_TUPLES],
         "psi_residues": sorted(residues),
         "cm_type_valid": True,
-        "primitive": is_primitive(T),
-        "reflex_field_is_K": reflex_field(T) == K,
-        "n_sigma": _mults_list(counts),
+        "primitive": primitive,
+        "reflex_field_is_K": reflex_is_K,
+        "n_sigma": _mults_list(k, counts),
         "weil_type": is_weil_type(datum),
         "weil_r": report.r,
         "character": {"order": 3, "label": "M"},
@@ -517,8 +515,8 @@ def _run_example_41(payload: dict) -> Report:
     ) + report.statements
     concluded = (
         factors == (2, 8)
-        and is_primitive(T)
-        and reflex_field(T) == K
+        and primitive
+        and reflex_is_K
         and set(counts.values()) == {4}
         and report.phiB_equals_M
     )
@@ -531,8 +529,9 @@ def _run_example_42(payload: dict) -> Report:
     q = _require_int(payload.get("q", 17), "q")
     K = cyclotomic(7)
     T = validate_cm_type(K, [1, 2, 3])
-    refl_inv = reflex_type(T, "inverse")
-    refl_conj = reflex_type(T, "conjugate")
+    refl = reflex_field(T)
+    refl_inv = _reflex_type(T, refl, "inverse")
+    refl_conj = _reflex_type(T, refl, "conjugate")
     k = quadratic(-7)
     datum_j = weil_datum(k, [T])
     counts_j = restriction_multiplicities(datum_j)
@@ -553,13 +552,13 @@ def _run_example_42(payload: dict) -> Report:
         "jacobian_model": "y^7 = x(1-x)",
         "elliptic_model": "y^2 + x*y = x^3 - x^2 - 2*x - 1",
         "cm_type_J": _cmtype_list(T),
-        "reflex_field_is_K": reflex_field(T) == K,
+        "reflex_field_is_K": refl == K,
         "reflex_type_inverse": _cmtype_list(refl_inv.cm_type),
         "reflex_type_conjugate": _cmtype_list(refl_conj.cm_type),
-        "n_sigma_J": _mults_list(counts_j),
+        "n_sigma_J": _mults_list(k, counts_j),
         "weil_type_J_alone": is_weil_type(datum_j),
         "balancing_type": _cmtype_list(balancing),
-        "n_sigma_product": _mults_list(counts),
+        "n_sigma_product": _mults_list(k, counts),
         "weil_type_product": is_weil_type(datum),
         "weil_r": weil_r(datum),
         "base_certificate": cert.to_dict(),

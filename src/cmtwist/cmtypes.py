@@ -1,18 +1,19 @@
 """CM-types on abelian CM fields and Weil-type product data.
 
 Embeddings of an abelian field into the complex numbers are identified
-with Galois elements, so a CM-type is a set of cosets containing exactly
-one of each conjugate pair.  Restriction multiplicities n_sigma are fiber
-counts of CM-types over the Galois group of a base CM field; the Weil
-condition is their invariance under conjugation.
+with Galois elements, so a CM-type is a set of Galois elements containing
+exactly one of each conjugate pair.  Restriction multiplicities n_sigma
+are fiber counts of CM-types over the Galois group of a base CM field;
+the Weil condition is their invariance under conjugation.
 
-Galois elements appear as frozenset cosets only where they meet the
-caller: ``CMType.psi``, the multiplicity keys, and the residue sets the
-reports print.  Every product, conjugate and comparison goes through the
-field's cached residue-to-coset table (``fields._coset_index``) instead:
-the coset of g*c is ``galois_group(K)[index[min(g) * min(c) % m]]`` and
-complex conjugation sends c to the coset of (m - 1) * min(c).  So the
-stabilizer of psi costs |psi|^2 lookups.
+A Galois element is the least residue of its coset of the fixed group, as
+everywhere in :mod:`cmtwist.fields`: ``CMType.psi`` is a frozenset of
+ints and the multiplicity keys are ints.  Products, conjugates and
+restrictions are single lookups in the field's table ``rep`` of least
+residues (``fields._coset_rep``): g*c is ``rep[g * c % m]``, the conjugate
+of c is ``rep[(m - 1) * c % m]``, and c restricts to the subfield k as
+``rep_k[c % m_k]``.  So the stabilizer of psi costs |psi|^2 lookups.
+Elements become residue lists only in reports and error messages.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from typing import Iterable, Optional
 
 from .fields import (
     AbelianField,
-    _coset_index,
+    _coset_rep,
     complex_conjugation,
+    coset,
     field_from,
     galois_group,
     is_cm,
     is_subfield,
-    restrict_coset,
 )
-from .residues import Subgroup, coset_of
+from .residues import Subgroup, _check_unit
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,14 @@ class CMType:
     """A CM field together with a half-system of its Galois group."""
 
     field: AbelianField
-    psi: frozenset[frozenset[int]]
+    psi: frozenset[int]
 
     def sorted_psi(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(tuple(sorted(c)) for c in self.psi))
+        """The cosets of psi as ascending residue tuples, by least residue."""
+        return tuple(tuple(coset(self.field, g)) for g in sorted(self.psi))
 
     def __repr__(self) -> str:
-        reps = ",".join(str(min(c)) for c in sorted(self.psi, key=min))
+        reps = ",".join(str(g) for g in sorted(self.psi))
         return f"CMType({self.field!r}, reps=[{reps}])"
 
 
@@ -56,20 +58,10 @@ class ReflexType:
     convention: str
 
 
-def _as_coset(K: AbelianField, elt) -> frozenset[int]:
-    if isinstance(elt, int):
-        return coset_of(K.conductor, K.fixed_group, elt)
-    c = frozenset(elt)
-    canonical = coset_of(K.conductor, K.fixed_group, min(c))
-    if c != canonical:
-        raise ValueError(f"{sorted(c)} is not a coset of the fixed group")
-    return c
-
-
-def validate_cm_type(K: AbelianField, psi: Iterable) -> CMType:
+def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
     """Check that psi and its conjugate partition Gal(K/Q); return the CM-type.
 
-    Elements of ``psi`` may be residues or explicit cosets.
+    Elements of ``psi`` may be any unit residues mod m.
 
     >>> from .fields import cyclotomic
     >>> validate_cm_type(cyclotomic(7), [1, 2, 3]).sorted_psi()
@@ -77,29 +69,24 @@ def validate_cm_type(K: AbelianField, psi: Iterable) -> CMType:
     """
     if not is_cm(K):
         raise ValueError(f"{K!r} is not a CM field")
-    cosets = frozenset(_as_coset(K, e) for e in psi)
-    group = galois_group(K)
-    if len(cosets) != len(group) // 2:
-        raise ValueError(
-            f"half-system must have {len(group) // 2} elements, got {len(cosets)}"
-        )
-    m, index = K.conductor, _coset_index(K)
-    reps = sorted(min(c) for c in cosets)
-    chosen = {index[r] for r in reps}
-    for r in reps:
-        if index[(m - 1) * r % m] in chosen:
+    m, rep = K.conductor, _coset_rep(K)
+    elements = frozenset(rep[_check_unit(m, x)] for x in psi)
+    half = len(galois_group(K)) // 2
+    if len(elements) != half:
+        raise ValueError(f"half-system must have {half} elements, got {len(elements)}")
+    for g in sorted(elements):
+        if rep[(m - 1) * g % m] in elements:
             raise ValueError(
-                f"not a half-system: {sorted(group[index[r]])} appears together with its conjugate"
+                f"not a half-system: {coset(K, g)} appears together with its conjugate"
             )
-    return CMType(K, cosets)
+    return CMType(K, elements)
 
 
-def translate(T: CMType, g: frozenset[int]) -> CMType:
+def translate(T: CMType, g: int) -> CMType:
     """The CM-type g * psi (still a CM-type for any Galois element g)."""
     K = T.field
-    m, group, index = K.conductor, galois_group(K), _coset_index(K)
-    a = min(g)
-    return CMType(K, frozenset(group[index[a * min(c) % m]] for c in T.psi))
+    m, rep = K.conductor, _coset_rep(K)
+    return CMType(K, frozenset(rep[g * c % m] for c in T.psi))
 
 
 def conjugate_type(T: CMType) -> CMType:
@@ -111,21 +98,16 @@ def stabilizer(T: CMType) -> Subgroup:
 
     The preimage is the union of the stabilizing cosets, a subgroup
     containing the fixed group of the field.  A g with g psi = psi carries
-    the first element c0 of psi into psi, so only the |psi| candidates
+    an element c0 of psi into psi, so only the |psi| candidates
     g = c c0^-1 (c in psi) are tested; g psi <= psi suffices because both
     sets have |psi| elements.
     """
     K = T.field
-    m, group, index = K.conductor, galois_group(K), _coset_index(K)
-    reps = [min(c) for c in T.psi]
-    chosen = {index[r] for r in reps}
-    r0_inv = pow(reps[0], -1, m)
-    residues: set[int] = set()
-    for r in reps:
-        g = r * r0_inv % m
-        if all(index[g * s % m] in chosen for s in reps):
-            residues |= group[index[g]]
-    return Subgroup(m, frozenset(residues))
+    m, rep, psi = K.conductor, _coset_rep(K), T.psi
+    c0_inv = pow(next(iter(psi)), -1, m)
+    stab = [g for g in (rep[c * c0_inv % m] for c in psi)
+            if all(rep[g * c % m] in psi for c in psi)]
+    return Subgroup(m, frozenset(g * h % m for g in stab for h in K.fixed_group.elements))
 
 
 def is_primitive(T: CMType) -> bool:
@@ -153,15 +135,20 @@ def reflex_type(T: CMType, convention: str = "inverse") -> ReflexType:
     """
     if convention not in ("inverse", "conjugate"):
         raise ValueError(f"unknown convention {convention!r}")
+    return _reflex_type(T, reflex_field(T), convention)
+
+
+def _reflex_type(T: CMType, refl: AbelianField, convention: str) -> ReflexType:
+    """:func:`reflex_type` on the already computed reflex field ``refl``."""
     K = T.field
-    m = K.conductor
-    refl = reflex_field(T)
+    if not is_subfield(refl, K):
+        raise ValueError("restriction target is not a subfield")
+    m, rep_r = K.conductor, _coset_rep(refl)
     if convention == "inverse":
-        group, index = galois_group(K), _coset_index(K)
-        source = (group[index[pow(min(c), -1, m)]] for c in T.psi)
+        source = (pow(c, -1, m) for c in T.psi)
     else:
-        source = iter(conjugate_type(T).psi)
-    restricted = frozenset(restrict_coset(K, refl, c) for c in source)
+        source = ((m - 1) * c % m for c in T.psi)
+    restricted = (rep_r[x % refl.conductor] for x in source)
     return ReflexType(validate_cm_type(refl, restricted), convention)
 
 
@@ -210,27 +197,27 @@ def weil_r(D: WeilDatum) -> int:
     return weil_r_from_dims(D.dim, D.base.degree)
 
 
-def restriction_multiplicities(D: WeilDatum) -> dict[frozenset[int], int]:
+def restriction_multiplicities(D: WeilDatum) -> dict[int, int]:
     """Fiber counts n_sigma: how many type elements restrict to each sigma.
 
-    Keys run over Gal(k/Q) in coset order; values sum to dim(A).
+    Keys run over Gal(k/Q) in ascending order; values sum to dim(A).
     """
-    counts = {sigma: 0 for sigma in galois_group(D.base)}
+    k = D.base
+    m_k, rep_k = k.conductor, _coset_rep(k)
+    counts = dict.fromkeys(galois_group(k), 0)
     for T in D.components:
+        if not is_subfield(k, T.field):
+            raise ValueError("restriction target is not a subfield")
         for c in T.psi:
-            counts[restrict_coset(T.field, D.base, c)] += 1
+            counts[rep_k[c % m_k]] += 1
     return counts
 
 
 def is_weil_type(D: WeilDatum) -> bool:
     """True when n_sigma = n_{sigma-bar} for every embedding of the base."""
     counts = restriction_multiplicities(D)
-    k = D.base
-    m, group, index = k.conductor, galois_group(k), _coset_index(k)
-    return all(
-        counts[sigma] == counts[group[index[(m - 1) * min(sigma) % m]]]
-        for sigma in counts
-    )
+    m, rep = D.base.conductor, _coset_rep(D.base)
+    return all(counts[s] == counts[rep[(m - 1) * s % m]] for s in counts)
 
 
 def balance_product(D: WeilDatum) -> Optional[CMType]:
@@ -250,24 +237,22 @@ def balance_product(D: WeilDatum) -> Optional[CMType]:
     return None
 
 
-def _conjugate_pairs(K: AbelianField) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """Gal(K/Q) as pairs (c, conjugate of c), c running in coset order."""
-    m, group, index = K.conductor, galois_group(K), _coset_index(K)
-    if m == 1:
-        return [(group[0], group[0])]
+def _conjugate_pairs(K: AbelianField) -> list[tuple[int, int]]:
+    """Gal(K/Q) as pairs (g, conjugate of g), g ascending."""
+    m, rep = K.conductor, _coset_rep(K)
     pairs = []
     seen: set[int] = set()
-    for i, c in enumerate(group):
-        if i not in seen:
-            j = index[(m - 1) * min(c) % m]
-            seen.update((i, j))
-            pairs.append((c, group[j]))
+    for g in galois_group(K):
+        if g not in seen:
+            c = rep[(m - 1) * g % m]
+            seen.update((g, c))
+            pairs.append((g, c))
     return pairs
 
 
 def canonical_cm_type(K: AbelianField) -> CMType:
     """Some CM-type on K: the least representative of each conjugate pair."""
-    return validate_cm_type(K, [c for c, _ in _conjugate_pairs(K)])
+    return validate_cm_type(K, [g for g, _ in _conjugate_pairs(K)])
 
 
 def all_cm_types(K: AbelianField) -> tuple[CMType, ...]:

@@ -6,6 +6,14 @@ normalized to be minimal.  The whole Galois lattice (compositum,
 intersection, subfield tests, real subfields, conjugation) then reduces
 to subgroup arithmetic from :mod:`cmtwist.residues`.
 
+A Galois element of K is one int: the least residue of its coset of H,
+so Gal(K/Q) is the ascending tuple :func:`galois_group` and the private
+table ``_coset_rep(K)`` sends every residue mod m to the least residue of
+its coset.  The product of g and h is ``rep[g * h % m]`` and complex
+conjugation sends g to ``rep[(m - 1) * g % m]``.  The rationals (m = 1)
+have the single element 0.  :func:`coset` expands an element to its
+residues, which is needed only when a report prints it.
+
 Every constructor refuses a conductor above :data:`MAX_CONDUCTOR` before
 any unit-group work: that work is linear in phi(m) at best, and an
 unbounded conductor from a job document would otherwise run without end.
@@ -20,9 +28,7 @@ from math import gcd, lcm
 from .residues import (
     Subgroup,
     _prime_divisors,
-    coset_of,
     group_order,
-    quotient_cosets,
     subgroup,
     subgroup_generated,
     trivial_subgroup,
@@ -256,11 +262,9 @@ def is_cm(K: AbelianField) -> bool:
     return K.degree > 1 and not is_totally_real(K)
 
 
-def complex_conjugation(K: AbelianField) -> frozenset[int]:
-    """The coset of -1 in Gal(K/Q) = (Z/m)^x / H (identity coset if real)."""
-    if K.conductor == 1:
-        return frozenset()
-    return coset_of(K.conductor, K.fixed_group, K.conductor - 1)
+def complex_conjugation(K: AbelianField) -> int:
+    """The Galois element -1 of K (the identity 1 when K is real, 0 for Q)."""
+    return _coset_rep(K)[K.conductor - 1]
 
 
 def maximal_real_subfield(K: AbelianField) -> AbelianField:
@@ -277,40 +281,52 @@ def maximal_real_subfield(K: AbelianField) -> AbelianField:
 
 
 @lru_cache(maxsize=None)
-def galois_group(K: AbelianField) -> tuple[frozenset[int], ...]:
-    """Gal(K/Q) as the coset list of the fixed group."""
-    return quotient_cosets(K.conductor, K.fixed_group)
+def _coset_rep(K: AbelianField) -> tuple[int, ...]:
+    """Least residue of the coset of each residue mod m; 0 off the units.
+
+    >>> _coset_rep(quadratic(-7))
+    (0, 1, 1, 3, 1, 3, 3)
+    """
+    m = K.conductor
+    rep = [0] * m
+    for x in unit_group(m):
+        if not rep[x]:
+            for h in K.fixed_group.elements:
+                rep[x * h % m] = x
+    return tuple(rep)
 
 
 @lru_cache(maxsize=None)
-def _coset_index(K: AbelianField) -> tuple[int, ...]:
-    """Position in :func:`galois_group` of the coset of each residue mod m.
+def galois_group(K: AbelianField) -> tuple[int, ...]:
+    """Gal(K/Q) as the least residues of the cosets of the fixed group, ascending.
 
-    Entry x is the index of the coset containing x, or -1 when x is not a
-    unit.  Galois arithmetic is done on these indices: the product of the
-    cosets of a and b is coset ``index[a * b % m]``, whatever
-    representatives a and b are.
-
-    >>> _coset_index(quadratic(-7))
-    (-1, 0, 0, 1, 0, 1, 1)
+    >>> galois_group(quadratic(-7)), galois_group(RATIONALS)
+    ((1, 3), (0,))
     """
-    index = [-1] * K.conductor
-    for i, c in enumerate(galois_group(K)):
-        for x in c:
-            index[x] = i
-    return tuple(index)
+    if K.conductor == 1:
+        return (0,)
+    rep = _coset_rep(K)
+    return tuple(x for x in unit_group(K.conductor) if rep[x] == x)
 
 
-def restrict_coset(
-    K_big: AbelianField, K_small: AbelianField, c: frozenset[int]
-) -> frozenset[int]:
-    """Restriction map Gal(K_big/Q) -> Gal(K_small/Q) for K_small <= K_big."""
+def coset(K: AbelianField, g: int) -> list[int]:
+    """The residues mod m of the Galois element g, ascending.
+
+    >>> coset(quadratic(-7), 3)
+    [3, 5, 6]
+    """
+    return sorted(g * h % K.conductor for h in K.fixed_group.elements)
+
+
+def restrict(K_big: AbelianField, K_small: AbelianField, g: int) -> int:
+    """Restriction map Gal(K_big/Q) -> Gal(K_small/Q) for K_small <= K_big.
+
+    >>> restrict(cyclotomic(7), quadratic(-7), 5)
+    3
+    """
     if not is_subfield(K_small, K_big):
         raise ValueError("restriction target is not a subfield")
-    if K_small.conductor == 1:
-        return frozenset()
-    rep = min(c)
-    return galois_group(K_small)[_coset_index(K_small)[rep % K_small.conductor]]
+    return _coset_rep(K_small)[g % K_small.conductor]
 
 
 @lru_cache(maxsize=None)
@@ -347,7 +363,7 @@ def subfields(K: AbelianField) -> tuple[AbelianField, ...]:
     if m == 1:
         return (K,)
     H = K.fixed_group.elements
-    cyclics = {subgroup_generated(m, H | {min(c)}).elements for c in galois_group(K)}
+    cyclics = {subgroup_generated(m, H | {g}).elements for g in galois_group(K)}
     subs = set(cyclics)
     frontier = set(cyclics)
     while frontier:

@@ -173,7 +173,11 @@ def requires_p_3_mod_7(p: int) -> bool:
 
 def _check_congruence(p: int) -> None:
     if not requires_p_3_mod_7(p):
-        raise ValueError(f"p = 3 (mod 7) required, got {p} = {p % 7} (mod 7)")
+        raise _not_3_mod_7(p)
+
+
+def _not_3_mod_7(p: int) -> ValueError:
+    return ValueError(f"p = 3 (mod 7) required, got {p} = {p % 7} (mod 7)")
 
 
 def inertia_order(p: int) -> int:
@@ -277,36 +281,6 @@ def _apply_sigma(p: int, i: int, a: tuple[int, ...]) -> tuple[int, ...]:
     return _reduce7(p, c7)
 
 
-@dataclass(frozen=True)
-class FiniteFieldElt:
-    """Element of F_p[x]/(x^6 + ... + 1), the residue field at an inert prime."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 6:
-            raise ValueError("need exactly 6 coefficients")
-        if residue_order_mod7(self.p) != 6:
-            raise ValueError(
-                f"the degree-six cyclotomic modulus is reducible mod {self.p}"
-            )
-        object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
-
-    def __mul__(self, other: "FiniteFieldElt") -> "FiniteFieldElt":
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-        return FiniteFieldElt(self.p, _mul(self.p, self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int) -> "FiniteFieldElt":
-        return FiniteFieldElt(self.p, _pow(self.p, self.coeffs, e))
-
-    def apply_sigma(self, i: int) -> "FiniteFieldElt":
-        if i % 7 == 0:
-            raise ValueError("exponent must be invertible mod 7")
-        return FiniteFieldElt(self.p, _apply_sigma(self.p, i % 7, self.coeffs))
-
-
 def galois_vs_frobenius(p: int, i: int, trials: int = 12) -> bool:
     """Does x -> x^i agree with u -> u^(p^d), d the discrete log of i base p?
 
@@ -314,11 +288,12 @@ def galois_vs_frobenius(p: int, i: int, trials: int = 12) -> bool:
     already decides agreement, both being ring maps) and on ``trials``
     seeded pseudo-random elements on top.
     """
-    if residue_order_mod7(p) != 6:
+    if residue_order_mod7(p) != 6:          # proves p prime
         raise ValueError(
             f"the degree-six cyclotomic modulus is reducible mod {p}"
         )
-    _check_congruence(p)
+    if p % 7 != 3:
+        raise _not_3_mod_7(p)
     if not 1 <= i <= 6:
         raise ValueError(f"i must lie in 1..6, got {i}")
     d = next(d for d in range(6) if pow(p, d, 7) == i)

@@ -10,12 +10,12 @@ Every quotient basis is still verified by :func:`is_quotient_basis`
 before it is returned, and the brute-force versions of these kernels live
 in the test suite as oracles.
 
-Group elements are plain residues (ints coprime to the modulus).  A coset
-of a subgroup is handed out as a ``frozenset`` of residues, sorted into a
-tuple by :func:`quotient_cosets`.  Arithmetic on cosets happens on their
-positions in that tuple, through the residue-to-coset table of
-:mod:`cmtwist.fields`, never on the sets.  The modulus m = 1 denotes the
-trivial group and is represented by an empty element set of order 1.
+Group elements are plain residues (ints coprime to the modulus).  An
+element of a quotient (Z/m)^x / H, such as a Galois element of an abelian
+field, is one int as well: the least residue of its coset, looked up in
+the table of :mod:`cmtwist.fields`.  No coset is ever held as a set.  The
+modulus m = 1 denotes the trivial group and is represented by an empty
+element set of order 1.
 """
 
 from __future__ import annotations
@@ -160,46 +160,6 @@ def element_order(m: int, x: int) -> int:
     _check_unit(m, x)
     order, y = 1, x
     while y != 1:
-        y = (y * x) % m
-        order += 1
-    return order
-
-
-# ---------------------------------------------------------------------------
-# Cosets of a subgroup, each a frozenset of residues.
-
-def coset_of(m: int, H: Subgroup, x: int) -> frozenset[int]:
-    if m == 1:
-        return frozenset()
-    _check_unit(m, x)
-    return frozenset((x * h) % m for h in H.elements)
-
-
-def quotient_cosets(m: int, H: Subgroup) -> tuple[frozenset[int], ...]:
-    """Cosets of H in (Z/m)^x, sorted by least representative.
-
-    >>> quotient_cosets(7, subgroup(7, [1, 2, 4]))
-    (frozenset({1, 2, 4}), frozenset({3, 5, 6}))
-    """
-    if m == 1:
-        return (frozenset(),)
-    seen: set[int] = set()
-    cosets = []
-    for x in unit_group(m):
-        if x not in seen:
-            c = coset_of(m, H, x)
-            seen.update(c)
-            cosets.append(c)
-    return tuple(cosets)
-
-
-def coset_order(m: int, H: Subgroup, x: int) -> int:
-    """Order of the coset xH in (Z/m)^x / H."""
-    if m == 1:
-        return 1
-    _check_unit(m, x)
-    order, y = 1, x
-    while y not in H.elements:
         y = (y * x) % m
         order += 1
     return order

@@ -10,7 +10,6 @@ from math import gcd, lcm
 from cmtwist.cmtypes import (
     CMType,
     WeilDatum,
-    _as_coset,
     canonical_cm_type,
     conjugate_type,
     validate_cm_type,
@@ -19,7 +18,6 @@ from cmtwist.cmtypes import (
 from cmtwist.fields import (
     AbelianField,
     _lift,
-    complex_conjugation,
     compositum,
     cyclotomic,
     field_from,
@@ -30,11 +28,9 @@ from cmtwist.fields import (
 )
 from cmtwist.residues import (
     Subgroup,
+    _check_unit,
     _prime_divisors,
-    coset_of,
-    coset_order,
     group_order,
-    quotient_cosets,
     subgroup_generated,
     trivial_subgroup,
     unit_group,
@@ -248,14 +244,15 @@ def abstract_order_histogram(factors) -> Counter:
 
 
 def quotient_order_histogram(m: int, H: Subgroup) -> Counter:
-    return Counter(coset_order(m, H, min(c)) for c in quotient_cosets(m, H))
+    return Counter(power_walk_coset_order(m, H.elements, min(c))
+                   for c in quotient_cosets(m, H))
 
 
 def brute_stabilizer_subgroup(T: CMType) -> Subgroup:
     """Largest subgroup whose cosets tile the half-system, by enumeration."""
     m = T.field.conductor
     H = T.field.fixed_group
-    psi_residues = frozenset().union(*T.psi)
+    psi_residues = frozenset().union(*(coset_of(m, H, g) for g in T.psi))
     best = H.elements
     for S in all_subgroups(m):
         if not (S.elements >= H.elements):
@@ -273,7 +270,33 @@ def brute_stabilizer_subgroup(T: CMType) -> Subgroup:
 # ---------------------------------------------------------------------------
 # Galois arithmetic on literal coset sets: the product of two cosets is the
 # element-wise product set, which is the coset of any representative
-# product.  Oracles for the coset-index lookups of ``cmtypes``.
+# product.  Oracles for the least-residue lookups of ``fields`` and
+# ``cmtypes``: each works on the sets and hands back least residues.
+
+def coset_of(m: int, H: Subgroup, x: int) -> frozenset[int]:
+    if m == 1:
+        return frozenset()
+    _check_unit(m, x)
+    return frozenset((x * h) % m for h in H.elements)
+
+
+def quotient_cosets(m: int, H: Subgroup) -> tuple[frozenset[int], ...]:
+    """Cosets of H in (Z/m)^x, sorted by least representative.
+
+    >>> quotient_cosets(7, Subgroup(7, frozenset({1, 2, 4})))
+    (frozenset({1, 2, 4}), frozenset({3, 5, 6}))
+    """
+    if m == 1:
+        return (frozenset(),)
+    seen: set[int] = set()
+    cosets = []
+    for x in unit_group(m):
+        if x not in seen:
+            c = coset_of(m, H, x)
+            seen.update(c)
+            cosets.append(c)
+    return tuple(cosets)
+
 
 def coset_mul(m: int, c1: frozenset[int], c2: frozenset[int]) -> frozenset[int]:
     if m == 1:
@@ -287,6 +310,19 @@ def coset_inv(m: int, c: frozenset[int]) -> frozenset[int]:
     return frozenset(pow(a, -1, m) for a in c)
 
 
+def least(c: frozenset[int]) -> int:
+    """The Galois element a coset set stands for (0 for the rationals)."""
+    return min(c, default=0)
+
+
+def element_set(K: AbelianField, g: int) -> frozenset[int]:
+    return coset_of(K.conductor, K.fixed_group, g)
+
+
+def conjugation_set(K: AbelianField) -> frozenset[int]:
+    return coset_of(K.conductor, K.fixed_group, K.conductor - 1)
+
+
 def lift_is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
     """K1 <= K2 by comparing both fixed groups lifted to the lcm conductor."""
     M = lcm(K1.conductor, K2.conductor)
@@ -297,78 +333,83 @@ def coset_mul_validate_cm_type(K: AbelianField, psi) -> CMType:
     """Half-system check with each conjugate formed by ``coset_mul``."""
     if not is_cm(K):
         raise ValueError(f"{K!r} is not a CM field")
-    cosets = frozenset(_as_coset(K, e) for e in psi)
-    group = galois_group(K)
-    if len(cosets) != len(group) // 2:
-        raise ValueError(
-            f"half-system must have {len(group) // 2} elements, got {len(cosets)}"
-        )
-    conj = complex_conjugation(K)
+    cosets = frozenset(element_set(K, e) for e in psi)
+    half = len(quotient_cosets(K.conductor, K.fixed_group)) // 2
+    if len(cosets) != half:
+        raise ValueError(f"half-system must have {half} elements, got {len(cosets)}")
+    conj = conjugation_set(K)
     for c in sorted(cosets, key=min):
         if coset_mul(K.conductor, conj, c) in cosets:
             raise ValueError(
                 f"not a half-system: {sorted(c)} appears together with its conjugate"
             )
-    return CMType(K, cosets)
+    return CMType(K, frozenset(map(least, cosets)))
 
 
-def coset_mul_conjugate_pairs(K: AbelianField) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """Gal(K/Q) as pairs (c, conjugate of c), c running in coset order."""
-    conj = complex_conjugation(K)
+def coset_mul_conjugate_pairs(K: AbelianField) -> list[tuple[int, int]]:
+    """Gal(K/Q) as pairs (g, conjugate of g), g running in coset order."""
+    conj = conjugation_set(K)
     pairs = []
     seen: set[frozenset[int]] = set()
-    for c in galois_group(K):
+    for c in quotient_cosets(K.conductor, K.fixed_group):
         if c not in seen:
             cc = coset_mul(K.conductor, conj, c)
             seen.update((c, cc))
-            pairs.append((c, cc))
+            pairs.append((least(c), least(cc)))
     return pairs
 
 
-def coset_mul_translate(T: CMType, g: frozenset[int]) -> CMType:
-    m = T.field.conductor
-    return CMType(T.field, frozenset(coset_mul(m, g, c) for c in T.psi))
+def coset_mul_translate(T: CMType, g: int) -> CMType:
+    K = T.field
+    G = element_set(K, g)
+    return CMType(K, frozenset(least(coset_mul(K.conductor, G, element_set(K, c)))
+                               for c in T.psi))
 
 
 def coset_mul_conjugate_type(T: CMType) -> CMType:
-    return coset_mul_translate(T, complex_conjugation(T.field))
+    return coset_mul_translate(T, T.field.conductor - 1)
 
 
 def coset_mul_stabilizer(T: CMType) -> Subgroup:
     """Union of the Galois elements g with g psi = psi, trying every g."""
-    m = T.field.conductor
+    K = T.field
+    m = K.conductor
+    psi = {element_set(K, c) for c in T.psi}
     residues: set[int] = set()
-    for g in galois_group(T.field):
-        if frozenset(coset_mul(m, g, c) for c in T.psi) == T.psi:
+    for g in quotient_cosets(m, K.fixed_group):
+        if {coset_mul(m, g, c) for c in psi} == psi:
             residues |= g
     return Subgroup(m, frozenset(residues))
 
 
-def coset_mul_restriction_multiplicities(D: WeilDatum) -> dict[frozenset[int], int]:
+def coset_mul_restriction_multiplicities(D: WeilDatum) -> dict[int, int]:
     """n_sigma, restricting each type element by the coset of its least residue."""
     k = D.base
-    counts = {sigma: 0 for sigma in galois_group(k)}
+    counts = {least(sigma): 0 for sigma in quotient_cosets(k.conductor, k.fixed_group)}
     for T in D.components:
         assert lift_is_subfield(k, T.field)
         for c in T.psi:
-            counts[coset_of(k.conductor, k.fixed_group, min(c) % k.conductor)] += 1
+            counts[least(coset_of(k.conductor, k.fixed_group, c % k.conductor))] += 1
     return counts
 
 
 def coset_mul_is_weil_type(D: WeilDatum) -> bool:
+    k = D.base
     counts = coset_mul_restriction_multiplicities(D)
-    conj = complex_conjugation(D.base)
-    m = D.base.conductor
-    return all(counts[s] == counts[coset_mul(m, conj, s)] for s in counts)
+    conj = conjugation_set(k)
+    return all(
+        counts[s] == counts[least(coset_mul(k.conductor, conj, element_set(k, s)))]
+        for s in counts
+    )
 
 
 def induced_cm_type(K: AbelianField, T_small: CMType) -> CMType:
     """The CM-type of K lying over ``T_small`` on a CM subfield of K."""
     k = T_small.field
-    psi = frozenset(
-        c for c in galois_group(K)
-        if coset_of(k.conductor, k.fixed_group, min(c) % k.conductor) in T_small.psi
-    )
+    psi = [
+        g for g in galois_group(K)
+        if least(coset_of(k.conductor, k.fixed_group, g % k.conductor)) in T_small.psi
+    ]
     return validate_cm_type(K, psi)
 
 

@@ -8,11 +8,14 @@ from cmtwist.fields import (
     MAX_CONDUCTOR,
     RATIONALS,
     AbelianField,
+    _coset_rep,
     complex_conjugation,
     compositum,
+    coset,
     cyclotomic,
     factorint,
     field_from,
+    galois_group,
     intersect,
     is_cm,
     is_squarefree,
@@ -21,14 +24,18 @@ from cmtwist.fields import (
     kronecker_symbol,
     maximal_real_subfield,
     quadratic,
+    restrict,
     roots_of_unity_order,
     subfields,
 )
 from cmtwist.residues import invariant_factors, subgroup, subgroup_generated
 from helpers import (
     cm_fields,
+    coset_of,
     example41_field,
+    least,
     lift_is_subfield,
+    quotient_cosets,
     subgroup_lattice_subfields,
 )
 
@@ -189,9 +196,29 @@ class TestCMStructure:
 
     def test_conjugation_coset(self):
         K = cyclotomic(7)
-        assert complex_conjugation(K) == frozenset({6})
+        assert complex_conjugation(K) == 6
         k = quadratic(-7)
-        assert complex_conjugation(k) == frozenset({3, 5, 6})
+        assert complex_conjugation(k) == 3 and coset(k, 3) == [3, 5, 6]
+        assert complex_conjugation(maximal_real_subfield(K)) == 1
+        assert complex_conjugation(RATIONALS) == 0
+
+    def test_galois_elements_match_the_coset_listing(self):
+        # least residues, their cosets and restriction, against listed cosets
+        for K in subfields(cyclotomic(84)) + cm_fields(40, 8) + (RATIONALS,):
+            m = K.conductor
+            cosets = quotient_cosets(m, K.fixed_group)
+            assert galois_group(K) == tuple(map(least, cosets))
+            where = {x: least(c) for c in cosets for x in c}
+            assert _coset_rep(K) == tuple(where.get(x, 0) for x in range(m))
+            assert all(coset(K, least(c)) == sorted(c) for c in cosets)
+            assert complex_conjugation(K) == least(coset_of(m, K.fixed_group, m - 1))
+            for k in subfields(K):
+                assert [restrict(K, k, g) for g in galois_group(K)] == [
+                    least(coset_of(k.conductor, k.fixed_group, g % k.conductor))
+                    for g in galois_group(K)
+                ]
+        with pytest.raises(ValueError, match="not a subfield"):
+            restrict(quadratic(-7), cyclotomic(7), 1)
 
     def test_every_cm_field_has_index_two_real_subfield(self):
         corpus = subfields(cyclotomic(51)) + subfields(cyclotomic(84))

@@ -10,7 +10,7 @@ import cmtwist.inertia
 from cmtwist.inertia import (
     CLASS_NUMBER_ASSUMPTION,
     GOOD_REDUCTION_ASSUMPTION,
-    FiniteFieldElt,
+    _pow,
     base_certificate,
     frobenius_exponents,
     galois_vs_frobenius,
@@ -182,25 +182,25 @@ class TestUnitGenerator:
 class TestFiniteField:
     def test_modulus_root_relations(self):
         # x has order 7, and the modulus polynomial vanishes on it
-        x = FiniteFieldElt(3, (0, 1, 0, 0, 0, 0))
-        assert (x**7).coeffs == (1, 0, 0, 0, 0, 0)
-        power_sum = (1, 0, 0, 0, 0, 0)
-        acc = FiniteFieldElt(3, power_sum)
+        x = (0, 1, 0, 0, 0, 0)
+        assert _pow(3, x, 7) == (1, 0, 0, 0, 0, 0)
+        acc = (1, 0, 0, 0, 0, 0)
         for k in range(1, 7):
-            acc = FiniteFieldElt(3, tuple(
-                (a + b) % 3 for a, b in zip(acc.coeffs, (x**k).coeffs)
-            ))
-        assert acc.coeffs == (0, 0, 0, 0, 0, 0)
+            acc = tuple((a + b) % 3 for a, b in zip(acc, _pow(3, x, k)))
+        assert acc == (0, 0, 0, 0, 0, 0)
 
     def test_frobenius_fixed_points(self):
         # u^(p^6) = u for every element of the degree-six extension
         for p in (3, 17):
-            u = FiniteFieldElt(p, (1, 2, 0, 1, 0, 2))
-            assert (u ** (p**6)).coeffs == u.coeffs
+            u = (1, 2, 0, 1, 0, 2)
+            assert _pow(p, u, p**6) == u
 
     def test_reducible_characteristic_rejected(self):
-        with pytest.raises(ValueError, match="reducible"):
-            FiniteFieldElt(13, (1, 0, 0, 0, 0, 0))
+        # every prime whose residue mod 7 has order below 6
+        for p in primerange(2, 100):
+            if p != 7 and residue_order_mod7(p) != 6:
+                with pytest.raises(ValueError, match="reducible"):
+                    galois_vs_frobenius(p, 1)
 
     def test_irreducibility_matches_order_six(self):
         # oracle: factor the modulus polynomial over GF(p) with sympy
@@ -306,6 +306,9 @@ class TestCertificates:
         frobenius_exponents(17)
         seven_divisibility(17)
         assert calls == [17, 17, 17]
+        calls.clear()
+        galois_vs_frobenius(17, 3)
+        assert calls == [17]
 
     def test_parallel_certification_is_deterministic(self):
         from concurrent.futures import ThreadPoolExecutor
