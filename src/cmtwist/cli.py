@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from . import __version__
@@ -41,9 +43,17 @@ from .fields import (
     quadratic,
     roots_of_unity_order,
 )
-from .inertia import base_certificate, kitself_certificate
+from .inertia import (
+    CLASS_NUMBER_ASSUMPTION,
+    GOOD_REDUCTION_ASSUMPTION,
+    base_certificate,
+    kitself_certificate,
+)
 from .residues import invariant_factor_basis, invariant_factors, is_quotient_basis
 from .twists import (
+    HYP_AUT_VALUED,
+    HYP_END_A,
+    HYP_PHI_BASE,
     HypothesisError,
     discond_groups,
     make_character,
@@ -97,7 +107,49 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
+        """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+        CPython's C encoder serves ``json.dumps`` only without ``indent``, so
+        :func:`_emit` writes the indented form itself.
+        """
+        return _emit(self.to_document(), "\n") + "\n"
+
+
+def _emit(obj: Any, newline: str) -> str:
+    """JSON text of a report value, ``newline`` being "\\n" plus its indent.
+
+    Accepts dict (``str`` keys, emitted sorted), list, tuple, str, int, bool
+    and None, and raises ``TypeError`` on anything else.  Strings and keys go
+    through the C ``encode_basestring_ascii`` that ``json.dumps`` uses, which
+    itself refuses a key that is not a ``str``.  Loops, not comprehensions,
+    so each nesting level costs one frame, as in ``json``.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = []
+        for x in obj:
+            items.append(_emit(x, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k in sorted(obj):
+            items.append(encode_basestring_ascii(k) + ": " + _emit(obj[k], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -125,32 +177,50 @@ def _require_int(obj: Any, where: str) -> int:
     return obj
 
 
+_LEAF_KINDS = ("cyclotomic", "quadratic", "real_subfield_of")
+
+
+@lru_cache(maxsize=None)
+def _leaf_field(kind: str, value: int) -> AbelianField:
+    """The field a leaf literal names; a constructor's ``ValueError`` is not cached."""
+    if kind == "cyclotomic":
+        return cyclotomic(value)
+    if kind == "quadratic":
+        return quadratic(value)
+    return maximal_real_subfield(cyclotomic(value))
+
+
+@lru_cache(maxsize=None)
+def _compositum_field(parts: tuple[AbelianField, ...]) -> AbelianField:
+    out = parts[0]
+    for part in parts[1:]:
+        out = compositum(out, part)
+    return out
+
+
 def parse_field_literal(obj: Any, where: str = "field") -> AbelianField:
     """Field literal: {"cyclotomic": m} | {"quadratic": d} |
-    {"real_subfield_of": m} | {"compositum": [literal, ...]}."""
+    {"real_subfield_of": m} | {"compositum": [literal, ...]}.
+
+    Fields are cached by literal value, never by ``where``, and failures are
+    not cached, so every error names the path it was found at.
+    """
     obj = _require_mapping(obj, where)
     if len(obj) != 1:
         raise InputError(f"{where}: field literal must have exactly one key")
     key, value = next(iter(obj.items()))
     try:
-        if key == "cyclotomic":
-            return cyclotomic(_require_int(value, f"{where}.cyclotomic"))
-        if key == "quadratic":
-            return quadratic(_require_int(value, f"{where}.quadratic"))
-        if key == "real_subfield_of":
-            m = _require_int(value, f"{where}.real_subfield_of")
-            return maximal_real_subfield(cyclotomic(m))
+        if key in _LEAF_KINDS:
+            return _leaf_field(key, _require_int(value, f"{where}.{key}"))
         if key == "compositum":
             if not isinstance(value, list) or not value:
                 raise InputError(f"{where}.compositum: expected a non-empty list")
-            parts = [
+            # a list comprehension, not a generator: from Python 3.12 it is
+            # inlined, so each nesting level costs one frame
+            return _compositum_field(tuple([
                 parse_field_literal(v, f"{where}.compositum[{i}]")
                 for i, v in enumerate(value)
-            ]
-            out = parts[0]
-            for part in parts[1:]:
-                out = compositum(out, part)
-            return out
+            ]))
     except ValueError as exc:
         if isinstance(exc, InputError):
             raise
@@ -448,14 +518,14 @@ EXAMPLE_41_TUPLES = ((0, 0), (0, 1), (0, 4), (0, 7), (1, 2), (1, 3), (1, 5), (1,
 
 EXAMPLE_41_ASSUMED = (
     "End(A) is the full ring of integers of K",
-    "F = F(End(A))",
-    "F_Phi(A) = F",
-    "iota(c) takes values in Aut(A)",
+    HYP_END_A,
+    HYP_PHI_BASE,
+    HYP_AUT_VALUED,
 )
 
 EXAMPLE_42_ASSUMED = (
-    "class number 1",
-    "good reduction outside 7",
+    CLASS_NUMBER_ASSUMPTION,
+    GOOD_REDUCTION_ASSUMPTION,
     "Hom(J,E^(d)) = 0",
     "endomorphism-field identities",
 )
@@ -641,7 +711,9 @@ def _payload_from_args(args: argparse.Namespace) -> dict:
         with open(args.input, "r", encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError, UnicodeDecodeError and
+                # the int-to-str digit limit; RecursionError deep nesting.
                 raise InputError(f"{args.input}: invalid JSON ({exc})") from exc
         return _require_mapping(document, args.input)
     payload = {}
@@ -670,6 +742,7 @@ def main(argv: Optional[list[str]] = None) -> int:
              **({"output": args.output} if args.output else {})}
         )
         report = run(job)
+        text = report.to_json()
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -679,8 +752,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        # Up to Python 3.11 json.load refuses such a file itself; from 3.12
+        # it may load, and parsing, running or emitting the job runs out of
+        # stack instead.
+        print(f"input error: {args.input or args.command}: nested too deeply ({exc})",
+              file=sys.stderr)
+        return 1
 
-    text = report.to_json()
     if job.output_path:
         with open(job.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
@@ -430,3 +431,12 @@ def synthetic_weil_datum(n: int, r: int):
         raise ValueError("synthetic data here are conjugate-paired, r must be even")
     k, psi, psibar = _synthetic_base(n)
     return k, weil_datum(k, (psi, psibar) * (r // 2))
+
+
+# ---------------------------------------------------------------------------
+# Report serialization.
+
+def dumps_oracle(doc) -> str:
+    """Report text as ``json.dumps`` writes it, the form ``Report.to_json``
+    must reproduce byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cmtwist
+import cmtwist.cli as cli
 from cmtwist.cli import (
     EXAMPLE_42_ASSUMED,
     InputError,
@@ -18,8 +21,8 @@ from cmtwist.cli import (
     run,
     validate_input,
 )
-from cmtwist.fields import cyclotomic, quadratic
-from helpers import cm_fields, example41_field, peeled_invariant_factor_basis
+from cmtwist.fields import MAX_CONDUCTOR, compositum, cyclotomic, maximal_real_subfield, quadratic
+from helpers import cm_fields, dumps_oracle, example41_field, peeled_invariant_factor_basis
 
 
 def run_command(command, payload=None):
@@ -92,6 +95,46 @@ class TestFieldLiterals:
             parse_field_literal({"quadratic": 12})
 
 
+class TestFieldLiteralCache:
+    def test_same_bad_literal_names_each_path(self):
+        bad = {"quadratic": 12}
+        with pytest.raises(InputError, match=r"^base: .*squarefree"):
+            parse_field_literal(bad, "base")
+        with pytest.raises(InputError, match=r"^components\[0\]\.field\.compositum\[1\]: .*squarefree"):
+            parse_field_literal({"compositum": [{"cyclotomic": 7}, bad]}, "components[0].field")
+        with pytest.raises(InputError, match=r"^base\.compositum\[0\]\.cyclotomic: expected an integer"):
+            parse_field_literal({"compositum": [{"cyclotomic": "7"}]}, "base")
+
+    def test_failures_are_not_cached(self):
+        before = cli._leaf_field.cache_info()
+        for _ in range(3):
+            with pytest.raises(InputError, match="MAX_CONDUCTOR"):
+                parse_field_literal({"cyclotomic": MAX_CONDUCTOR + 1})
+        after = cli._leaf_field.cache_info()
+        assert after.misses == before.misses + 3 and after.currsize == before.currsize
+
+    def test_repeated_job_is_a_cache_hit(self):
+        payload = {"field": {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]}}
+        first = run_command("field", payload)
+        leaf, comp = cli._leaf_field.cache_info(), cli._compositum_field.cache_info()
+        second = run_command("field", payload)
+        assert cli._leaf_field.cache_info().hits == leaf.hits + 2
+        assert cli._compositum_field.cache_info().hits == comp.hits + 1
+        assert second.to_json() == first.to_json()
+        fresh = compositum(quadratic(-3), maximal_real_subfield(cyclotomic(17)))
+        assert parse_field_literal(payload["field"], "components[0].field") == fresh
+        # keyed by the literal, not by the path it was found at
+        assert cli._compositum_field.cache_info().hits == comp.hits + 2
+
+    def test_caches_stay_private(self):
+        # perfbench pins the set of public lru_caches; the literal caches are cli's own
+        cached = {name for name, obj in vars(cli).items()
+                  if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == cli.__name__}
+        assert cached == {"_leaf_field", "_compositum_field"}
+        for constructor in (cyclotomic, quadratic, compositum):
+            assert not isinstance(constructor, functools._lru_cache_wrapper)
+
+
 class TestDeclaredBasis:
     def test_conjugation_is_the_order_two_generator(self):
         K = example41_field()
@@ -122,7 +165,7 @@ class TestReports:
         report = run_command("inertia", {"p": 3})
         doc = json.loads(report.to_json())
         assert doc == report.to_document()
-        assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == report.to_json()
+        assert dumps_oracle(doc) == report.to_json()
 
     def test_field_command(self):
         report = run_command("field", {"field": {"quadratic": -7}})
@@ -257,6 +300,32 @@ class TestMainExitCodes:
 
     def test_missing_input_file(self, capsys):
         assert main(["field", "--input", "/nonexistent/job.json"]) == 1
+
+    @pytest.mark.parametrize("content, reason", [
+        # json.load refuses this depth up to Python 3.11; from 3.12 it may
+        # load and run out of stack later, which main() reports the same way
+        (b'{"field": ' + b'{"compositum": [' * 600 + b'{"cyclotomic": 7}' + b']}' * 600 + b'}',
+         r"(invalid JSON|nested too deeply) \(maximum recursion depth"),
+        (b'{"p": ' + b"7" * 5000 + b'}', r"invalid JSON \(.*4300 digits"),
+        (b'{"p": 3\xff}', r"invalid JSON \(.*can't decode byte 0xff"),
+    ], ids=["nested-600", "digits-5000", "byte-0xff"])
+    def test_undecodable_input_file_exits_1_with_a_message(self, content, reason, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_bytes(content)
+        assert main(["field", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(re.escape(f"input error: {path}: ") + reason, err), err[:300]
+        assert "Traceback" not in err
+
+    def test_job_too_deep_for_the_stack_exits_1(self, monkeypatch, capsys):
+        # the document json.load may hand over from Python 3.12 on
+        literal = {"cyclotomic": 7}
+        for _ in range(600):
+            literal = {"compositum": [literal]}
+        monkeypatch.setattr(cli, "_payload_from_args", lambda args: {"field": literal})
+        assert main(["field"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: field: nested too deeply (maximum recursion depth"), err[:300]
 
     def test_twist_e_dimension_mismatch_is_input_error(self, tmp_path, capsys):
         # the datum has dimension 3 + 1 = 4, but dim(X) + dim(Y) = 6

@@ -1,0 +1,94 @@
+"""``Report.to_json`` against the ``json.dumps`` oracle.
+
+The emitter must write exactly ``json.dumps(doc, sort_keys=True, indent=2)
++ "\\n"``.  The pinned digests of ``tests/test_report_bytes.py`` hold it to
+that form on the fixed corpora; here it is compared with the oracle on
+drawn documents and on a field job nested about as deep as ``json.load``
+accepts.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cmtwist
+from cmtwist.cli import Report, _emit, run, validate_input
+from helpers import dumps_oracle
+
+
+def emit(doc) -> str:
+    return _emit(doc, "\n") + "\n"
+
+
+text = st.text(st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+                         st.characters(max_codepoint=0x1F)))
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-10**80, max_value=10**80),
+    text,
+)
+documents = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(text, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents)
+def test_drawn_documents_match_the_oracle(doc):
+    assert emit(doc) == dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {1, 2},
+    1.5,
+    b"bytes",
+    {1: "int key"},
+    {("a",): "tuple key"},
+    [{"ok": [0, {"nested": 0.0}]}],
+    {"ok": {"nested": frozenset()}},
+])
+def test_unsupported_values_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        emit(doc)
+    with pytest.raises(TypeError):
+        Report("field", {"field": doc}, {}, (), (), True).to_json()
+
+
+def test_deep_compositum_job_matches_the_oracle(tmp_path):
+    # 490 levels of {"compositum": [...]} is about the deepest json.load
+    # accepts under the default recursion limit; the CLI must still emit it.
+    depth = 490
+    literal = '{"compositum": [' * depth + '{"cyclotomic": 7}' + "]}" * depth
+    path = tmp_path / "job.json"
+    path.write_text('{"field": ' + literal + "}")
+    src = str(Path(cmtwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "cmtwist.cli", "field", "--input", str(path), "--json"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 3 * depth)  # pytest's own frames sit below the test
+    try:
+        payload = json.loads(path.read_text())
+        report = run(validate_input({"command": "field", "payload": payload}))
+        expected = dumps_oracle(report.to_document())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.stdout == expected
+    assert len(expected) > 1_500_000
