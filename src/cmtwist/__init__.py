@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .fields import (
     AbelianField,
-    complex_conjugation,
     compositum,
     cyclotomic,
     field_from,
-    intersect,
     is_cm,
     is_subfield,
     is_totally_real,
@@ -24,7 +22,6 @@ from .cmtypes import (
     is_primitive,
     is_weil_type,
     reflex_field,
-    reflex_type,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -35,16 +32,12 @@ from .twists import (
     CharacterSpec,
     HypothesisError,
     discond_groups,
-    hodge_exponent_constraint,
     make_character,
     twist_e,
     twist_x,
 )
 from .inertia import (
     base_certificate,
-    frobenius_exponents,
-    galois_vs_frobenius,
-    inertia_order,
     kitself_certificate,
     unit_generator_check,
 )
@@ -57,16 +50,10 @@ __all__ = [
     "WeilDatum",
     "balance_product",
     "base_certificate",
-    "complex_conjugation",
     "compositum",
     "cyclotomic",
     "discond_groups",
     "field_from",
-    "frobenius_exponents",
-    "galois_vs_frobenius",
-    "hodge_exponent_constraint",
-    "inertia_order",
-    "intersect",
     "is_cm",
     "is_primitive",
     "is_subfield",
@@ -77,7 +64,6 @@ __all__ = [
     "maximal_real_subfield",
     "quadratic",
     "reflex_field",
-    "reflex_type",
     "restriction_multiplicities",
     "roots_of_unity_order",
     "stabilizer",

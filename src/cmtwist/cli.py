@@ -399,8 +399,8 @@ def _run_cmtype(payload: dict) -> Report:
         "stabilizer": sorted(stab.elements),
         "primitive": stab.elements == K.fixed_group.elements,
         "reflex_field": field_dict(refl),
-        "reflex_type_inverse": _cmtype_list(inv.cm_type),
-        "reflex_type_conjugate": _cmtype_list(conj.cm_type),
+        "reflex_type_inverse": _cmtype_list(inv),
+        "reflex_type_conjugate": _cmtype_list(conj),
     }
     statements = [
         f"valid CM-type, {'primitive' if results['primitive'] else 'induced'}",
@@ -623,8 +623,8 @@ def _run_example_42(payload: dict) -> Report:
         "elliptic_model": "y^2 + x*y = x^3 - x^2 - 2*x - 1",
         "cm_type_J": _cmtype_list(T),
         "reflex_field_is_K": refl == K,
-        "reflex_type_inverse": _cmtype_list(refl_inv.cm_type),
-        "reflex_type_conjugate": _cmtype_list(refl_conj.cm_type),
+        "reflex_type_inverse": _cmtype_list(refl_inv),
+        "reflex_type_conjugate": _cmtype_list(refl_conj),
         "n_sigma_J": _mults_list(k, counts_j),
         "weil_type_J_alone": is_weil_type(datum_j),
         "balancing_type": _cmtype_list(balancing),

@@ -24,7 +24,6 @@ from typing import Iterable, Optional
 from .fields import (
     AbelianField,
     _coset_rep,
-    complex_conjugation,
     coset,
     field_from,
     galois_group,
@@ -50,14 +49,6 @@ class CMType:
         return f"CMType({self.field!r}, reps=[{reps}])"
 
 
-@dataclass(frozen=True)
-class ReflexType:
-    """A CM-type on a reflex field, tagged with the convention that built it."""
-
-    cm_type: CMType
-    convention: str
-
-
 def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
     """Check that psi and its conjugate partition Gal(K/Q); return the CM-type.
 
@@ -80,17 +71,6 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
                 f"not a half-system: {coset(K, g)} appears together with its conjugate"
             )
     return CMType(K, elements)
-
-
-def translate(T: CMType, g: int) -> CMType:
-    """The CM-type g * psi (still a CM-type for any Galois element g)."""
-    K = T.field
-    m, rep = K.conductor, _coset_rep(K)
-    return CMType(K, frozenset(rep[g * c % m] for c in T.psi))
-
-
-def conjugate_type(T: CMType) -> CMType:
-    return translate(T, complex_conjugation(T.field))
 
 
 def stabilizer(T: CMType) -> Subgroup:
@@ -125,21 +105,13 @@ def reflex_field(T: CMType) -> AbelianField:
     return field_from(T.field.conductor, stabilizer(T))
 
 
-def reflex_type(T: CMType, convention: str = "inverse") -> ReflexType:
-    """Reflex CM-type on the reflex field, under either convention.
+def _reflex_type(T: CMType, refl: AbelianField, convention: str) -> CMType:
+    """Reflex CM-type of T on its reflex field ``refl``, under either convention.
 
-    ``inverse`` restricts {sigma^-1 : sigma in psi} to the reflex field;
+    ``inverse`` restricts {sigma^-1 : sigma in psi} to ``refl``;
     ``conjugate`` restricts the conjugate half-system instead.  Both yield
-    valid CM-types with the same reflex field; the result records which
-    convention produced it.
+    valid CM-types on the same field.
     """
-    if convention not in ("inverse", "conjugate"):
-        raise ValueError(f"unknown convention {convention!r}")
-    return _reflex_type(T, reflex_field(T), convention)
-
-
-def _reflex_type(T: CMType, refl: AbelianField, convention: str) -> ReflexType:
-    """:func:`reflex_type` on the already computed reflex field ``refl``."""
     K = T.field
     if not is_subfield(refl, K):
         raise ValueError("restriction target is not a subfield")
@@ -149,7 +121,7 @@ def _reflex_type(T: CMType, refl: AbelianField, convention: str) -> ReflexType:
     else:
         source = ((m - 1) * c % m for c in T.psi)
     restricted = (rep_r[x % refl.conductor] for x in source)
-    return ReflexType(validate_cm_type(refl, restricted), convention)
+    return validate_cm_type(refl, restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +207,3 @@ def balance_product(D: WeilDatum) -> Optional[CMType]:
         if is_weil_type(WeilDatum(k, D.components + (candidate,))):
             return candidate
     return None
-
-
-def _conjugate_pairs(K: AbelianField) -> list[tuple[int, int]]:
-    """Gal(K/Q) as pairs (g, conjugate of g), g ascending."""
-    m, rep = K.conductor, _coset_rep(K)
-    pairs = []
-    seen: set[int] = set()
-    for g in galois_group(K):
-        if g not in seen:
-            c = rep[(m - 1) * g % m]
-            seen.update((g, c))
-            pairs.append((g, c))
-    return pairs
-
-
-def canonical_cm_type(K: AbelianField) -> CMType:
-    """Some CM-type on K: the least representative of each conjugate pair."""
-    return validate_cm_type(K, [g for g, _ in _conjugate_pairs(K)])
-
-
-def all_cm_types(K: AbelianField) -> tuple[CMType, ...]:
-    """Every CM-type on K (2^(degree/2) of them); degree kept desk-scale."""
-    pairs = _conjugate_pairs(K)
-    if len(pairs) > 12:
-        raise ValueError("refusing to enumerate more than 2^12 CM-types")
-    types = []
-    for mask in range(1 << len(pairs)):
-        psi = frozenset(
-            pair[(mask >> i) & 1] for i, pair in enumerate(pairs)
-        )
-        types.append(CMType(K, psi))
-    return tuple(types)

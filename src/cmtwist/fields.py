@@ -2,9 +2,8 @@
 
 A field is a pair (conductor m, fixed group H <= (Z/m)^x): the field is
 the fixed field of H acting on the m-th cyclotomic field, and m is always
-normalized to be minimal.  The whole Galois lattice (compositum,
-intersection, subfield tests, real subfields, conjugation) then reduces
-to subgroup arithmetic from :mod:`cmtwist.residues`.
+normalized to be minimal.  Compositum, subfield tests and real subfields
+then reduce to subgroup arithmetic from :mod:`cmtwist.residues`.
 
 A Galois element of K is one int: the least residue of its coset of H,
 so Gal(K/Q) is the ascending tuple :func:`galois_group` and the private
@@ -97,7 +96,7 @@ def field_from(m: int, elements) -> AbelianField:
             if m2 == m:
                 return AbelianField(m, H)
             if m2 == 1:
-                return AbelianField(1, Subgroup(1, frozenset()))
+                return RATIONALS
             image = frozenset(x % m2 for x in H.elements)
             return AbelianField(m2, subgroup(m2, image))
     raise AssertionError("unreachable: m divides m")
@@ -224,12 +223,6 @@ def compositum(K1: AbelianField, K2: AbelianField) -> AbelianField:
     return field_from(M, _lift(K1, M) & _lift(K2, M))
 
 
-def intersect(K1: AbelianField, K2: AbelianField) -> AbelianField:
-    M = lcm(K1.conductor, K2.conductor)
-    _check_conductor(M)
-    return field_from(M, subgroup_generated(M, _lift(K1, M) | _lift(K2, M)))
-
-
 def is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
     """True when K1 is contained in K2.
 
@@ -260,11 +253,6 @@ def is_totally_real(K: AbelianField) -> bool:
 def is_cm(K: AbelianField) -> bool:
     """CM = imaginary; abelian fields of degree > 1 are real or CM, never mixed."""
     return K.degree > 1 and not is_totally_real(K)
-
-
-def complex_conjugation(K: AbelianField) -> int:
-    """The Galois element -1 of K (the identity 1 when K is real, 0 for Q)."""
-    return _coset_rep(K)[K.conductor - 1]
 
 
 def maximal_real_subfield(K: AbelianField) -> AbelianField:
@@ -318,17 +306,6 @@ def coset(K: AbelianField, g: int) -> list[int]:
     return sorted(g * h % K.conductor for h in K.fixed_group.elements)
 
 
-def restrict(K_big: AbelianField, K_small: AbelianField, g: int) -> int:
-    """Restriction map Gal(K_big/Q) -> Gal(K_small/Q) for K_small <= K_big.
-
-    >>> restrict(cyclotomic(7), quadratic(-7), 5)
-    3
-    """
-    if not is_subfield(K_small, K_big):
-        raise ValueError("restriction target is not a subfield")
-    return _coset_rep(K_small)[g % K_small.conductor]
-
-
 @lru_cache(maxsize=None)
 def roots_of_unity_order(K: AbelianField) -> int:
     """The number w(K) of roots of unity in K (always even).
@@ -349,34 +326,3 @@ def roots_of_unity_order(K: AbelianField) -> int:
     """
     g = gcd(K.conductor, *(h - 1 for h in K.fixed_group.elements))
     return g if g % 2 == 0 else 2 * g
-
-
-def subfields(K: AbelianField) -> tuple[AbelianField, ...]:
-    """All subfields of K, via the subgroups of Gal(K/Q).
-
-    A subfield is the fixed field of a subgroup S of (Z/m)^x containing the
-    fixed group H.  Each such S is a join of the cyclic subgroups <H, x>,
-    one per coset of H, so those [K:Q] groups are joined until nothing new
-    appears.
-    """
-    m = K.conductor
-    if m == 1:
-        return (K,)
-    H = K.fixed_group.elements
-    cyclics = {subgroup_generated(m, H | {g}).elements for g in galois_group(K)}
-    subs = set(cyclics)
-    frontier = set(cyclics)
-    while frontier:
-        new = set()
-        for S in frontier:
-            for C in cyclics:
-                if C <= S:
-                    continue
-                T = subgroup_generated(m, S | C).elements
-                if T not in subs:
-                    subs.add(T)
-                    new.add(T)
-        frontier = new
-    fields = {field_from(m, Subgroup(m, S)) for S in subs}
-    return tuple(sorted(fields, key=lambda F: (F.degree, F.conductor,
-                                               F.fixed_group.sorted_elements())))

@@ -57,16 +57,12 @@ class CharacterSpec:
     order: int
     extension_label: str
 
-    @property
-    def extension_degree(self) -> int:
-        return self.order
-
 
 def make_character(k: AbelianField, n: int, label: str = "M") -> CharacterSpec:
     """Character of exact order n with values mu_n(k); needs n | w(k).
 
     >>> from .fields import quadratic
-    >>> make_character(quadratic(-3), 3).extension_degree
+    >>> make_character(quadratic(-3), 3).order
     3
     """
     if n < 2:
@@ -113,25 +109,6 @@ def discond_groups(n: int, d: int) -> DiscondResult:
     if n < 1 or d < 1 or n % d != 0:
         raise ValueError(f"d = {d} must divide n = {n}")
     return DiscondResult(n, d, n // d, d)
-
-
-def hodge_exponent_constraint(n: int, r: int) -> tuple[int, ...]:
-    """Admissible orders in the image-envelope intersection: divisors of gcd(n, 2r).
-
-    Elements satisfy both alpha^n = 1 and (via the polarization character)
-    alpha^(2r) = 1.
-
-    >>> hodge_exponent_constraint(3, 8)
-    (1,)
-    >>> hodge_exponent_constraint(6, 2)
-    (1, 2)
-    """
-    if n < 1:
-        raise ValueError(f"character order must be positive, got {n}")
-    if r % 2 != 0:
-        raise HypothesisError(HYP_R_EVEN, f"r = {r}")
-    t = gcd(n, 2 * r)
-    return tuple(e for e in range(1, t + 1) if t % e == 0)
 
 
 @dataclass(frozen=True)

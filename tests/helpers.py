@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
-from cmtwist.cmtypes import (
-    CMType,
-    WeilDatum,
-    canonical_cm_type,
-    conjugate_type,
-    validate_cm_type,
-    weil_datum,
-)
+from cmtwist.cmtypes import CMType, WeilDatum, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
     _lift,
@@ -27,10 +21,12 @@ from cmtwist.fields import (
     maximal_real_subfield,
     quadratic,
 )
+from cmtwist.inertia import isprime
 from cmtwist.residues import (
     Subgroup,
     _check_unit,
     _prime_divisors,
+    element_order,
     group_order,
     subgroup_generated,
     trivial_subgroup,
@@ -48,16 +44,14 @@ def cyclic_subgroups(m: int) -> set[frozenset[int]]:
     return subs
 
 
-@lru_cache(maxsize=None)
-def all_subgroups(m: int) -> tuple[Subgroup, ...]:
-    """Every subgroup of (Z/m)^x, by saturating joins of cyclic subgroups."""
-    cyclics = cyclic_subgroups(m)
-    subs = set(cyclics)
-    frontier = set(cyclics)
+def _join_closure(m: int, gens: set[frozenset[int]]) -> set[frozenset[int]]:
+    """The subgroups ``gens`` of (Z/m)^x and all their joins."""
+    subs = set(gens)
+    frontier = set(gens)
     while frontier:
         new = set()
         for S in frontier:
-            for C in cyclics:
+            for C in gens:
                 if C <= S:
                     continue
                 T = subgroup_generated(m, S | C).elements
@@ -65,6 +59,13 @@ def all_subgroups(m: int) -> tuple[Subgroup, ...]:
                     subs.add(T)
                     new.add(T)
         frontier = new
+    return subs
+
+
+@lru_cache(maxsize=None)
+def all_subgroups(m: int) -> tuple[Subgroup, ...]:
+    """Every subgroup of (Z/m)^x, by saturating joins of cyclic subgroups."""
+    subs = _join_closure(m, cyclic_subgroups(m))
     return tuple(
         Subgroup(m, s) for s in sorted(subs, key=lambda s: (len(s), sorted(s)))
     )
@@ -225,10 +226,11 @@ def full_scan_max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, i
 
 
 def subgroup_lattice_subfields(K: AbelianField) -> tuple[AbelianField, ...]:
-    """Subfields of K from every subgroup of (Z/m)^x containing the fixed group."""
-    m = K.conductor
-    H = K.fixed_group.elements
-    fields = {field_from(m, S) for S in all_subgroups(m) if S.elements >= H}
+    """Subfields of K from every subgroup of (Z/m)^x containing the fixed
+    group H: the joins of the groups <H, x>, one per coset of H."""
+    m, H = K.conductor, K.fixed_group
+    over_H = {subgroup_generated(m, H.elements | c).elements for c in quotient_cosets(m, H)}
+    fields = {field_from(m, Subgroup(m, S)) for S in _join_closure(m, over_H)}
     return tuple(sorted(fields, key=lambda F: (F.degree, F.conductor,
                                                F.fixed_group.sorted_elements())))
 
@@ -360,6 +362,19 @@ def coset_mul_conjugate_pairs(K: AbelianField) -> list[tuple[int, int]]:
     return pairs
 
 
+def all_cm_types(K: AbelianField) -> tuple[CMType, ...]:
+    """Every CM-type on K, 2^(degree/2) of them: bit i of the mask picks
+    the side of the i-th conjugate pair.  Mask 0 is :func:`canonical_cm_type`."""
+    pairs = coset_mul_conjugate_pairs(K)
+    return tuple(validate_cm_type(K, [p[(mask >> i) & 1] for i, p in enumerate(pairs)])
+                 for mask in range(1 << len(pairs)))
+
+
+def canonical_cm_type(K: AbelianField) -> CMType:
+    """The CM-type of the least residue of each conjugate pair."""
+    return validate_cm_type(K, [g for g, _ in coset_mul_conjugate_pairs(K)])
+
+
 def coset_mul_translate(T: CMType, g: int) -> CMType:
     K = T.field
     G = element_set(K, g)
@@ -423,7 +438,7 @@ def induced_cm_type(K: AbelianField, T_small: CMType) -> CMType:
 def _synthetic_base(n: int):
     k = cyclotomic(2 * n)
     psi = canonical_cm_type(k)
-    return k, psi, conjugate_type(psi)
+    return k, psi, coset_mul_conjugate_type(psi)
 
 
 def synthetic_weil_datum(n: int, r: int):
@@ -431,6 +446,82 @@ def synthetic_weil_datum(n: int, r: int):
         raise ValueError("synthetic data here are conjugate-paired, r must be even")
     k, psi, psibar = _synthetic_base(n)
     return k, weil_datum(k, (psi, psibar) * (r // 2))
+
+
+# ---------------------------------------------------------------------------
+# F_p[x] / (x^6 + x^5 + ... + x + 1): coefficients as 6-tuples, x^7 = 1.
+# Multiply with exponents mod 7, then cancel the degree-6 coefficient
+# against the modulus.  The oracle behind the Frobenius table of the
+# inertia certificates.
+
+# Seed for the sampled half of the ring-map comparison; the basis vectors
+# are always tested, so sampling never decides correctness alone.
+SAMPLE_SEED = 0x2457
+
+
+def _reduce7(p: int, c7: list[int]) -> tuple[int, ...]:
+    top = c7[6]
+    return tuple((c7[i] - top) % p for i in range(6))
+
+
+def _mul(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    c7 = [0] * 7
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    k = (i + j) % 7
+                    c7[k] = (c7[k] + ai * bj) % p
+    return _reduce7(p, c7)
+
+
+def _pow(p: int, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+    result = (1, 0, 0, 0, 0, 0)
+    base = a
+    while e:
+        if e & 1:
+            result = _mul(p, result, base)
+        base = _mul(p, base, base)
+        e >>= 1
+    return result
+
+
+def _apply_sigma(p: int, i: int, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Ring map induced by x -> x^i (a field automorphism for i in 1..6)."""
+    c7 = [0] * 7
+    for j, aj in enumerate(a):
+        k = (i * j) % 7
+        c7[k] = (c7[k] + aj) % p
+    return _reduce7(p, c7)
+
+
+def galois_vs_frobenius(p: int, i: int, trials: int = 12) -> bool:
+    """Does x -> x^i agree with u -> u^(p^d), d the discrete log of i base p?
+
+    Both maps are checked on the full power basis 1, x, ..., x^5 (which
+    already decides agreement, both being ring maps) and on ``trials``
+    seeded pseudo-random elements on top.
+    """
+    if not isprime(p) or p == 7:
+        raise ValueError(f"p must be a prime other than 7, got {p}")
+    if element_order(7, p % 7) != 6:
+        raise ValueError(
+            f"the degree-six cyclotomic modulus is reducible mod {p}"
+        )
+    if p % 7 != 3:
+        raise ValueError(f"p = 3 (mod 7) required, got {p} = {p % 7} (mod 7)")
+    if not 1 <= i <= 6:
+        raise ValueError(f"i must lie in 1..6, got {i}")
+    d = next(d for d in range(6) if pow(p, d, 7) == i)
+    exponent = p**d
+    rng = random.Random(f"{SAMPLE_SEED}:{p}:{i}")
+    elements = [tuple(1 if k == j else 0 for k in range(6)) for j in range(6)]
+    elements += [
+        tuple(rng.randrange(p) for _ in range(6)) for _ in range(trials)
+    ]
+    return all(
+        _apply_sigma(p, i, a) == _pow(p, a, exponent) for a in elements
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,34 +8,27 @@ from sympy import primerange
 
 from cmtwist.cli import EXAMPLE_42_ASSUMED, JobSpec, run
 from cmtwist.cmtypes import (
-    all_cm_types,
+    _reflex_type,
     is_primitive,
-    is_weil_type,
     reflex_field,
-    reflex_type,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
     weil_datum,
 )
 from cmtwist.fields import cyclotomic, field_from, quadratic
-from cmtwist.inertia import (
-    base_certificate,
-    frobenius_exponents,
-    galois_vs_frobenius,
-    inertia_order,
-    seven_divisibility,
-    unit_generator_check,
-)
+from cmtwist.inertia import base_certificate, kitself_certificate
 from cmtwist.residues import invariant_factors, subgroup_generated
 from cmtwist.twists import make_character, twist_x
 from helpers import (
+    all_cm_types,
     brute_stabilizer_subgroup,
     cm_fields,
     coset_mul,
     element_set,
     example41_field,
     example41_type,
+    galois_vs_frobenius,
     quotient_cosets,
     synthetic_weil_datum,
 )
@@ -90,31 +83,33 @@ def test_criterion_3_cubic_twist_conclusion():
 
 def test_criterion_4_reflex_conventions():
     T = validate_cm_type(cyclotomic(7), [1, 2, 3])
-    inv = reflex_type(T, "inverse")
-    conj = reflex_type(T, "conjugate")
+    refl = reflex_field(T)
+    inv = _reflex_type(T, refl, "inverse")
+    conj = _reflex_type(T, refl, "conjugate")
     ok = (
-        reflex_field(T) == cyclotomic(7)
-        and conj.cm_type.sorted_psi() == ((4,), (5,), (6,))
-        and inv.cm_type.sorted_psi() == ((1,), (4,), (5,))
-        and inv.convention == "inverse"
-        and conj.convention == "conjugate"
+        refl == cyclotomic(7)
+        and conj.sorted_psi() == ((4,), (5,), (6,))
+        and inv.sorted_psi() == ((1,), (4,), (5,))
     )
     _report("criterion 4: reflex field is the whole field; conjugate "
             "convention gives {4,5,6}, inverse gives {1,4,5}", ok)
 
 
 def test_criterion_5_inertia_arithmetic_at_3():
-    order = inertia_order(3)
-    div_q, div_e = seven_divisibility(3)
-    unit = unit_generator_check()
+    cert = kitself_certificate(3)
+    checks = {c.name: c for c in cert.checks}
+    unit = cert.unit_generator
     ok = (
-        order == 56
+        cert.inertia_order == 56
         and gcd(3**6 - 1, 3**3 * 13) == 13
-        and frobenius_exponents(3) == (6, 4, 5)
-        and not div_q        # 7 does not divide 13
-        and not div_e        # 7 does not divide 8
+        and cert.gcd_check
+        and checks["gcd_check"].witness == "gcd(728, 351) = 13"
+        and cert.frobenius_exponents == (6, 4, 5)
+        and cert.seven_nondivisibility      # 7 does not divide 13
+        and cert.elliptic_seven_free        # 7 does not divide 8
         and unit.reduction_value == 5
         and unit.reduction_order == 6
+        and cert.passed
     )
     _report("criterion 5: inertia order 56, gcd 13, Frobenius (6,4,5), "
             "non-divisibilities, unit reduces to a generator", ok)

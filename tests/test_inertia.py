@@ -10,18 +10,13 @@ import cmtwist.inertia
 from cmtwist.inertia import (
     CLASS_NUMBER_ASSUMPTION,
     GOOD_REDUCTION_ASSUMPTION,
-    _pow,
     base_certificate,
-    frobenius_exponents,
-    galois_vs_frobenius,
-    inertia_order,
     isprime,
     kitself_certificate,
-    requires_p_3_mod_7,
-    residue_order_mod7,
-    seven_divisibility,
     unit_generator_check,
 )
+from cmtwist.residues import element_order
+from helpers import _pow, galois_vs_frobenius
 
 INERT_PRIMES_3_MOD_7 = [p for p in primerange(3, 500) if p % 7 == 3]
 
@@ -95,35 +90,42 @@ class TestIsPrime:
 
 class TestResidueOrders:
     def test_order_examples(self):
-        assert residue_order_mod7(3) == 6
-        assert residue_order_mod7(2) == 3
-        assert residue_order_mod7(5) == 6
+        assert element_order(7, 3) == 6
+        assert element_order(7, 2) == 3
+        assert element_order(7, 5) == 6
 
     def test_congruence_predicate(self):
-        assert requires_p_3_mod_7(3)
-        assert requires_p_3_mod_7(17)
-        assert not requires_p_3_mod_7(2)
-        assert not requires_p_3_mod_7(5)  # inert but the wrong residue
+        assert kitself_certificate(3).congruence_check
+        assert kitself_certificate(17).congruence_check
+        assert not kitself_certificate(2).congruence_check
+        assert not kitself_certificate(5).congruence_check  # inert but the wrong residue
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            residue_order_mod7(7)
-        with pytest.raises(ValueError):
-            residue_order_mod7(15)
+        with pytest.raises(ValueError, match="differ from 7"):
+            kitself_certificate(7)
+        with pytest.raises(ValueError, match="not prime"):
+            kitself_certificate(15)
+
+
+def check(cert, name):
+    """The check called ``name`` in a certificate, or None."""
+    return next((c for c in cert.checks if c.name == name), None)
 
 
 class TestInertiaOrder:
     def test_p3(self):
         assert 13 * 56 == 3**6 - 1
-        assert inertia_order(3) == 56
+        assert kitself_certificate(3).inertia_order == 56
 
     def test_p17(self):
         assert 307 * 78624 == 17**6 - 1
-        assert inertia_order(17) == 78624
+        assert kitself_certificate(17).inertia_order == 78624
 
     def test_wrong_residue_rejected(self):
-        with pytest.raises(ValueError, match="3 \\(mod 7\\)"):
-            inertia_order(5)
+        # p = 5 is inert but not 3 (mod 7): no inertia order, no verdict
+        cert = kitself_certificate(5)
+        assert cert.inertia_order is None and cert.gcd_check is None
+        assert check(cert, "inertia_order") is None and cert.conclusion is None
 
     def test_identities_up_to_ten_thousand(self):
         primes = [p for p in primerange(3, 10_000) if p % 7 == 3]
@@ -132,17 +134,22 @@ class TestInertiaOrder:
             q = p * p + p + 1
             assert (p**3 - 1) % q == 0
             assert gcd(p**6 - 1, p**3 * q) == q
-            assert inertia_order(p) * q == p**6 - 1
+            cert = kitself_certificate(p)
+            assert cert.inertia_order * q == p**6 - 1
+            assert cert.gcd_check
+            assert check(cert, "inertia_order").passed and check(cert, "gcd_check").passed
+            assert check(cert, "gcd_check").witness == f"gcd({p**6 - 1}, {p**3 * q}) = {q}"
 
 
 class TestFrobeniusExponents:
     def test_examples(self):
-        assert frobenius_exponents(3) == (6, 4, 5)
-        assert frobenius_exponents(17) == (6, 4, 5)
+        assert kitself_certificate(3).frobenius_exponents == (6, 4, 5)
+        assert kitself_certificate(17).frobenius_exponents == (6, 4, 5)
 
     def test_wrong_residue_rejected(self):
-        with pytest.raises(ValueError):
-            frobenius_exponents(2)
+        cert = kitself_certificate(2)
+        assert cert.frobenius_exponents is None
+        assert check(cert, "frobenius_exponents") is None and not cert.passed
 
     def test_exponent_sum_identity(self):
         # p^3 + p^4 + p^5 = p^3 (1 + p + p^2) as polynomials
@@ -152,17 +159,20 @@ class TestFrobeniusExponents:
 
 class TestSevenDivisibility:
     def test_examples(self):
-        assert seven_divisibility(3) == (False, False)
-        assert seven_divisibility(2) == (True, False)
-        assert seven_divisibility(13) == (False, True)
+        # (7 | p^2 + p + 1, 7 | p^2 - 1) at p = 3, 2, 13
+        for p, divides in ((3, (False, False)), (2, (True, False)), (13, (False, True))):
+            cert = kitself_certificate(p)
+            assert (not cert.seven_nondivisibility, not cert.elliptic_seven_free) == divides
 
     def test_residue_classification(self):
         for p in primerange(3, 500):
             if p == 7:
                 continue
-            div_q, div_e = seven_divisibility(p)
-            assert div_q == (p % 7 in (2, 4))
-            assert div_e == (p % 7 in (1, 6))
+            cert = kitself_certificate(p)
+            assert cert.seven_nondivisibility == (p % 7 not in (2, 4))
+            assert cert.elliptic_seven_free == (p % 7 not in (1, 6))
+            assert check(cert, "seven_nondivisibility").passed == cert.seven_nondivisibility
+            assert check(cert, "elliptic_order").passed == cert.elliptic_seven_free
 
 
 class TestUnitGenerator:
@@ -198,12 +208,13 @@ class TestFiniteField:
     def test_reducible_characteristic_rejected(self):
         # every prime whose residue mod 7 has order below 6
         for p in primerange(2, 100):
-            if p != 7 and residue_order_mod7(p) != 6:
+            if p != 7 and element_order(7, p % 7) != 6:
                 with pytest.raises(ValueError, match="reducible"):
                     galois_vs_frobenius(p, 1)
 
     def test_irreducibility_matches_order_six(self):
-        # oracle: factor the modulus polynomial over GF(p) with sympy
+        # oracle: factor the modulus polynomial over GF(p) with sympy; the
+        # certificate's congruence p = 3 (mod 7) makes it irreducible
         x = Symbol("x")
         phi = sum(x**k for k in range(7))
         for p in primerange(2, 500):
@@ -211,7 +222,9 @@ class TestFiniteField:
                 continue
             factors = Poly(phi, x, domain=GF(p)).factor_list()[1]
             irreducible = len(factors) == 1 and factors[0][0].degree() == 6
-            assert irreducible == (residue_order_mod7(p) == 6), p
+            assert irreducible == (element_order(7, p % 7) == 6), p
+            if kitself_certificate(p).congruence_check:
+                assert irreducible, p
 
 
 class TestGaloisVsFrobenius:
@@ -301,14 +314,6 @@ class TestCertificates:
         calls.clear()
         base_certificate(3, 17)
         assert calls == [3, 17]
-        calls.clear()
-        inertia_order(17)
-        frobenius_exponents(17)
-        seven_divisibility(17)
-        assert calls == [17, 17, 17]
-        calls.clear()
-        galois_vs_frobenius(17, 3)
-        assert calls == [17]
 
     def test_parallel_certification_is_deterministic(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 from cmtwist.cmtypes import validate_cm_type, weil_datum
 from cmtwist.fields import cyclotomic, quadratic, roots_of_unity_order
 from cmtwist.twists import (
-    HYP_N_NOT_DIVIDING_R,
-    HYP_R_EVEN,
-    HYP_WEIL_TYPE,
-    CharacterSpec,
     HypothesisError,
     discond_groups,
-    hodge_exponent_constraint,
     make_character,
     twist_e,
     twist_x,
@@ -37,7 +32,7 @@ def datum_42():
 class TestMakeCharacter:
     def test_cubic_over_sqrt_minus3(self):
         c = make_character(quadratic(-3), 3)
-        assert c.order == 3 and c.extension_degree == 3
+        assert c.order == 3
 
     def test_quadratic_always_possible(self):
         assert make_character(quadratic(-7), 2).order == 2
@@ -82,24 +77,6 @@ class TestDiscondGroups:
         else:
             res = discond_groups(n, d)
             assert res.gal_phiB_over_F_order * res.gal_M_over_phiB_order == n
-
-
-class TestHodgeExponentConstraint:
-    def test_frozen_examples(self):
-        assert hodge_exponent_constraint(3, 8) == (1,)
-        assert hodge_exponent_constraint(6, 2) == (1, 2)
-        assert hodge_exponent_constraint(4, 4) == (1, 2, 4)
-
-    def test_odd_r_rejected(self):
-        with pytest.raises(HypothesisError, match="r is even"):
-            hodge_exponent_constraint(3, 5)
-
-    def test_constraint_is_divisor_set(self):
-        for n in range(1, 30):
-            for r in range(2, 30, 2):
-                orders = hodge_exponent_constraint(n, r)
-                t = gcd(n, 2 * r)
-                assert orders == tuple(e for e in range(1, t + 1) if t % e == 0)
 
 
 class TestTwistX:
