@@ -1,7 +1,7 @@
 """Exact arithmetic for abelian CM fields, CM-types, character twists,
 and connectedness-extension degree certificates."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .fields import (
     AbelianField,

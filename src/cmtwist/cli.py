@@ -3,8 +3,8 @@
 One job per invocation.  Reports are deterministic: identical jobs emit
 byte-identical JSON (sorted keys, no timestamps).  Exit codes separate
 the three ways a run can end: 0 when every conclusion was reached, 2 when
-a theorem hypothesis or certificate check failed (an honest conditional
-left unmet), 1 for malformed input.
+a hypothesis does not hold (a checked one failed, an assumed flag is
+false, or a certificate check failed), 1 for malformed input.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, Optional
 
 from . import __version__
 from .cmtypes import (
@@ -54,25 +54,13 @@ from .twists import (
     HYP_AUT_VALUED,
     HYP_END_A,
     HYP_PHI_BASE,
+    Hypothesis,
     HypothesisError,
     discond_groups,
     make_character,
     twist_e,
     twist_x,
 )
-
-COMMANDS = (
-    "field",
-    "cmtype",
-    "twist-x",
-    "twist-e",
-    "discond",
-    "inertia",
-    "base-cert",
-    "example-41",
-    "example-42",
-)
-
 
 class InputError(ValueError):
     """Malformed job document; message carries the offending field path."""
@@ -91,7 +79,7 @@ class Report:
     payload: dict
     results: dict
     statements: tuple[str, ...]
-    hypotheses_assumed: tuple[str, ...]
+    hypotheses: tuple[Hypothesis, ...]
     concluded: bool
     version: str = __version__
 
@@ -101,7 +89,7 @@ class Report:
             "payload": self.payload,
             "results": self.results,
             "statements": list(self.statements),
-            "hypotheses_assumed": list(self.hypotheses_assumed),
+            "hypotheses": [h.to_dict() for h in self.hypotheses],
             "concluded": self.concluded,
             "version": self.version,
         }
@@ -312,29 +300,16 @@ def _parse_assume(obj: Any, allowed: set[str], where: str) -> dict[str, bool]:
     return dict(obj)
 
 
-_PAYLOAD_SCHEMAS: dict[str, tuple[set[str], set[str]]] = {
-    "field": ({"field"}, set()),
-    "cmtype": ({"field", "type"}, set()),
-    "twist-x": ({"base", "components", "character"}, {"assume"}),
-    "twist-e": ({"base", "components", "dim_x", "dim_y"}, {"label", "assume"}),
-    "discond": ({"n", "d"}, set()),
-    "inertia": ({"p"}, set()),
-    "base-cert": ({"p", "q"}, set()),
-    "example-41": (set(), set()),
-    "example-42": (set(), {"p", "q"}),
-}
-
-
 def validate_input(document: Any) -> JobSpec:
     """Strict validation of a job document {"command": ..., "payload": {...}}."""
     document = _require_mapping(document, "job")
     _check_keys(document, {"command"}, {"payload", "output"}, "job")
     command = document["command"]
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise InputError(f"job.command: unknown command {command!r}")
     payload = _require_mapping(document.get("payload", {}), "payload")
-    required, optional = _PAYLOAD_SCHEMAS[command]
-    _check_keys(payload, required, optional, "payload")
+    spec = _COMMANDS[command]
+    _check_keys(payload, spec.required, spec.optional, "payload")
     output = document.get("output")
     if output is not None and not isinstance(output, str):
         raise InputError("job.output: expected a string path")
@@ -416,17 +391,6 @@ def _run_cmtype(payload: dict) -> Report:
 _TWIST_X_ASSUME = {"end_field_equal", "phi_base_equal", "aut_valued", "base_central"}
 _TWIST_E_ASSUME = {"hom_xy_zero", "end_fields_equal", "phi_base_equal"}
 
-_ASSUMED_SUFFIX = " (assumed)"
-
-
-def _assumed_names(hypotheses: dict[str, bool]) -> tuple[str, ...]:
-    return tuple(
-        name[: -len(_ASSUMED_SUFFIX)]
-        for name, value in sorted(hypotheses.items())
-        if name.endswith(_ASSUMED_SUFFIX) and value
-    )
-
-
 def _run_twist_x(payload: dict) -> Report:
     base = parse_field_literal(payload["base"], "base")
     datum = _parse_components(base, payload["components"], "components")
@@ -445,7 +409,7 @@ def _run_twist_x(payload: dict) -> Report:
         "twist": report.to_dict(),
     }
     return Report("twist-x", payload, results, report.statements,
-                  _assumed_names(report.hypotheses), True)
+                  report.hypotheses, report.concluded)
 
 
 def _run_twist_e(payload: dict) -> Report:
@@ -465,7 +429,7 @@ def _run_twist_e(payload: dict) -> Report:
         "twist": report.to_dict(),
     }
     return Report("twist-e", payload, results, report.statements,
-                  _assumed_names(report.hypotheses), True)
+                  report.hypotheses, report.concluded)
 
 
 def _run_discond(payload: dict) -> Report:
@@ -489,7 +453,7 @@ def _run_inertia(payload: dict) -> Report:
         payload,
         {"certificate": cert.to_dict()},
         tuple(c.statement for c in cert.checks if c.passed),
-        cert.assumptions,
+        cert.hypotheses,
         cert.passed,
     )
 
@@ -506,7 +470,7 @@ def _run_base_cert(payload: dict) -> Report:
         payload,
         {"certificate": cert.to_dict()},
         cert.statements,
-        cert.assumptions,
+        cert.hypotheses,
         cert.passed,
     )
 
@@ -529,6 +493,14 @@ EXAMPLE_42_ASSUMED = (
     "Hom(J,E^(d)) = 0",
     "endomorphism-field identities",
 )
+
+
+def _example_hypotheses(records: tuple[Hypothesis, ...],
+                        assumed: tuple[str, ...]) -> tuple[Hypothesis, ...]:
+    """The checked records of the theorems an example runs, then the
+    example's own assumptions, which stand in for theirs."""
+    return tuple(h for h in records if h.kind == "checked") + tuple(
+        Hypothesis(name, "assumed", True) for name in assumed)
 
 
 def _example_41_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
@@ -591,7 +563,7 @@ def _run_example_41(payload: dict) -> Report:
         and report.phiB_equals_M
     )
     return Report("example-41", payload, results, statements,
-                  EXAMPLE_41_ASSUMED, concluded)
+                  _example_hypotheses(report.hypotheses, EXAMPLE_41_ASSUMED), concluded)
 
 
 def _run_example_42(payload: dict) -> Report:
@@ -615,7 +587,7 @@ def _run_example_42(payload: dict) -> Report:
     except ValueError as exc:
         raise InputError(f"payload: {exc}") from exc
     report = twist_e(3, 1, k, datum, extension_label="L_d")
-    concluded = cert.passed and report.phiB_equals_M
+    concluded = cert.passed and report.concluded
     results = {
         "field_K": field_dict(K),
         "field_k": field_dict(k),
@@ -643,19 +615,32 @@ def _run_example_42(payload: dict) -> Report:
         "appending the conjugate elliptic type balances them to (2, 2)",
     ) + cert.statements + report.statements
     return Report("example-42", payload, results, statements,
-                  EXAMPLE_42_ASSUMED, concluded)
+                  _example_hypotheses(cert.hypotheses + report.hypotheses, EXAMPLE_42_ASSUMED),
+                  concluded)
 
 
-_HANDLERS: dict[str, Callable[[dict], Report]] = {
-    "field": _run_field,
-    "cmtype": _run_cmtype,
-    "twist-x": _run_twist_x,
-    "twist-e": _run_twist_e,
-    "discond": _run_discond,
-    "inertia": _run_inertia,
-    "base-cert": _run_base_cert,
-    "example-41": _run_example_41,
-    "example-42": _run_example_42,
+@dataclass(frozen=True)
+class _Command:
+    """A command's handler, its required and optional payload keys, and its
+    integer command-line flags, which are copied into the payload."""
+
+    run: Callable[[dict], Report]
+    required: AbstractSet[str] = frozenset()
+    optional: AbstractSet[str] = frozenset()
+    flags: tuple[str, ...] = ()
+
+
+_COMMANDS: dict[str, _Command] = {
+    "field": _Command(_run_field, {"field"}),
+    "cmtype": _Command(_run_cmtype, {"field", "type"}),
+    "twist-x": _Command(_run_twist_x, {"base", "components", "character"}, {"assume"}),
+    "twist-e": _Command(_run_twist_e, {"base", "components", "dim_x", "dim_y"},
+                        {"label", "assume"}),
+    "discond": _Command(_run_discond, {"n", "d"}, flags=("n", "d")),
+    "inertia": _Command(_run_inertia, {"p"}, flags=("p",)),
+    "base-cert": _Command(_run_base_cert, {"p", "q"}, flags=("p", "q")),
+    "example-41": _Command(_run_example_41),
+    "example-42": _Command(_run_example_42, optional={"p", "q"}, flags=("p", "q")),
 }
 
 
@@ -666,7 +651,7 @@ def run(job: JobSpec) -> Report:
     becomes an :class:`InputError`; a :class:`HypothesisError` passes through.
     """
     try:
-        return _HANDLERS[job.command](job.payload)
+        return _COMMANDS[job.command].run(job.payload)
     except (InputError, HypothesisError):
         raise
     except ValueError as exc:
@@ -684,25 +669,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **flags):
+    for name, spec in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", help="JSON job payload file")
         p.add_argument("--output", help="write the JSON report to this path")
         p.add_argument("--json", action="store_true",
                        help="print the full JSON report instead of a summary")
-        for flag, ftype in flags.items():
-            p.add_argument(f"--{flag}", type=ftype)
-        return p
-
-    add("field")
-    add("cmtype")
-    add("twist-x")
-    add("twist-e")
-    add("discond", n=int, d=int)
-    add("inertia", p=int)
-    add("base-cert", p=int, q=int)
-    add("example-41")
-    add("example-42", p=int, q=int)
+        for flag in spec.flags:
+            p.add_argument(f"--{flag}", type=int)
     return parser
 
 
@@ -717,8 +691,8 @@ def _payload_from_args(args: argparse.Namespace) -> dict:
                 raise InputError(f"{args.input}: invalid JSON ({exc})") from exc
         return _require_mapping(document, args.input)
     payload = {}
-    for flag in ("n", "d", "p", "q"):
-        value = getattr(args, flag, None)
+    for flag in _COMMANDS[args.command].flags:
+        value = getattr(args, flag)
         if value is not None:
             payload[flag] = value
     return payload
@@ -727,8 +701,12 @@ def _payload_from_args(args: argparse.Namespace) -> dict:
 def _summary_lines(report: Report) -> list[str]:
     lines = [f"command: {report.command}"]
     lines.extend(f"  {s}" for s in report.statements)
-    if report.hypotheses_assumed:
-        lines.append("assumed: " + "; ".join(report.hypotheses_assumed))
+    assumed = "; ".join(h.name for h in report.hypotheses if h.kind == "assumed" and h.holds)
+    failed = "; ".join(h.name for h in report.hypotheses if not h.holds)
+    if assumed:
+        lines.append("assumed: " + assumed)
+    if failed:
+        lines.append("failed: " + failed)
     lines.append("concluded" if report.concluded else "NOT CONCLUDED")
     return lines
 

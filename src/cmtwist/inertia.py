@@ -26,6 +26,7 @@ from typing import Optional
 
 from .fields import kronecker_symbol
 from .residues import element_order
+from .twists import Hypothesis, conclude
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -210,37 +211,29 @@ class InertiaCertificate:
     """Per-prime certificate that no intermediate unramified field can exist."""
 
     p: int
-    congruence_check: bool
     inertia_order: Optional[int]
-    gcd_check: Optional[bool]
-    frobenius_exponents: Optional[tuple[int, int, int]]
-    seven_nondivisibility: bool
-    elliptic_order: int
-    elliptic_seven_free: bool
     unit_generator: UnitGeneratorReport
     checks: tuple[CheckResult, ...]
-    assumptions: tuple[str, ...]
-    conclusion: Optional[str]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def conclusion(self) -> Optional[str]:
+        return "K' = K" if self.passed else None
+
+    @property
+    def hypotheses(self) -> tuple[Hypothesis, ...]:
+        """The one assumption; each checked fact is a record in ``checks``."""
+        return (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),)
+
     def to_dict(self) -> dict:
         return {
             "p": self.p,
-            "congruence_check": self.congruence_check,
             "inertia_order": self.inertia_order,
-            "gcd_check": self.gcd_check,
-            "frobenius_exponents": (
-                list(self.frobenius_exponents) if self.frobenius_exponents else None
-            ),
-            "seven_nondivisibility": self.seven_nondivisibility,
-            "elliptic_order": self.elliptic_order,
-            "elliptic_seven_free": self.elliptic_seven_free,
             "unit_generator": self.unit_generator.to_dict(),
             "checks": [c.to_dict() for c in self.checks],
-            "assumptions": list(self.assumptions),
             "conclusion": self.conclusion,
         }
 
@@ -273,8 +266,6 @@ def kitself_certificate(p: int) -> InertiaCertificate:
     ))
 
     order_val: Optional[int] = None
-    gcd_ok: Optional[bool] = None
-    frob: Optional[tuple[int, int, int]] = None
     if congruent:
         big, q = p**6 - 1, p * p + p + 1
         order_val, rem = divmod(big, q)
@@ -285,11 +276,10 @@ def kitself_certificate(p: int) -> InertiaCertificate:
             f"({p}^6 - 1)/{q} = {order_val}",
         ))
         g = gcd(big, p**3 * q)
-        gcd_ok = g == q
         checks.append(CheckResult(
             "gcd_check",
             "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1",
-            gcd_ok,
+            g == q,
             f"gcd({big}, {p**3 * q}) = {g}",
         ))
         frob = (pow(p, 3, 7), pow(p, 4, 7), pow(p, 5, 7))
@@ -300,21 +290,18 @@ def kitself_certificate(p: int) -> InertiaCertificate:
             f"(p^3, p^4, p^5) = {frob} (mod 7)",
         ))
 
-    seven_divides_q = (p * p + p + 1) % 7 == 0
     checks.append(CheckResult(
         "seven_nondivisibility",
         "7 does not divide p^2 + p + 1",
-        not seven_divides_q,
+        (p * p + p + 1) % 7 != 0,
         f"p^2 + p + 1 = {p * p + p + 1}",
     ))
 
-    elliptic = p * p - 1
-    elliptic_free = elliptic % 7 != 0
     checks.append(CheckResult(
         "elliptic_order",
         "7 does not divide p^2 - 1",
-        elliptic_free,
-        f"p^2 - 1 = {elliptic}",
+        (p * p - 1) % 7 != 0,
+        f"p^2 - 1 = {p * p - 1}",
     ))
 
     unit = unit_generator_check()
@@ -325,20 +312,11 @@ def kitself_certificate(p: int) -> InertiaCertificate:
         f"value {unit.reduction_value}, order {unit.reduction_order}",
     ))
 
-    all_pass = all(c.passed for c in checks)
     return InertiaCertificate(
         p=p,
-        congruence_check=congruent,
         inertia_order=order_val,
-        gcd_check=gcd_ok,
-        frobenius_exponents=frob,
-        seven_nondivisibility=not seven_divides_q,
-        elliptic_order=elliptic,
-        elliptic_seven_free=elliptic_free,
         unit_generator=unit,
         checks=tuple(checks),
-        assumptions=(CLASS_NUMBER_ASSUMPTION,),
-        conclusion="K' = K" if all_pass else None,
     )
 
 
@@ -350,24 +328,20 @@ class BaseCertificate:
     q: int
     certificate_p: InertiaCertificate
     certificate_q: InertiaCertificate
-    odd_check: bool
-    assumptions: tuple[str, ...]
+    hypotheses: tuple[Hypothesis, ...]
     statements: tuple[str, ...]
-    conclusion: Optional[str]
+    passed: bool
 
     @property
-    def passed(self) -> bool:
-        return self.odd_check and self.certificate_p.passed and self.certificate_q.passed
+    def conclusion(self) -> Optional[str]:
+        return "K_Phi(A) = K = Q_Phi(A)" if self.passed else None
 
     def to_dict(self) -> dict:
         return {
             "p": self.p,
             "q": self.q,
-            "odd_check": self.odd_check,
             "certificate_p": self.certificate_p.to_dict(),
             "certificate_q": self.certificate_q.to_dict(),
-            "assumptions": list(self.assumptions),
-            "statements": list(self.statements),
             "conclusion": self.conclusion,
         }
 
@@ -375,29 +349,30 @@ class BaseCertificate:
 def base_certificate(p: int, q: int) -> BaseCertificate:
     """Certify K_Phi(A) = K from inertia certificates at two distinct primes.
 
+    The odd-prime check and the two per-prime certificates are checked
+    hypotheses, and every statement rests on all of them and on both
+    assumptions, so a failed check withholds them all.
+
     >>> base_certificate(3, 17).conclusion
     'K_Phi(A) = K = Q_Phi(A)'
-    >>> base_certificate(3, 2).passed
-    False
+    >>> base_certificate(3, 2).statements
+    ()
     """
     if p == q:
         raise ValueError("the two primes must be distinct")
     cert_p = kitself_certificate(p)
     cert_q = kitself_certificate(q)
-    odd = p % 2 == 1 and q % 2 == 1
-    statements = (
-        "K_Phi(A) lies in K(A_n) for every n >= 3",
-        "K(A_p) intersect K(A_q) is unramified over K away from 7",
-        "no intermediate field survives the inertia bound at either prime",
+    hypotheses = (
+        Hypothesis("p and q are odd", "checked", p % 2 == 1 and q % 2 == 1),
+        Hypothesis(f"K' = K at p = {p}", "checked", cert_p.passed),
+        Hypothesis(f"K' = K at q = {q}", "checked", cert_q.passed),
+        Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),
+        Hypothesis(GOOD_REDUCTION_ASSUMPTION, "assumed", True),
     )
-    ok = odd and cert_p.passed and cert_q.passed
-    return BaseCertificate(
-        p=p,
-        q=q,
-        certificate_p=cert_p,
-        certificate_q=cert_q,
-        odd_check=odd,
-        assumptions=(CLASS_NUMBER_ASSUMPTION, GOOD_REDUCTION_ASSUMPTION),
-        statements=statements,
-        conclusion="K_Phi(A) = K = Q_Phi(A)" if ok else None,
-    )
+    every = [h.name for h in hypotheses]
+    statements, passed = conclude(hypotheses, (
+        ("K_Phi(A) lies in K(A_n) for every n >= 3", every),
+        ("K(A_p) intersect K(A_q) is unramified over K away from 7", every),
+        ("no intermediate field survives the inertia bound at either prime", every),
+    ))
+    return BaseCertificate(p, q, cert_p, cert_q, hypotheses, statements, passed)

@@ -6,16 +6,22 @@ forces about the twisted variety's connectedness extension: a divisor
 bound gcd(n, 2r) refined through the roots of unity of the value field,
 exact degrees when that bound collapses to 1 or 2, and nothing else.
 
-Unverifiable inputs (endomorphism fields, connectedness of the untwisted
-group, integrality of the character's automorphisms) are explicit assumed
-flags echoed into every report, so each report is an honest conditional.
+Each theorem is held as a table of rows (statement, names of the
+hypotheses it rests on), and every hypothesis becomes a
+:class:`Hypothesis` record.  A checked hypothesis is verified here and
+raises :class:`HypothesisError` when it fails.  An assumed one
+(endomorphism fields, connectedness of the untwisted group, integrality
+of the character's automorphisms) is a caller's flag: a false flag never
+raises, it withholds every row resting on it.  :func:`conclude` keeps the
+rows whose hypotheses all hold, and a report is concluded only when
+every hypothesis holds, so each report is an honest conditional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Iterable, Optional
 
 from .cmtypes import WeilDatum, is_weil_type, weil_r
 from .fields import AbelianField, is_subfield, roots_of_unity_order
@@ -28,6 +34,36 @@ class HypothesisError(ValueError):
         self.hypothesis = hypothesis
         super().__init__(f"hypothesis violated: {hypothesis}"
                          + (f" ({detail})" if detail else ""))
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    """A named hypothesis of a theorem: ``kind`` is "checked" when the
+    program verified it, "assumed" when the caller asserts it."""
+
+    name: str
+    kind: str
+    holds: bool
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "kind": self.kind, "holds": self.holds}
+
+
+def conclude(hypotheses: Iterable[Hypothesis],
+             theorem: Iterable[tuple[str, Iterable[str]]]) -> tuple[tuple[str, ...], bool]:
+    """The statements of ``theorem`` whose hypotheses all hold, and whether
+    every hypothesis holds.
+
+    ``theorem`` is a table of rows (statement, names of the hypotheses the
+    statement rests on); every name must be one of ``hypotheses``.
+
+    >>> hyps = (Hypothesis("a", "checked", True), Hypothesis("b", "assumed", False))
+    >>> conclude(hyps, [("x", ["a"]), ("y", ["a", "b"])])
+    (('x',), False)
+    """
+    holds = {h.name: h.holds for h in hypotheses}
+    statements = tuple(s for s, names in theorem if all(holds[n] for n in names))
+    return statements, all(holds.values())
 
 
 HYP_R_EVEN = "r is even"
@@ -121,14 +157,13 @@ class TwistXReport:
     w_k: int
     mu_bound: int
     extension_label: str
-    hypotheses: dict[str, bool]
-    end_b_over_f: bool
-    disconnection: bool
+    hypotheses: tuple[Hypothesis, ...]
+    statements: tuple[str, ...]
+    concluded: bool
     m_over_phiB_divisor: Optional[int]
     exact_m_over_phiB: Optional[int]
     phiB_over_F_exact: Optional[int]
     phiB_equals_M: bool
-    statements: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
         return {
@@ -138,17 +173,19 @@ class TwistXReport:
             "w_k": self.w_k,
             "mu_bound": self.mu_bound,
             "extension_label": self.extension_label,
-            "hypotheses": dict(sorted(self.hypotheses.items())),
             "conclusions": {
-                "end_b_over_f": self.end_b_over_f,
-                "disconnection": self.disconnection,
                 "m_over_phiB_divisor": self.m_over_phiB_divisor,
                 "exact_m_over_phiB": self.exact_m_over_phiB,
                 "phiB_over_F_exact": self.phiB_over_F_exact,
                 "phiB_equals_M": self.phiB_equals_M,
             },
-            "statements": list(self.statements),
         }
+
+
+def _leading_names(hypotheses: tuple[Hypothesis, ...]) -> list[str]:
+    """What the two leading rows of either twist theorem rest on: every
+    hypothesis but F_Phi(A) = F."""
+    return [h.name for h in hypotheses if h.name != HYP_PHI_BASE]
 
 
 def twist_x(
@@ -163,14 +200,13 @@ def twist_x(
     """Run the single-variety twist theorem on a Weil datum and character.
 
     Checked hypotheses raise :class:`HypothesisError` naming the violated
-    condition; assumed flags are echoed into the report unchanged.
+    condition.  Assumed flags become records; a false one withholds every
+    statement resting on it and leaves the report unconcluded.
     """
     k = c.value_field
     if k != D.base or not all(is_subfield(k, T.field) for T in D.components):
         raise HypothesisError(HYP_VALUES_IN_K,
                               "character value field must be the datum's base field")
-    if not base_central:
-        raise HypothesisError(HYP_CENTRAL)
     r = weil_r(D)
     if r % 2 != 0:
         raise HypothesisError(HYP_R_EVEN, f"r = {r}")
@@ -184,43 +220,36 @@ def twist_x(
     w_k = roots_of_unity_order(k)
     mu_bound = gcd(t, w_k)
     label = c.extension_label
-
-    hypotheses = {
-        HYP_R_EVEN: True,
-        HYP_N_NOT_DIVIDING_R: True,
-        HYP_WEIL_TYPE: True,
-        HYP_VALUES_IN_K: True,
-        HYP_CENTRAL + " (assumed)": base_central,
-        HYP_END_A + " (assumed)": end_field_equal,
-        HYP_PHI_BASE + " (assumed)": phi_base_equal,
-        HYP_AUT_VALUED + " (assumed)": aut_valued,
-    }
-    statements = [
-        "F = F(End(B))",
-        "F != F_Phi(A) or F != F_Phi(B)",
+    hypotheses = (
+        Hypothesis(HYP_VALUES_IN_K, "checked", True),
+        Hypothesis(HYP_R_EVEN, "checked", True),
+        Hypothesis(HYP_N_NOT_DIVIDING_R, "checked", True),
+        Hypothesis(HYP_WEIL_TYPE, "checked", True),
+        Hypothesis(HYP_CENTRAL, "assumed", base_central),
+        Hypothesis(HYP_END_A, "assumed", end_field_equal),
+        Hypothesis(HYP_PHI_BASE, "assumed", phi_base_equal),
+        Hypothesis(HYP_AUT_VALUED, "assumed", aut_valued),
+    )
+    leading = _leading_names(hypotheses)
+    every = [h.name for h in hypotheses]
+    theorem = [
+        ("F = F(End(B))", leading),
+        ("F != F_Phi(A) or F != F_Phi(B)", leading),
+        (f"F_Phi(B) lies in {label} and "
+         f"[{label}:F_Phi(B)] divides gcd(gcd(n, 2r), w(k)) = {mu_bound}", every),
     ]
-
-    divisor: Optional[int] = None
     exact: Optional[int] = None
     phi_exact: Optional[int] = None
-    equals_m = False
-    if phi_base_equal:
-        divisor = mu_bound
-        statements.append(
-            f"F_Phi(B) lies in {label} and "
-            f"[{label}:F_Phi(B)] divides gcd(gcd(n, 2r), w(k)) = {mu_bound}"
-        )
-        if mu_bound == 1:
-            exact, phi_exact, equals_m = 1, n, True
-            statements.append(f"F_Phi(B) = {label} and [F_Phi(B):F] = {n}")
-        elif t == 2:
-            # -1 is a homothety of the envelope and lies in the image (n even),
-            # so the two-element bound is attained exactly.
-            exact, phi_exact = 2, n // 2
-            statements.append(
-                f"[{label}:F_Phi(B)] = 2 and [F_Phi(B):F] = {n // 2}"
-            )
-
+    if mu_bound == 1:
+        exact, phi_exact = 1, n
+        theorem.append((f"F_Phi(B) = {label} and [F_Phi(B):F] = {n}", every))
+    elif t == 2:
+        # -1 is a homothety of the envelope and lies in the image (n even),
+        # so the two-element bound is attained exactly.
+        exact, phi_exact = 2, n // 2
+        theorem.append((f"[{label}:F_Phi(B)] = 2 and [F_Phi(B):F] = {n // 2}", every))
+    statements, concluded = conclude(hypotheses, theorem)
+    # the degree rows rest on every hypothesis: they stand iff concluded
     return TwistXReport(
         n=n,
         r=r,
@@ -229,13 +258,12 @@ def twist_x(
         mu_bound=mu_bound,
         extension_label=label,
         hypotheses=hypotheses,
-        end_b_over_f=True,
-        disconnection=True,
-        m_over_phiB_divisor=divisor,
-        exact_m_over_phiB=exact,
-        phiB_over_F_exact=phi_exact,
-        phiB_equals_M=equals_m,
-        statements=tuple(statements),
+        statements=statements,
+        concluded=concluded,
+        m_over_phiB_divisor=mu_bound if concluded else None,
+        exact_m_over_phiB=exact if concluded else None,
+        phiB_over_F_exact=phi_exact if concluded else None,
+        phiB_equals_M=concluded and mu_bound == 1,
     )
 
 
@@ -248,11 +276,9 @@ class TwistEReport:
     t: int
     deg_k: int
     extension_label: str
-    hypotheses: dict[str, bool]
-    end_b_over_f: bool
-    disconnection: bool
-    phiB_equals_M: bool
-    statements: tuple[str, ...] = field(default=())
+    hypotheses: tuple[Hypothesis, ...]
+    statements: tuple[str, ...]
+    concluded: bool
 
     def to_dict(self) -> dict:
         return {
@@ -261,13 +287,7 @@ class TwistEReport:
             "t": self.t,
             "deg_k": self.deg_k,
             "extension_label": self.extension_label,
-            "hypotheses": dict(sorted(self.hypotheses.items())),
-            "conclusions": {
-                "end_b_over_f": self.end_b_over_f,
-                "disconnection": self.disconnection,
-                "phiB_equals_M": self.phiB_equals_M,
-            },
-            "statements": list(self.statements),
+            "conclusions": {"phiB_equals_M": self.concluded},
         }
 
 
@@ -282,11 +302,10 @@ def twist_e(
     end_fields_equal: bool = True,
     phi_base_equal: bool = True,
 ) -> TwistEReport:
-    """Quadratic twist of the elliptic-type factor of a Weil-type product."""
-    if not hom_xy_zero:
-        raise HypothesisError(HYP_HOM_ZERO)
-    if not end_fields_equal:
-        raise HypothesisError(HYP_END_XY)
+    """Quadratic twist of the elliptic-type factor of a Weil-type product.
+
+    Hypotheses are checked and recorded as in :func:`twist_x`.
+    """
     if k.degree != 2 * dim_y:
         raise HypothesisError(HYP_DEG_K,
                               f"[k:Q] = {k.degree}, dim(Y) = {dim_y}")
@@ -304,24 +323,23 @@ def twist_e(
         raise HypothesisError(HYP_WEIL_TYPE)
 
     label = extension_label
-    hypotheses = {
-        HYP_DEG_K: True,
-        HYP_T_ODD: True,
-        HYP_WEIL_TYPE: True,
-        HYP_QUADRATIC: True,
-        HYP_HOM_ZERO + " (assumed)": hom_xy_zero,
-        HYP_END_XY + " (assumed)": end_fields_equal,
-        HYP_PHI_BASE + " (assumed)": phi_base_equal,
-    }
-    statements = [
-        "F = F(End(B))",
-        "F(End(A)) != F_Phi(A) or F(End(B)) != F_Phi(B)",
-    ]
-    equals_m = False
-    if phi_base_equal:
-        equals_m = True
-        statements.append(f"F_Phi(B) = {label}")
-
+    hypotheses = (
+        Hypothesis(HYP_DEG_K, "checked", True),
+        Hypothesis(HYP_T_ODD, "checked", True),
+        Hypothesis(HYP_VALUES_IN_K, "checked", True),
+        Hypothesis(HYP_WEIL_TYPE, "checked", True),
+        # by construction: twist_e twists by exactly this character
+        Hypothesis(HYP_QUADRATIC, "checked", True),
+        Hypothesis(HYP_HOM_ZERO, "assumed", hom_xy_zero),
+        Hypothesis(HYP_END_XY, "assumed", end_fields_equal),
+        Hypothesis(HYP_PHI_BASE, "assumed", phi_base_equal),
+    )
+    leading = _leading_names(hypotheses)
+    statements, concluded = conclude(hypotheses, (
+        ("F = F(End(B))", leading),
+        ("F(End(A)) != F_Phi(A) or F(End(B)) != F_Phi(B)", leading),
+        (f"F_Phi(B) = {label}", [h.name for h in hypotheses]),
+    ))
     return TwistEReport(
         dim_x=dim_x,
         dim_y=dim_y,
@@ -329,8 +347,6 @@ def twist_e(
         deg_k=k.degree,
         extension_label=label,
         hypotheses=hypotheses,
-        end_b_over_f=True,
-        disconnection=True,
-        phiB_equals_M=equals_m,
-        statements=tuple(statements),
+        statements=statements,
+        concluded=concluded,
     )

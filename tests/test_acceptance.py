@@ -102,11 +102,14 @@ def test_criterion_5_inertia_arithmetic_at_3():
     ok = (
         cert.inertia_order == 56
         and gcd(3**6 - 1, 3**3 * 13) == 13
-        and cert.gcd_check
+        and checks["gcd_check"].passed
         and checks["gcd_check"].witness == "gcd(728, 351) = 13"
-        and cert.frobenius_exponents == (6, 4, 5)
-        and cert.seven_nondivisibility      # 7 does not divide 13
-        and cert.elliptic_seven_free        # 7 does not divide 8
+        and checks["frobenius_exponents"].passed
+        and checks["frobenius_exponents"].witness == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
+        and checks["seven_nondivisibility"].passed      # 7 does not divide 13
+        and checks["seven_nondivisibility"].witness == "p^2 + p + 1 = 13"
+        and checks["elliptic_order"].passed             # 7 does not divide 8
+        and checks["elliptic_order"].witness == "p^2 - 1 = 8"
         and unit.reduction_value == 5
         and unit.reduction_order == 6
         and cert.passed
@@ -118,14 +121,16 @@ def test_criterion_5_inertia_arithmetic_at_3():
 def test_criterion_6_base_certificate_and_replay():
     cert = base_certificate(3, 17)
     report = run(JobSpec("example-42", {}))
+    assumed = [h.name for h in report.hypotheses if h.kind == "assumed"]
     ok = (
         cert.passed
         and cert.conclusion == "K_Phi(A) = K = Q_Phi(A)"
         and report.concluded
         and report.results["conclusions"] == ["K_Phi(A) = K",
                                               "Q_Phi(A^(d)) = L_d"]
-        and set(report.hypotheses_assumed) == set(EXAMPLE_42_ASSUMED)
-        and len(report.hypotheses_assumed) == 4
+        and set(assumed) == set(EXAMPLE_42_ASSUMED)
+        and len(assumed) == 4
+        and all(h.holds for h in report.hypotheses)
     )
     _report("criterion 6: base certificate at (3, 17) passes and the "
             "replay concludes with exactly the four assumptions", ok)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import os
 import re
@@ -234,7 +235,9 @@ class TestExample42:
             "K_Phi(A) = K",
             "Q_Phi(A^(d)) = L_d",
         ]
-        assert set(report.hypotheses_assumed) == set(EXAMPLE_42_ASSUMED)
+        assumed = [h for h in report.hypotheses if h.kind == "assumed"]
+        assert [h.name for h in assumed] == list(EXAMPLE_42_ASSUMED)
+        assert all(h.holds for h in report.hypotheses)
         assert set(EXAMPLE_42_ASSUMED) == {
             "class number 1",
             "good reduction outside 7",
@@ -254,7 +257,7 @@ class TestExample42:
         cert = r["base_certificate"]
         assert cert["certificate_p"]["inertia_order"] == 56
         assert cert["certificate_q"]["inertia_order"] == 78624
-        assert r["twist"]["conclusions"]["phiB_equals_M"] is True
+        assert r["twist"]["conclusions"] == {"phiB_equals_M": True}
 
     def test_custom_primes(self):
         report = run_command("example-42", {"p": 17, "q": 31})
@@ -372,6 +375,95 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "MAX_CONDUCTOR" in err
         assert "Traceback" not in err
+
+
+# assumed flag -> the hypothesis it stands for
+TWIST_X_FLAGS = {
+    "base_central": "k embeds in the center of End0(A)",
+    "end_field_equal": "F = F(End(A))",
+    "phi_base_equal": "F_Phi(A) = F",
+    "aut_valued": "iota(c) takes values in Aut(A)",
+}
+TWIST_E_FLAGS = {
+    "hom_xy_zero": "Hom(X, Y) = 0",
+    "end_fields_equal": "F = F(End(X)) = F(End(Y))",
+    "phi_base_equal": "F_Phi(A) = F",
+}
+EXAMPLE_42_TWIST_E = {
+    "base": {"quadratic": -7},
+    "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]},
+                   {"field": {"quadratic": -7}, "type": [3]}],
+    "dim_x": 3, "dim_y": 1, "label": "L_d",
+}
+BASE_CERT_STATEMENTS = (
+    "K_Phi(A) lies in K(A_n) for every n >= 3",
+    "K(A_p) intersect K(A_q) is unramified over K away from 7",
+    "no intermediate field survives the inertia bound at either prime",
+)
+
+
+class TestHypothesisRecords:
+    @pytest.mark.parametrize("command, payload, flags, rows", [
+        ("twist-x", example41_twist_job(3), TWIST_X_FLAGS, 4),
+        ("twist-e", EXAMPLE_42_TWIST_E, TWIST_E_FLAGS, 3),
+    ], ids=["twist-x-example-41", "twist-e-example-42"])
+    def test_every_flag_assignment_through_main(self, command, payload, flags, rows,
+                                                tmp_path, capsys):
+        path = tmp_path / "job.json"
+        full = None
+        # all flags true comes first and gives every statement
+        for values in itertools.product((True, False), repeat=len(flags)):
+            assume = dict(zip(flags, values))
+            failed = {flags[f] for f, v in assume.items() if not v}
+            path.write_text(json.dumps({**payload, "assume": assume}))
+            code = main([command, "--input", str(path), "--json"])
+            out, err = capsys.readouterr()
+            doc = json.loads(out)
+            assert code == (2 if failed else 0) and doc["concluded"] is not failed
+            for name in failed:
+                assert {"name": name, "kind": "assumed", "holds": False} in doc["hypotheses"]
+            assert {h["name"] for h in doc["hypotheses"] if not h["holds"]} == failed
+            if full is None:
+                full = doc["statements"]
+                assert len(full) == rows
+            # the two leading rows rest on every flag but phi_base_equal,
+            # the others on every flag
+            if not failed:
+                expected = full
+            elif failed == {"F_Phi(A) = F"}:
+                expected = full[:2]
+            else:
+                expected = []
+            assert doc["statements"] == expected, assume
+            assert main([command, "--input", str(path)]) == code
+            out, summary_err = capsys.readouterr()
+            assert [line[2:] for line in out.splitlines() if line.startswith("  ")] == expected
+            assert "Traceback" not in err + summary_err
+
+    @pytest.mark.parametrize("command", ["base-cert", "example-42"])
+    def test_failed_check_withholds_the_base_statements(self, command, capsys):
+        argv = [command, "--p", "3", "--q", "2"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "failed: p and q are odd; K' = K at q = 2" in out
+        assert main(argv + ["--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        for statement in BASE_CERT_STATEMENTS:
+            assert statement not in out and statement not in doc["statements"]
+        assert {"name": "p and q are odd", "kind": "checked", "holds": False} in doc["hypotheses"]
+
+    def test_summary_names_failed_hypotheses(self, tmp_path, capsys):
+        payload = {**example41_twist_job(3), "assume": {
+            "end_field_equal": False, "aut_valued": False, "phi_base_equal": False}}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        assert main(["twist-x", "--input", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "command: twist-x",
+            "assumed: k embeds in the center of End0(A)",
+            "failed: F = F(End(A)); F_Phi(A) = F; iota(c) takes values in Aut(A)",
+            "NOT CONCLUDED",
+        ]
 
 
 def test_cli_import_does_not_load_sympy():

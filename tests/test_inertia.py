@@ -16,6 +16,7 @@ from cmtwist.inertia import (
     unit_generator_check,
 )
 from cmtwist.residues import element_order
+from cmtwist.twists import Hypothesis
 from helpers import _pow, galois_vs_frobenius
 
 INERT_PRIMES_3_MOD_7 = [p for p in primerange(3, 500) if p % 7 == 3]
@@ -95,10 +96,11 @@ class TestResidueOrders:
         assert element_order(7, 5) == 6
 
     def test_congruence_predicate(self):
-        assert kitself_certificate(3).congruence_check
-        assert kitself_certificate(17).congruence_check
-        assert not kitself_certificate(2).congruence_check
-        assert not kitself_certificate(5).congruence_check  # inert but the wrong residue
+        assert check(kitself_certificate(3), "congruence_check").passed
+        assert check(kitself_certificate(17), "congruence_check").passed
+        assert not check(kitself_certificate(2), "congruence_check").passed
+        # inert but the wrong residue
+        assert not check(kitself_certificate(5), "congruence_check").passed
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="differ from 7"):
@@ -124,7 +126,7 @@ class TestInertiaOrder:
     def test_wrong_residue_rejected(self):
         # p = 5 is inert but not 3 (mod 7): no inertia order, no verdict
         cert = kitself_certificate(5)
-        assert cert.inertia_order is None and cert.gcd_check is None
+        assert cert.inertia_order is None and check(cert, "gcd_check") is None
         assert check(cert, "inertia_order") is None and cert.conclusion is None
 
     def test_identities_up_to_ten_thousand(self):
@@ -136,19 +138,18 @@ class TestInertiaOrder:
             assert gcd(p**6 - 1, p**3 * q) == q
             cert = kitself_certificate(p)
             assert cert.inertia_order * q == p**6 - 1
-            assert cert.gcd_check
             assert check(cert, "inertia_order").passed and check(cert, "gcd_check").passed
             assert check(cert, "gcd_check").witness == f"gcd({p**6 - 1}, {p**3 * q}) = {q}"
 
 
 class TestFrobeniusExponents:
     def test_examples(self):
-        assert kitself_certificate(3).frobenius_exponents == (6, 4, 5)
-        assert kitself_certificate(17).frobenius_exponents == (6, 4, 5)
+        for p in (3, 17):
+            frob = check(kitself_certificate(p), "frobenius_exponents")
+            assert frob.passed and frob.witness == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
 
     def test_wrong_residue_rejected(self):
         cert = kitself_certificate(2)
-        assert cert.frobenius_exponents is None
         assert check(cert, "frobenius_exponents") is None and not cert.passed
 
     def test_exponent_sum_identity(self):
@@ -162,17 +163,18 @@ class TestSevenDivisibility:
         # (7 | p^2 + p + 1, 7 | p^2 - 1) at p = 3, 2, 13
         for p, divides in ((3, (False, False)), (2, (True, False)), (13, (False, True))):
             cert = kitself_certificate(p)
-            assert (not cert.seven_nondivisibility, not cert.elliptic_seven_free) == divides
+            assert (not check(cert, "seven_nondivisibility").passed,
+                    not check(cert, "elliptic_order").passed) == divides
 
     def test_residue_classification(self):
         for p in primerange(3, 500):
             if p == 7:
                 continue
             cert = kitself_certificate(p)
-            assert cert.seven_nondivisibility == (p % 7 not in (2, 4))
-            assert cert.elliptic_seven_free == (p % 7 not in (1, 6))
-            assert check(cert, "seven_nondivisibility").passed == cert.seven_nondivisibility
-            assert check(cert, "elliptic_order").passed == cert.elliptic_seven_free
+            assert check(cert, "seven_nondivisibility").passed == (p % 7 not in (2, 4))
+            assert check(cert, "elliptic_order").passed == (p % 7 not in (1, 6))
+            assert check(cert, "seven_nondivisibility").witness == f"p^2 + p + 1 = {p * p + p + 1}"
+            assert check(cert, "elliptic_order").witness == f"p^2 - 1 = {p * p - 1}"
 
 
 class TestUnitGenerator:
@@ -223,7 +225,7 @@ class TestFiniteField:
             factors = Poly(phi, x, domain=GF(p)).factor_list()[1]
             irreducible = len(factors) == 1 and factors[0][0].degree() == 6
             assert irreducible == (element_order(7, p % 7) == 6), p
-            if kitself_certificate(p).congruence_check:
+            if check(kitself_certificate(p), "congruence_check").passed:
                 assert irreducible, p
 
 
@@ -257,9 +259,10 @@ class TestCertificates:
         assert cert.passed
         assert cert.conclusion == "K' = K"
         assert cert.inertia_order == 56
-        assert cert.frobenius_exponents == (6, 4, 5)
-        assert cert.elliptic_order == 8
-        assert CLASS_NUMBER_ASSUMPTION in cert.assumptions
+        assert check(cert, "frobenius_exponents").witness == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
+        assert check(cert, "elliptic_order").witness == "p^2 - 1 = 8"
+        assert Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True) in cert.hypotheses
+        assert all(h.holds for h in cert.hypotheses)
 
     def test_kitself_at_17(self):
         cert = kitself_certificate(17)
@@ -283,10 +286,12 @@ class TestCertificates:
         cert = base_certificate(3, 17)
         assert cert.passed
         assert cert.conclusion == "K_Phi(A) = K = Q_Phi(A)"
-        assert set(cert.assumptions) == {
+        assert {h.name for h in cert.hypotheses if h.kind == "assumed"} == {
             CLASS_NUMBER_ASSUMPTION,
             GOOD_REDUCTION_ASSUMPTION,
         }
+        assert all(h.holds for h in cert.hypotheses)
+        assert len(cert.statements) == 3
 
     def test_base_certificate_shared_prime_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -296,8 +301,11 @@ class TestCertificates:
         cert = base_certificate(3, 2)
         assert not cert.passed
         assert cert.conclusion is None
-        assert not cert.certificate_q.congruence_check
-        assert not cert.odd_check
+        assert not check(cert.certificate_q, "congruence_check").passed
+        assert {h.name for h in cert.hypotheses if not h.holds} == {
+            "p and q are odd", "K' = K at q = 2"}
+        # every statement rests on the failed checks
+        assert cert.statements == ()
 
     def test_one_primality_proof_per_certificate(self, monkeypatch):
         calls = []

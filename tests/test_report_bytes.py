@@ -169,6 +169,10 @@ def command_jobs() -> list[tuple[str, dict]]:
                                     {"field": {"quadratic": -7}, "type": [3]}],
                      "dim_x": 3, "dim_y": 1, "label": "L_d"}),
         ("twist-e", {"base": {"quadratic": -7},
+                     "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]},
+                                    {"field": {"quadratic": -7}, "type": [3]}],
+                     "dim_x": 3, "dim_y": 1, "assume": {"phi_base_equal": False}}),
+        ("twist-e", {"base": {"quadratic": -7},
                      "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]}],
                      "dim_x": 3, "dim_y": 1}),
         ("discond", {"n": 6, "d": 2}),
@@ -240,11 +244,11 @@ def twist_jobs() -> list[tuple[str, dict]]:
 
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
-    "commands": ("6047f2e54ab702bb2f9c700e8e6b45ffdce8bdea62e5f56a898c4672c9e4712f",
-                 {0: 16, 1: 5, 2: 4}),
-    "cmtype": ("43319f6ecad500377d66745c4ed0919487fb1efd0d73cff85737bd29ad4afce0",
+    "commands": ("0acf5d9c73d53028ca3a296450778e391e0076320c3eeb8d9b769e7919715c9d",
+                 {0: 15, 1: 5, 2: 6}),
+    "cmtype": ("c39d856a096381b6aa490a7740ce598d7e818a1f0f5a7a4566c9a92147f311f8",
                {0: 295, 1: 9}),
-    "twists": ("a889c8a9ba3a7ecb5a0b0df5b2ba3378f688bf50f5d09b8764ec3586b3fc83f7",
+    "twists": ("6b8efc0d04834af5e276784e5a40198687ca59478e55b16efdb7a1ac254450b5",
                {0: 90, 2: 326}),
 }
 

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from cmtwist.cmtypes import validate_cm_type, weil_datum
 from cmtwist.fields import cyclotomic, quadratic, roots_of_unity_order
 from cmtwist.twists import (
+    HYP_AUT_VALUED,
+    HYP_CENTRAL,
+    HYP_HOM_ZERO,
+    Hypothesis,
     HypothesisError,
     discond_groups,
     make_character,
@@ -15,6 +19,10 @@ from cmtwist.twists import (
     twist_x,
 )
 from helpers import example41_type, synthetic_weil_datum
+
+
+LEADING_X = ("F = F(End(B))", "F != F_Phi(A) or F != F_Phi(B)")
+LEADING_E = ("F = F(End(B))", "F(End(A)) != F_Phi(A) or F(End(B)) != F_Phi(B)")
 
 
 def datum_41():
@@ -86,7 +94,8 @@ class TestTwistX:
         assert rep.mu_bound == 1
         assert rep.phiB_equals_M
         assert rep.phiB_over_F_exact == 3
-        assert rep.end_b_over_f and rep.disconnection
+        assert rep.concluded and all(h.holds for h in rep.hypotheses)
+        assert rep.statements[:2] == LEADING_X
 
     def test_exact_two_when_t_two(self):
         # order 6 over the 12th cyclotomic field, r = 2: t = gcd(6, 4) = 2
@@ -129,14 +138,17 @@ class TestTwistX:
             twist_x(datum_41(), make_character(quadratic(-1), 4))
 
     def test_non_central_rejected(self):
-        with pytest.raises(HypothesisError, match="center"):
-            twist_x(datum_41(), make_character(quadratic(-3), 3),
-                    base_central=False)
+        # an assumed flag never raises: it withholds every statement
+        rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
+                      base_central=False)
+        assert Hypothesis(HYP_CENTRAL, "assumed", False) in rep.hypotheses
+        assert rep.statements == () and not rep.concluded
+        assert rep.m_over_phiB_divisor is None and not rep.phiB_equals_M
 
     def test_unassumed_phi_base_blocks_degree_conclusions(self):
         rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
                       phi_base_equal=False)
-        assert rep.end_b_over_f and rep.disconnection
+        assert rep.statements == LEADING_X and not rep.concluded
         assert rep.m_over_phiB_divisor is None
         assert rep.exact_m_over_phiB is None
         assert not rep.phiB_equals_M
@@ -144,7 +156,8 @@ class TestTwistX:
     def test_assumed_flags_echoed(self):
         rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
                       aut_valued=False)
-        assert rep.hypotheses["iota(c) takes values in Aut(A) (assumed)"] is False
+        assert Hypothesis(HYP_AUT_VALUED, "assumed", False) in rep.hypotheses
+        assert [h.name for h in rep.hypotheses if not h.holds] == [HYP_AUT_VALUED]
 
     def test_odd_coprime_order_forces_equality(self):
         # n odd with gcd(n, r) = 1 gives t = 1: pure gcd arithmetic
@@ -172,9 +185,8 @@ class TestTwistE:
         k, D = datum_42()
         rep = twist_e(3, 1, k, D, extension_label="L_d")
         assert rep.t == 3 and rep.deg_k == 2
-        assert rep.end_b_over_f and rep.disconnection
-        assert rep.phiB_equals_M
-        assert "F_Phi(B) = L_d" in rep.statements
+        assert rep.concluded and all(h.holds for h in rep.hypotheses)
+        assert rep.statements == LEADING_E + ("F_Phi(B) = L_d",)
 
     def test_even_ratio_rejected(self):
         k, D = datum_42()
@@ -194,7 +206,7 @@ class TestTwistE:
         D = weil_datum(k, [psi, psibar, psi, psibar])
         rep = twist_e(9, 3, k, D)
         assert rep.t == 3 and rep.deg_k == 6
-        assert rep.phiB_equals_M
+        assert rep.concluded
 
     def test_dimension_mismatch_rejected(self):
         k = cyclotomic(7)
@@ -206,14 +218,14 @@ class TestTwistE:
 
     def test_hom_assumption_required(self):
         k, D = datum_42()
-        with pytest.raises(HypothesisError, match=r"Hom\(X, Y\) = 0"):
-            twist_e(3, 1, k, D, hom_xy_zero=False)
+        rep = twist_e(3, 1, k, D, hom_xy_zero=False)
+        assert Hypothesis(HYP_HOM_ZERO, "assumed", False) in rep.hypotheses
+        assert rep.statements == () and not rep.concluded
 
     def test_unassumed_phi_base_blocks_conclusion(self):
         k, D = datum_42()
         rep = twist_e(3, 1, k, D, phi_base_equal=False)
-        assert rep.end_b_over_f and rep.disconnection
-        assert not rep.phiB_equals_M
+        assert rep.statements == LEADING_E and not rep.concluded
 
 
 class TestReportInvariants:
