@@ -702,11 +702,15 @@ def _summary_lines(report: Report) -> list[str]:
     lines = [f"command: {report.command}"]
     lines.extend(f"  {s}" for s in report.statements)
     assumed = "; ".join(h.name for h in report.hypotheses if h.kind == "assumed" and h.holds)
-    failed = "; ".join(h.name for h in report.hypotheses if not h.holds)
+    failed = [h.name for h in report.hypotheses if not h.holds]
+    if report.command == "inertia":
+        # an inertia certificate's checks are not hypothesis records
+        failed += [c["statement"] for c in report.results["certificate"]["checks"]
+                   if not c["pass"]]
     if assumed:
         lines.append("assumed: " + assumed)
     if failed:
-        lines.append("failed: " + failed)
+        lines.append("failed: " + "; ".join(failed))
     lines.append("concluded" if report.concluded else "NOT CONCLUDED")
     return lines
 

@@ -2,13 +2,18 @@
 
 Everything at desk scale: subgroups are explicit element sets, quotients
 are explicit coset lists, and invariant factors come from peeling
-maximal-order elements.  No matrix Smith-form machinery.  A subgroup is
-generated by coset extension, <S, g> = S u gS u g^2 S u ..., so building
-it costs about its size; the order of a coset xH comes from stripping the
-primes of |G/H| while a power of x stays in H, never from walking powers.
-Every quotient basis is still verified by :func:`is_quotient_basis`
-before it is returned, and the brute-force versions of these kernels live
-in the test suite as oracles.
+maximal-order elements.  No matrix Smith-form machinery.  The unit group
+itself comes from a sieve: a byte mask over [0, m) with the multiples of
+each prime divisor of m cleared by slice assignment, so no residue is
+tested in Python.  A subgroup is generated by coset extension,
+<S, g> = S u gS u g^2 S u ..., so building it costs about its size; the
+order of a coset xH comes from stripping the primes of |G/H| while a power
+of x stays in H, never from walking powers.  Peeling stops as soon as one
+coset's order equals |G/H|: the quotient is then cyclic and that coset
+alone is its basis, so the full group <x, H> is never built.  Every
+quotient basis is still verified by :func:`is_quotient_basis` before it is
+returned, and the brute-force versions of these kernels live in the test
+suite as oracles.
 
 Group elements are plain residues (ints coprime to the modulus).  An
 element of a quotient (Z/m)^x / H, such as a Galois element of an abelian
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm, prod
 from typing import Iterable
 
@@ -39,7 +45,11 @@ def unit_group(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    return tuple(x for x in range(1, m) if gcd(x, m) == 1)
+    mask = bytearray(b"\x01") * m
+    mask[0] = 0
+    for p in _prime_divisors(m):
+        mask[::p] = bytes(len(range(0, m, p)))
+    return tuple(compress(range(m), mask))
 
 
 def group_order(m: int) -> int:
@@ -243,10 +253,12 @@ def _max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
 
 def _quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
     """Basis [(residue, order), ...] of (Z/m)^x / H, orders non-increasing."""
-    units = unit_group(m)
-    if len(units) == len(H_elems):
+    n = group_order(m) // len(H_elems)
+    if n == 1:
         return []
     x, e = _max_order_residue(m, H_elems)
+    if e == n:
+        return [(x, e)]
     bigger = set(H_elems)
     _adjoin(m, bigger, x)
     rest = _quotient_basis(m, frozenset(bigger))
@@ -279,7 +291,10 @@ def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
     box = [1]
     for g, d in basis:
         _check_unit(m, g)
-        powers = [pow(g, a, m) for a in range(d)]
+        powers, p = [], 1
+        for _ in range(d):
+            powers.append(p)
+            p = p * g % m
         box = [x * p % m for p in powers for x in box]
     return len({x * h % m for x in box for h in H.elements}) == group_order(m)
 

@@ -12,12 +12,12 @@ from math import gcd, lcm
 from cmtwist.cmtypes import CMType, WeilDatum, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
-    _lift,
     compositum,
     cyclotomic,
     field_from,
     galois_group,
     is_cm,
+    kronecker_symbol,
     maximal_real_subfield,
     quadratic,
 )
@@ -129,6 +129,34 @@ def subgroups_two_generated(m: int) -> set[frozenset[int]]:
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles.
+
+def gcd_scan_unit_group(m: int) -> tuple[int, ...]:
+    """Units mod m, by a gcd test on every residue."""
+    return tuple(x for x in range(1, m) if gcd(x, m) == 1)
+
+
+def kronecker_scan_quadratic_kernel(d: int) -> frozenset[int]:
+    """Kernel of the Kronecker character of Q(sqrt(d)), by evaluating it on every unit."""
+    disc = d if d % 4 == 1 else 4 * d
+    return frozenset(a for a in unit_group(abs(disc)) if kronecker_symbol(disc, a) == 1)
+
+
+def _lift(field: AbelianField, M: int) -> frozenset[int]:
+    """Fixed group of the field viewed inside (Z/M)^x, by scanning every unit mod M."""
+    m = field.conductor
+    if M % m != 0:
+        raise ValueError("can only lift along a divisor")
+    if m == 1:
+        return frozenset(unit_group(M))
+    H = field.fixed_group.elements
+    return frozenset(x for x in unit_group(M) if x % m in H)
+
+
+def lift_compositum(K1: AbelianField, K2: AbelianField) -> AbelianField:
+    """Compositum as the intersection of both fixed groups lifted to the lcm conductor."""
+    M = lcm(K1.conductor, K2.conductor)
+    return field_from(M, _lift(K1, M) & _lift(K2, M))
+
 
 def pairwise_closure_witness(m: int, elems: frozenset[int]):
     """A pair (a, b) of the set whose product mod m leaves it, or None."""

@@ -465,6 +465,18 @@ class TestHypothesisRecords:
             "NOT CONCLUDED",
         ]
 
+    @pytest.mark.parametrize("p, failed", [
+        (2, "p = 3 (mod 7); 7 does not divide p^2 + p + 1"),
+        (5, "p = 3 (mod 7)"),
+    ])
+    def test_summary_names_failed_inertia_checks(self, p, failed, capsys):
+        assert main(["inertia", "--p", str(p)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == ["assumed: class number 1", "failed: " + failed, "NOT CONCLUDED"]
+        assert main(["inertia", "--p", str(p), "--json"]) == 2
+        checks = json.loads(capsys.readouterr().out)["results"]["certificate"]["checks"]
+        assert "; ".join(c["statement"] for c in checks if not c["pass"]) == failed
+
 
 def test_cli_import_does_not_load_sympy():
     src = str(Path(cmtwist.__file__).resolve().parents[1])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import sympy
 from sympy import jacobi_symbol, primerange
@@ -23,13 +23,16 @@ from cmtwist.fields import (
     quadratic,
     roots_of_unity_order,
 )
-from cmtwist.residues import invariant_factors, subgroup_generated
+from cmtwist import fields
+from cmtwist.residues import _unit_generators, invariant_factors, subgroup_generated
 from helpers import (
     cm_fields,
     conjugation_set,
     coset_of,
     example41_field,
+    kronecker_scan_quadratic_kernel,
     least,
+    lift_compositum,
     lift_is_subfield,
     quotient_cosets,
     subgroup_lattice_subfields,
@@ -93,6 +96,32 @@ class TestConstructors:
                 splits = pow(d % p, (p - 1) // 2, p) == 1
                 assert splits == (p % m in K.fixed_group.elements), (d, p)
 
+    def test_quadratic_kernel_matches_kronecker_scan(self):
+        for d in range(-1500, 1501):
+            disc = d if d % 4 == 1 else 4 * d
+            if d not in (0, 1) and abs(disc) <= 1500 and is_squarefree(d):
+                assert quadratic(d).fixed_group.elements == kronecker_scan_quadratic_kernel(d), d
+
+    # d = 1 mod 4 has disc = d, any other d has |disc| = 4|d|
+    @given(st.integers(-10**4, 10**4).map(lambda d: d if d % 4 == 1 else d // 4))
+    @settings(max_examples=40, deadline=None)
+    def test_quadratic_kernel_matches_kronecker_scan_at_larger_discriminants(self, d):
+        assume(d not in (0, 1) and is_squarefree(d))
+        assert quadratic(d).fixed_group.elements == kronecker_scan_quadratic_kernel(d)
+
+    def test_quadratic_evaluates_the_character_on_generators_only(self, monkeypatch):
+        calls = []
+
+        def counted(a, n):
+            calls.append(n)
+            return kronecker_symbol(a, n)
+
+        monkeypatch.setattr(fields, "kronecker_symbol", counted)
+        for d in (-1, 2, -3, 5, -7, 30, -105, 1155, -9997, 249997):
+            calls.clear()
+            K = quadratic(d)
+            assert len(calls) <= len(_unit_generators(K.conductor)), d
+
     def test_cyclotomic_normalization(self):
         assert cyclotomic(14) == cyclotomic(7)
         assert cyclotomic(1) == cyclotomic(2) == RATIONALS
@@ -130,6 +159,14 @@ class TestLatticeOperations:
                 assert sub == (compositum(K1, K2) == K2)
                 if sub:
                     assert K2.degree % K1.degree == 0
+
+    def test_compositum_matches_the_lifted_intersection(self):
+        cm = cm_fields(40, 8)
+        corpus = tuple(dict.fromkeys(cm + tuple(maximal_real_subfield(K) for K in cm)
+                                     + (RATIONALS,)))
+        for i, K1 in enumerate(corpus):
+            for K2 in corpus[i:]:
+                assert compositum(K1, K2) == lift_compositum(K1, K2), (K1, K2)
 
     def test_lattice_axioms(self):
         corpus = lattice(51)[:8] + lattice(84)[:8]

@@ -1,3 +1,7 @@
+from itertools import repeat
+from math import gcd
+from operator import lt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,7 @@ from helpers import (
     coset_mul,
     coset_of,
     full_scan_max_order_residue,
+    gcd_scan_unit_group,
     pairwise_closure_witness,
     peeled_invariant_factor_basis,
     power_walk_coset_order,
@@ -53,6 +58,21 @@ class TestUnitGroup:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             unit_group(0)
+
+    def test_sieve_matches_gcd_scan(self):
+        # the uncached body, so the cache does not keep thousands of tuples
+        for m in range(1, 3001):
+            assert unit_group.__wrapped__(m) == gcd_scan_unit_group(m), m
+
+    @given(st.integers(min_value=3001, max_value=10**6))
+    @settings(max_examples=24, deadline=None)
+    def test_sieve_is_exactly_the_units_at_large_moduli(self, m):
+        # phi(m) increasing residues of [1, m), each prime to m, are the
+        # units; this costs a gcd per unit, where the scan pays one per residue
+        units = unit_group.__wrapped__(m)
+        assert len(units) == totient(m)
+        assert 0 < units[0] and units[-1] < m and all(map(lt, units, units[1:]))
+        assert set(map(gcd, units, repeat(m))) == {1}
 
 
 class TestSubgroups:
