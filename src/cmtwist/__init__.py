@@ -30,6 +30,7 @@ from .cmtypes import (
 )
 from .twists import (
     CharacterSpec,
+    Conclusion,
     HypothesisError,
     discond_groups,
     make_character,
@@ -46,6 +47,7 @@ __all__ = [
     "AbelianField",
     "CMType",
     "CharacterSpec",
+    "Conclusion",
     "HypothesisError",
     "WeilDatum",
     "balance_product",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import AbstractSet, Any, Callable, Optional
@@ -54,6 +54,7 @@ from .twists import (
     HYP_AUT_VALUED,
     HYP_END_A,
     HYP_PHI_BASE,
+    Conclusion,
     Hypothesis,
     HypothesisError,
     discond_groups,
@@ -343,9 +344,9 @@ def _basis_list(basis) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.
+# Command handlers.  Each returns the :class:`Conclusion` of its report.
 
-def _run_field(payload: dict) -> Report:
+def _run_field(payload: dict) -> Conclusion:
     K = parse_field_literal(payload["field"])
     factors = invariant_factors(K.conductor, K.fixed_group)
     results = {
@@ -357,10 +358,10 @@ def _run_field(payload: dict) -> Report:
         f"conductor {K.conductor}, degree {K.degree}, {kind}",
         "Gal = " + (" x ".join(f"Z/{d}" for d in factors) or "trivial"),
     )
-    return Report("field", payload, results, statements, (), True)
+    return Conclusion(results, (), statements, True)
 
 
-def _run_cmtype(payload: dict) -> Report:
+def _run_cmtype(payload: dict) -> Conclusion:
     K = parse_field_literal(payload["field"])
     T, basis = parse_cm_type(K, payload["type"])
     stab = stabilizer(T)
@@ -385,13 +386,13 @@ def _run_cmtype(payload: dict) -> Report:
         results["coordinate_basis"] = _basis_list(basis)
         basis_text = ", ".join(f"generator {g} of order {d}" for g, d in basis)
         statements.insert(0, f"coordinate basis: {basis_text}")
-    return Report("cmtype", payload, results, tuple(statements), (), True)
+    return Conclusion(results, (), tuple(statements), True)
 
 
 _TWIST_X_ASSUME = {"end_field_equal", "phi_base_equal", "aut_valued", "base_central"}
 _TWIST_E_ASSUME = {"hom_xy_zero", "end_fields_equal", "phi_base_equal"}
 
-def _run_twist_x(payload: dict) -> Report:
+def _run_twist_x(payload: dict) -> Conclusion:
     base = parse_field_literal(payload["base"], "base")
     datum = _parse_components(base, payload["components"], "components")
     char_obj = _require_mapping(payload["character"], "character")
@@ -401,18 +402,16 @@ def _run_twist_x(payload: dict) -> Report:
         raise InputError("character.label: expected a string")
     char = make_character(base, _require_int(char_obj["order"], "character.order"), label)
     assume = _parse_assume(payload.get("assume"), _TWIST_X_ASSUME, "assume")
-    report = twist_x(datum, char, **assume)
-    results = {
+    twist = twist_x(datum, char, **assume)
+    return replace(twist, results={
         "base": field_dict(base),
         "multiplicities": _mults_list(base, restriction_multiplicities(datum)),
-        "weil_r": report.r,
-        "twist": report.to_dict(),
-    }
-    return Report("twist-x", payload, results, report.statements,
-                  report.hypotheses, report.concluded)
+        "weil_r": twist.results["r"],
+        "twist": twist.results,
+    })
 
 
-def _run_twist_e(payload: dict) -> Report:
+def _run_twist_e(payload: dict) -> Conclusion:
     base = parse_field_literal(payload["base"], "base")
     datum = _parse_components(base, payload["components"], "components")
     dim_x = _require_int(payload["dim_x"], "dim_x")
@@ -421,58 +420,33 @@ def _run_twist_e(payload: dict) -> Report:
     if not isinstance(label, str):
         raise InputError("label: expected a string")
     assume = _parse_assume(payload.get("assume"), _TWIST_E_ASSUME, "assume")
-    report = twist_e(dim_x, dim_y, base, datum, extension_label=label, **assume)
-    results = {
+    twist = twist_e(dim_x, dim_y, base, datum, extension_label=label, **assume)
+    return replace(twist, results={
         "base": field_dict(base),
         "multiplicities": _mults_list(base, restriction_multiplicities(datum)),
         "weil_r": weil_r(datum),
-        "twist": report.to_dict(),
-    }
-    return Report("twist-e", payload, results, report.statements,
-                  report.hypotheses, report.concluded)
+        "twist": twist.results,
+    })
 
 
-def _run_discond(payload: dict) -> Report:
+def _run_discond(payload: dict) -> Conclusion:
     n = _require_int(payload["n"], "n")
     d = _require_int(payload["d"], "d")
-    try:
-        result = discond_groups(n, d)
-    except ValueError as exc:
-        raise InputError(f"payload: {exc}") from exc
-    return Report("discond", payload, {"discond": result.to_dict()}, (), (), True)
+    return Conclusion({"discond": discond_groups(n, d)}, (), (), True)
 
 
-def _run_inertia(payload: dict) -> Report:
+def _run_inertia(payload: dict) -> Conclusion:
     p = _require_int(payload["p"], "p")
     try:
         cert = kitself_certificate(p)
     except ValueError as exc:
         raise InputError(f"p: {exc}") from exc
-    return Report(
-        "inertia",
-        payload,
-        {"certificate": cert.to_dict()},
-        tuple(c.statement for c in cert.checks if c.passed),
-        cert.hypotheses,
-        cert.passed,
-    )
+    return replace(cert, results={"certificate": cert.results})
 
 
-def _run_base_cert(payload: dict) -> Report:
-    p = _require_int(payload["p"], "p")
-    q = _require_int(payload["q"], "q")
-    try:
-        cert = base_certificate(p, q)
-    except ValueError as exc:
-        raise InputError(f"payload: {exc}") from exc
-    return Report(
-        "base-cert",
-        payload,
-        {"certificate": cert.to_dict()},
-        cert.statements,
-        cert.hypotheses,
-        cert.passed,
-    )
+def _run_base_cert(payload: dict) -> Conclusion:
+    cert = base_certificate(_require_int(payload["p"], "p"), _require_int(payload["q"], "q"))
+    return replace(cert, results={"certificate": cert.results})
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +490,7 @@ def _example_41_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
     return ((crt(2, 1), 2), (crt(1, 3), 8))
 
 
-def _run_example_41(payload: dict) -> Report:
+def _run_example_41(payload: dict) -> Conclusion:
     k = quadratic(-3)
     L = maximal_real_subfield(cyclotomic(17))
     K = compositum(k, L)
@@ -530,7 +504,8 @@ def _run_example_41(payload: dict) -> Report:
     datum = weil_datum(k, [T])
     counts = restriction_multiplicities(datum)
     char = make_character(k, 3, "M")
-    report = twist_x(datum, char)
+    twist = twist_x(datum, char)
+    degrees = twist.results["conclusions"]
     primitive = is_primitive(T)
     reflex_is_K = reflex_field(T) == K
     results = {
@@ -546,27 +521,27 @@ def _run_example_41(payload: dict) -> Report:
         "reflex_field_is_K": reflex_is_K,
         "n_sigma": _mults_list(k, counts),
         "weil_type": is_weil_type(datum),
-        "weil_r": report.r,
+        "weil_r": twist.results["r"],
         "character": {"order": 3, "label": "M"},
-        "twist": report.to_dict(),
-        "conclusion": f"F_Phi(B) = M, [F_Phi(B):F] = {report.phiB_over_F_exact}",
+        "twist": twist.results,
+        "conclusion": f"F_Phi(B) = M, [F_Phi(B):F] = {degrees['phiB_over_F_exact']}",
     }
     statements = (
         "Gal(K/Q) = Z/2 x Z/8",
         "n_sigma = 4 for both embeddings of k",
-    ) + report.statements
+    ) + twist.statements
     concluded = (
         factors == (2, 8)
         and primitive
         and reflex_is_K
         and set(counts.values()) == {4}
-        and report.phiB_equals_M
+        and degrees["phiB_equals_M"]
     )
-    return Report("example-41", payload, results, statements,
-                  _example_hypotheses(report.hypotheses, EXAMPLE_41_ASSUMED), concluded)
+    return Conclusion(results, _example_hypotheses(twist.hypotheses, EXAMPLE_41_ASSUMED),
+                      statements, concluded)
 
 
-def _run_example_42(payload: dict) -> Report:
+def _run_example_42(payload: dict) -> Conclusion:
     p = _require_int(payload.get("p", 3), "p")
     q = _require_int(payload.get("q", 17), "q")
     K = cyclotomic(7)
@@ -582,12 +557,9 @@ def _run_example_42(payload: dict) -> Report:
         raise AssertionError("the single-factor datum must balance")
     datum = weil_datum(k, [T, balancing])
     counts = restriction_multiplicities(datum)
-    try:
-        cert = base_certificate(p, q)
-    except ValueError as exc:
-        raise InputError(f"payload: {exc}") from exc
-    report = twist_e(3, 1, k, datum, extension_label="L_d")
-    concluded = cert.passed and report.concluded
+    cert = base_certificate(p, q)
+    twist = twist_e(3, 1, k, datum, extension_label="L_d")
+    concluded = cert.concluded and twist.concluded
     results = {
         "field_K": field_dict(K),
         "field_k": field_dict(k),
@@ -603,8 +575,8 @@ def _run_example_42(payload: dict) -> Report:
         "n_sigma_product": _mults_list(k, counts),
         "weil_type_product": is_weil_type(datum),
         "weil_r": weil_r(datum),
-        "base_certificate": cert.to_dict(),
-        "twist": report.to_dict(),
+        "base_certificate": cert.results,
+        "twist": twist.results,
         "conclusions": (
             ["K_Phi(A) = K", "Q_Phi(A^(d)) = L_d"] if concluded else []
         ),
@@ -613,10 +585,10 @@ def _run_example_42(payload: dict) -> Report:
         "the reflex CM-field of the CM-type of J is K",
         "restriction multiplicities of J alone are (2, 1)",
         "appending the conjugate elliptic type balances them to (2, 2)",
-    ) + cert.statements + report.statements
-    return Report("example-42", payload, results, statements,
-                  _example_hypotheses(cert.hypotheses + report.hypotheses, EXAMPLE_42_ASSUMED),
-                  concluded)
+    ) + cert.statements + twist.statements
+    return Conclusion(results,
+                      _example_hypotheses(cert.hypotheses + twist.hypotheses, EXAMPLE_42_ASSUMED),
+                      statements, concluded)
 
 
 @dataclass(frozen=True)
@@ -624,7 +596,7 @@ class _Command:
     """A command's handler, its required and optional payload keys, and its
     integer command-line flags, which are copied into the payload."""
 
-    run: Callable[[dict], Report]
+    run: Callable[[dict], Conclusion]
     required: AbstractSet[str] = frozenset()
     optional: AbstractSet[str] = frozenset()
     flags: tuple[str, ...] = ()
@@ -651,11 +623,12 @@ def run(job: JobSpec) -> Report:
     becomes an :class:`InputError`; a :class:`HypothesisError` passes through.
     """
     try:
-        return _COMMANDS[job.command].run(job.payload)
+        c = _COMMANDS[job.command].run(job.payload)
     except (InputError, HypothesisError):
         raise
     except ValueError as exc:
         raise InputError(f"payload: {exc}") from exc
+    return Report(job.command, job.payload, c.results, c.statements, c.hypotheses, c.concluded)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +698,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         report = run(job)
         text = report.to_json()
+        if job.output_path:
+            with open(job.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -742,9 +718,6 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
         return 1
 
-    if job.output_path:
-        with open(job.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     if args.json:
         sys.stdout.write(text)
     else:

@@ -20,13 +20,12 @@ for which no counterexample is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
 
 from .fields import kronecker_symbol
 from .residues import element_order
-from .twists import Hypothesis, conclude
+from .twists import Conclusion, Hypothesis, conclude
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -139,32 +138,7 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class UnitGeneratorReport:
-    """Reduction of the cyclotomic unit -1 - zeta at the ramified prime."""
-
-    reduction_value: int
-    reduction_order: int
-    polynomial_identity: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.reduction_value == 5
-            and self.reduction_order == 6
-            and self.polynomial_identity
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "reduction_value_mod_7": self.reduction_value,
-            "reduction_order": self.reduction_order,
-            "unit_identity_holds": self.polynomial_identity,
-            "passed": self.passed,
-        }
-
-
-def unit_generator_check() -> UnitGeneratorReport:
+def unit_generator_check() -> dict:
     """-1 - zeta reduces to -2 = 5 (mod 7), a generator of (Z/7)^x.
 
     Also re-derives the unit identity 1 - x^2 = (x - 1)(-1 - x) by exact
@@ -180,65 +154,26 @@ def unit_generator_check() -> UnitGeneratorReport:
         for j, b in enumerate(right):
             prod[i + j] += a * b
     identity = prod == [1, 0, -1]  # 1 - x^2
-    return UnitGeneratorReport(value, order, identity)
+    return {
+        "reduction_value_mod_7": value,
+        "reduction_order": order,
+        "unit_identity_holds": identity,
+        "passed": value == 5 and order == 6 and identity,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Certificates.
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    statement: str
-    passed: bool
-    witness: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
+def _check(name: str, statement: str, holds: bool, witness: str) -> dict:
+    return {"name": name, "statement": statement, "pass": holds, "witness": witness}
 
 
 CLASS_NUMBER_ASSUMPTION = "class number 1"
 GOOD_REDUCTION_ASSUMPTION = "good reduction outside 7"
 
 
-@dataclass(frozen=True)
-class InertiaCertificate:
-    """Per-prime certificate that no intermediate unramified field can exist."""
-
-    p: int
-    inertia_order: Optional[int]
-    unit_generator: UnitGeneratorReport
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def conclusion(self) -> Optional[str]:
-        return "K' = K" if self.passed else None
-
-    @property
-    def hypotheses(self) -> tuple[Hypothesis, ...]:
-        """The one assumption; each checked fact is a record in ``checks``."""
-        return (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "inertia_order": self.inertia_order,
-            "unit_generator": self.unit_generator.to_dict(),
-            "checks": [c.to_dict() for c in self.checks],
-            "conclusion": self.conclusion,
-        }
-
-
-def kitself_certificate(p: int) -> InertiaCertificate:
+def kitself_certificate(p: int) -> Conclusion:
     """Run every inertia check at p; conclude K' = K only if all pass.
 
     p is proved prime once, here.  Each check is computed where it is
@@ -247,18 +182,18 @@ def kitself_certificate(p: int) -> InertiaCertificate:
     and then they always pass: q = p^2 + p + 1 divides p^3 - 1 = (p - 1) q,
     p^6 - 1 is prime to p, and p^3, p^4, p^5 mod 7 depend on p mod 7 alone.
 
-    >>> kitself_certificate(3).conclusion
+    >>> kitself_certificate(3).results["conclusion"]
     "K' = K"
-    >>> kitself_certificate(2).passed
+    >>> kitself_certificate(2).concluded
     False
     """
     _require_prime(p)
     if p == 7:
         raise ValueError("p must differ from 7")
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
 
     congruent = p % 7 == 3
-    checks.append(CheckResult(
+    checks.append(_check(
         "congruence_check",
         "p = 3 (mod 7)",
         congruent,
@@ -269,35 +204,35 @@ def kitself_certificate(p: int) -> InertiaCertificate:
     if congruent:
         big, q = p**6 - 1, p * p + p + 1
         order_val, rem = divmod(big, q)
-        checks.append(CheckResult(
+        checks.append(_check(
             "inertia_order",
             "#(I_p) = (p^6 - 1)/(p^2 + p + 1)",
             rem == 0,
             f"({p}^6 - 1)/{q} = {order_val}",
         ))
         g = gcd(big, p**3 * q)
-        checks.append(CheckResult(
+        checks.append(_check(
             "gcd_check",
             "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1",
             g == q,
             f"gcd({big}, {p**3 * q}) = {g}",
         ))
         frob = (pow(p, 3, 7), pow(p, 4, 7), pow(p, 5, 7))
-        checks.append(CheckResult(
+        checks.append(_check(
             "frobenius_exponents",
             "p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)",
             frob == (6, 4, 5),
             f"(p^3, p^4, p^5) = {frob} (mod 7)",
         ))
 
-    checks.append(CheckResult(
+    checks.append(_check(
         "seven_nondivisibility",
         "7 does not divide p^2 + p + 1",
         (p * p + p + 1) % 7 != 0,
         f"p^2 + p + 1 = {p * p + p + 1}",
     ))
 
-    checks.append(CheckResult(
+    checks.append(_check(
         "elliptic_order",
         "7 does not divide p^2 - 1",
         (p * p - 1) % 7 != 0,
@@ -305,55 +240,34 @@ def kitself_certificate(p: int) -> InertiaCertificate:
     ))
 
     unit = unit_generator_check()
-    checks.append(CheckResult(
+    checks.append(_check(
         "unit_generator",
         "-1 - zeta reduces to a generator of (Z/7)^x",
-        unit.passed,
-        f"value {unit.reduction_value}, order {unit.reduction_order}",
+        unit["passed"],
+        f"value {unit['reduction_value_mod_7']}, order {unit['reduction_order']}",
     ))
 
-    return InertiaCertificate(
-        p=p,
-        inertia_order=order_val,
-        unit_generator=unit,
-        checks=tuple(checks),
-    )
+    concluded = all(c["pass"] for c in checks)
+    results = {
+        "p": p,
+        "inertia_order": order_val,
+        "unit_generator": unit,
+        "checks": checks,
+        "conclusion": "K' = K" if concluded else None,
+    }
+    # the one assumption; each checked fact is an entry of ``checks``
+    return Conclusion(results, (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),),
+                      tuple(c["statement"] for c in checks if c["pass"]), concluded)
 
 
-@dataclass(frozen=True)
-class BaseCertificate:
-    """Two-prime certificate pinning the connectedness base field to K."""
-
-    p: int
-    q: int
-    certificate_p: InertiaCertificate
-    certificate_q: InertiaCertificate
-    hypotheses: tuple[Hypothesis, ...]
-    statements: tuple[str, ...]
-    passed: bool
-
-    @property
-    def conclusion(self) -> Optional[str]:
-        return "K_Phi(A) = K = Q_Phi(A)" if self.passed else None
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "certificate_p": self.certificate_p.to_dict(),
-            "certificate_q": self.certificate_q.to_dict(),
-            "conclusion": self.conclusion,
-        }
-
-
-def base_certificate(p: int, q: int) -> BaseCertificate:
+def base_certificate(p: int, q: int) -> Conclusion:
     """Certify K_Phi(A) = K from inertia certificates at two distinct primes.
 
     The odd-prime check and the two per-prime certificates are checked
     hypotheses, and every statement rests on all of them and on both
     assumptions, so a failed check withholds them all.
 
-    >>> base_certificate(3, 17).conclusion
+    >>> base_certificate(3, 17).results["conclusion"]
     'K_Phi(A) = K = Q_Phi(A)'
     >>> base_certificate(3, 2).statements
     ()
@@ -364,15 +278,22 @@ def base_certificate(p: int, q: int) -> BaseCertificate:
     cert_q = kitself_certificate(q)
     hypotheses = (
         Hypothesis("p and q are odd", "checked", p % 2 == 1 and q % 2 == 1),
-        Hypothesis(f"K' = K at p = {p}", "checked", cert_p.passed),
-        Hypothesis(f"K' = K at q = {q}", "checked", cert_q.passed),
+        Hypothesis(f"K' = K at p = {p}", "checked", cert_p.concluded),
+        Hypothesis(f"K' = K at q = {q}", "checked", cert_q.concluded),
         Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),
         Hypothesis(GOOD_REDUCTION_ASSUMPTION, "assumed", True),
     )
     every = [h.name for h in hypotheses]
-    statements, passed = conclude(hypotheses, (
+    statements, concluded = conclude(hypotheses, (
         ("K_Phi(A) lies in K(A_n) for every n >= 3", every),
         ("K(A_p) intersect K(A_q) is unramified over K away from 7", every),
         ("no intermediate field survives the inertia bound at either prime", every),
     ))
-    return BaseCertificate(p, q, cert_p, cert_q, hypotheses, statements, passed)
+    results = {
+        "p": p,
+        "q": q,
+        "certificate_p": cert_p.results,
+        "certificate_q": cert_q.results,
+        "conclusion": "K_Phi(A) = K = Q_Phi(A)" if concluded else None,
+    }
+    return Conclusion(results, hypotheses, statements, concluded)

@@ -14,14 +14,15 @@ raises :class:`HypothesisError` when it fails.  An assumed one
 of the character's automorphisms) is a caller's flag: a false flag never
 raises, it withholds every row resting on it.  :func:`conclude` keeps the
 rows whose hypotheses all hold, and a report is concluded only when
-every hypothesis holds, so each report is an honest conditional.
+every hypothesis holds, so each report is an honest conditional.  Every
+theorem returns one :class:`Conclusion`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .cmtypes import WeilDatum, is_weil_type, weil_r
 from .fields import AbelianField, is_subfield, roots_of_unity_order
@@ -47,6 +48,18 @@ class Hypothesis:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "holds": self.holds}
+
+
+@dataclass(frozen=True)
+class Conclusion:
+    """What a theorem forces: ``results`` is its section of the report,
+    ``statements`` what it states under ``hypotheses``, and ``concluded``
+    is true only when every hypothesis holds and every check passed."""
+
+    results: dict
+    hypotheses: tuple[Hypothesis, ...]
+    statements: tuple[str, ...]
+    concluded: bool
 
 
 def conclude(hypotheses: Iterable[Hypothesis],
@@ -112,74 +125,20 @@ def make_character(k: AbelianField, n: int, label: str = "M") -> CharacterSpec:
     return CharacterSpec(k, n, label)
 
 
-@dataclass(frozen=True)
-class DiscondResult:
-    """Galois groups of M / F_Phi(B) / F cut out by an order-n character.
+def discond_groups(n: int, d: int) -> dict:
+    """Split Gal(M/F) of order n into the two cyclic layers.
 
     ``d`` is the order of the intersection of the character image with the
     rational points of the untwisted envelope, supplied as a hypothesis.
-    """
 
-    n: int
-    d: int
-    gal_phiB_over_F_order: int
-    gal_M_over_phiB_order: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "gal_phiB_over_F": f"Z/{self.gal_phiB_over_F_order}",
-            "gal_M_over_phiB": f"Z/{self.gal_M_over_phiB_order}",
-        }
-
-
-def discond_groups(n: int, d: int) -> DiscondResult:
-    """Split Gal(M/F) of order n into the two cyclic layers.
-
-    >>> discond_groups(3, 1).gal_phiB_over_F_order
-    3
-    >>> discond_groups(6, 2).to_dict()['gal_phiB_over_F']
+    >>> discond_groups(3, 1)['gal_phiB_over_F']
+    'Z/3'
+    >>> discond_groups(6, 2)['gal_phiB_over_F']
     'Z/3'
     """
     if n < 1 or d < 1 or n % d != 0:
         raise ValueError(f"d = {d} must divide n = {n}")
-    return DiscondResult(n, d, n // d, d)
-
-
-@dataclass(frozen=True)
-class TwistXReport:
-    """Conclusions for twisting a single Weil-type variety by an order-n character."""
-
-    n: int
-    r: int
-    t: int
-    w_k: int
-    mu_bound: int
-    extension_label: str
-    hypotheses: tuple[Hypothesis, ...]
-    statements: tuple[str, ...]
-    concluded: bool
-    m_over_phiB_divisor: Optional[int]
-    exact_m_over_phiB: Optional[int]
-    phiB_over_F_exact: Optional[int]
-    phiB_equals_M: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "t": self.t,
-            "w_k": self.w_k,
-            "mu_bound": self.mu_bound,
-            "extension_label": self.extension_label,
-            "conclusions": {
-                "m_over_phiB_divisor": self.m_over_phiB_divisor,
-                "exact_m_over_phiB": self.exact_m_over_phiB,
-                "phiB_over_F_exact": self.phiB_over_F_exact,
-                "phiB_equals_M": self.phiB_equals_M,
-            },
-        }
+    return {"n": n, "d": d, "gal_phiB_over_F": f"Z/{n // d}", "gal_M_over_phiB": f"Z/{d}"}
 
 
 def _leading_names(hypotheses: tuple[Hypothesis, ...]) -> list[str]:
@@ -196,7 +155,7 @@ def twist_x(
     phi_base_equal: bool = True,
     aut_valued: bool = True,
     base_central: bool = True,
-) -> TwistXReport:
+) -> Conclusion:
     """Run the single-variety twist theorem on a Weil datum and character.
 
     Checked hypotheses raise :class:`HypothesisError` naming the violated
@@ -238,8 +197,7 @@ def twist_x(
         (f"F_Phi(B) lies in {label} and "
          f"[{label}:F_Phi(B)] divides gcd(gcd(n, 2r), w(k)) = {mu_bound}", every),
     ]
-    exact: Optional[int] = None
-    phi_exact: Optional[int] = None
+    exact = phi_exact = None
     if mu_bound == 1:
         exact, phi_exact = 1, n
         theorem.append((f"F_Phi(B) = {label} and [F_Phi(B):F] = {n}", every))
@@ -250,45 +208,21 @@ def twist_x(
         theorem.append((f"[{label}:F_Phi(B)] = 2 and [F_Phi(B):F] = {n // 2}", every))
     statements, concluded = conclude(hypotheses, theorem)
     # the degree rows rest on every hypothesis: they stand iff concluded
-    return TwistXReport(
-        n=n,
-        r=r,
-        t=t,
-        w_k=w_k,
-        mu_bound=mu_bound,
-        extension_label=label,
-        hypotheses=hypotheses,
-        statements=statements,
-        concluded=concluded,
-        m_over_phiB_divisor=mu_bound if concluded else None,
-        exact_m_over_phiB=exact if concluded else None,
-        phiB_over_F_exact=phi_exact if concluded else None,
-        phiB_equals_M=concluded and mu_bound == 1,
-    )
-
-
-@dataclass(frozen=True)
-class TwistEReport:
-    """Conclusions for twisting the small factor of a product X x Y."""
-
-    dim_x: int
-    dim_y: int
-    t: int
-    deg_k: int
-    extension_label: str
-    hypotheses: tuple[Hypothesis, ...]
-    statements: tuple[str, ...]
-    concluded: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "dim_x": self.dim_x,
-            "dim_y": self.dim_y,
-            "t": self.t,
-            "deg_k": self.deg_k,
-            "extension_label": self.extension_label,
-            "conclusions": {"phiB_equals_M": self.concluded},
-        }
+    results = {
+        "n": n,
+        "r": r,
+        "t": t,
+        "w_k": w_k,
+        "mu_bound": mu_bound,
+        "extension_label": label,
+        "conclusions": {
+            "m_over_phiB_divisor": mu_bound if concluded else None,
+            "exact_m_over_phiB": exact if concluded else None,
+            "phiB_over_F_exact": phi_exact if concluded else None,
+            "phiB_equals_M": concluded and mu_bound == 1,
+        },
+    }
+    return Conclusion(results, hypotheses, statements, concluded)
 
 
 def twist_e(
@@ -301,7 +235,7 @@ def twist_e(
     hom_xy_zero: bool = True,
     end_fields_equal: bool = True,
     phi_base_equal: bool = True,
-) -> TwistEReport:
+) -> Conclusion:
     """Quadratic twist of the elliptic-type factor of a Weil-type product.
 
     Hypotheses are checked and recorded as in :func:`twist_x`.
@@ -340,13 +274,12 @@ def twist_e(
         ("F(End(A)) != F_Phi(A) or F(End(B)) != F_Phi(B)", leading),
         (f"F_Phi(B) = {label}", [h.name for h in hypotheses]),
     ))
-    return TwistEReport(
-        dim_x=dim_x,
-        dim_y=dim_y,
-        t=t,
-        deg_k=k.degree,
-        extension_label=label,
-        hypotheses=hypotheses,
-        statements=statements,
-        concluded=concluded,
-    )
+    results = {
+        "dim_x": dim_x,
+        "dim_y": dim_y,
+        "t": t,
+        "deg_k": k.degree,
+        "extension_label": label,
+        "conclusions": {"phiB_equals_M": concluded},
+    }
+    return Conclusion(results, hypotheses, statements, concluded)

@@ -304,6 +304,17 @@ class TestMainExitCodes:
     def test_missing_input_file(self, capsys):
         assert main(["field", "--input", "/nonexistent/job.json"]) == 1
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_unwritable_output_exits_1_with_a_message(self, target, reason, tmp_path, capsys):
+        path = tmp_path / target
+        assert main(["inertia", "--p", "3", "--output", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and reason in captured.err, captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("content, reason", [
         # json.load refuses this depth up to Python 3.11; from 3.12 it may
         # load and run out of stack later, which main() reports the same way

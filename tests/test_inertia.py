@@ -96,11 +96,11 @@ class TestResidueOrders:
         assert element_order(7, 5) == 6
 
     def test_congruence_predicate(self):
-        assert check(kitself_certificate(3), "congruence_check").passed
-        assert check(kitself_certificate(17), "congruence_check").passed
-        assert not check(kitself_certificate(2), "congruence_check").passed
+        assert check(kitself_certificate(3), "congruence_check")["pass"]
+        assert check(kitself_certificate(17), "congruence_check")["pass"]
+        assert not check(kitself_certificate(2), "congruence_check")["pass"]
         # inert but the wrong residue
-        assert not check(kitself_certificate(5), "congruence_check").passed
+        assert not check(kitself_certificate(5), "congruence_check")["pass"]
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="differ from 7"):
@@ -111,23 +111,23 @@ class TestResidueOrders:
 
 def check(cert, name):
     """The check called ``name`` in a certificate, or None."""
-    return next((c for c in cert.checks if c.name == name), None)
+    return next((c for c in cert.results["checks"] if c["name"] == name), None)
 
 
 class TestInertiaOrder:
     def test_p3(self):
         assert 13 * 56 == 3**6 - 1
-        assert kitself_certificate(3).inertia_order == 56
+        assert kitself_certificate(3).results["inertia_order"] == 56
 
     def test_p17(self):
         assert 307 * 78624 == 17**6 - 1
-        assert kitself_certificate(17).inertia_order == 78624
+        assert kitself_certificate(17).results["inertia_order"] == 78624
 
     def test_wrong_residue_rejected(self):
         # p = 5 is inert but not 3 (mod 7): no inertia order, no verdict
         cert = kitself_certificate(5)
-        assert cert.inertia_order is None and check(cert, "gcd_check") is None
-        assert check(cert, "inertia_order") is None and cert.conclusion is None
+        assert cert.results["inertia_order"] is None and check(cert, "gcd_check") is None
+        assert check(cert, "inertia_order") is None and cert.results["conclusion"] is None
 
     def test_identities_up_to_ten_thousand(self):
         primes = [p for p in primerange(3, 10_000) if p % 7 == 3]
@@ -137,20 +137,20 @@ class TestInertiaOrder:
             assert (p**3 - 1) % q == 0
             assert gcd(p**6 - 1, p**3 * q) == q
             cert = kitself_certificate(p)
-            assert cert.inertia_order * q == p**6 - 1
-            assert check(cert, "inertia_order").passed and check(cert, "gcd_check").passed
-            assert check(cert, "gcd_check").witness == f"gcd({p**6 - 1}, {p**3 * q}) = {q}"
+            assert cert.results["inertia_order"] * q == p**6 - 1
+            assert check(cert, "inertia_order")["pass"] and check(cert, "gcd_check")["pass"]
+            assert check(cert, "gcd_check")["witness"] == f"gcd({p**6 - 1}, {p**3 * q}) = {q}"
 
 
 class TestFrobeniusExponents:
     def test_examples(self):
         for p in (3, 17):
             frob = check(kitself_certificate(p), "frobenius_exponents")
-            assert frob.passed and frob.witness == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
+            assert frob["pass"] and frob["witness"] == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
 
     def test_wrong_residue_rejected(self):
         cert = kitself_certificate(2)
-        assert check(cert, "frobenius_exponents") is None and not cert.passed
+        assert check(cert, "frobenius_exponents") is None and not cert.concluded
 
     def test_exponent_sum_identity(self):
         # p^3 + p^4 + p^5 = p^3 (1 + p + p^2) as polynomials
@@ -163,32 +163,32 @@ class TestSevenDivisibility:
         # (7 | p^2 + p + 1, 7 | p^2 - 1) at p = 3, 2, 13
         for p, divides in ((3, (False, False)), (2, (True, False)), (13, (False, True))):
             cert = kitself_certificate(p)
-            assert (not check(cert, "seven_nondivisibility").passed,
-                    not check(cert, "elliptic_order").passed) == divides
+            assert (not check(cert, "seven_nondivisibility")["pass"],
+                    not check(cert, "elliptic_order")["pass"]) == divides
 
     def test_residue_classification(self):
         for p in primerange(3, 500):
             if p == 7:
                 continue
             cert = kitself_certificate(p)
-            assert check(cert, "seven_nondivisibility").passed == (p % 7 not in (2, 4))
-            assert check(cert, "elliptic_order").passed == (p % 7 not in (1, 6))
-            assert check(cert, "seven_nondivisibility").witness == f"p^2 + p + 1 = {p * p + p + 1}"
-            assert check(cert, "elliptic_order").witness == f"p^2 - 1 = {p * p - 1}"
+            assert check(cert, "seven_nondivisibility")["pass"] == (p % 7 not in (2, 4))
+            assert check(cert, "elliptic_order")["pass"] == (p % 7 not in (1, 6))
+            assert check(cert, "seven_nondivisibility")["witness"] == f"p^2 + p + 1 = {p * p + p + 1}"
+            assert check(cert, "elliptic_order")["witness"] == f"p^2 - 1 = {p * p - 1}"
 
 
 class TestUnitGenerator:
     def test_reduction_value_and_order(self):
         report = unit_generator_check()
-        assert report.reduction_value == 5
+        assert report["reduction_value_mod_7"] == 5
         # powers of 5 mod 7 cycle through all six units
         powers = {pow(5, k, 7) for k in range(1, 7)}
         assert powers == {1, 2, 3, 4, 5, 6}
-        assert report.reduction_order == 6
+        assert report["reduction_order"] == 6
 
     def test_polynomial_identity(self):
-        assert unit_generator_check().polynomial_identity
-        assert unit_generator_check().passed
+        assert unit_generator_check()["unit_identity_holds"]
+        assert unit_generator_check()["passed"]
 
 
 class TestFiniteField:
@@ -225,7 +225,7 @@ class TestFiniteField:
             factors = Poly(phi, x, domain=GF(p)).factor_list()[1]
             irreducible = len(factors) == 1 and factors[0][0].degree() == 6
             assert irreducible == (element_order(7, p % 7) == 6), p
-            if check(kitself_certificate(p), "congruence_check").passed:
+            if check(kitself_certificate(p), "congruence_check")["pass"]:
                 assert irreducible, p
 
 
@@ -256,24 +256,24 @@ class TestGaloisVsFrobenius:
 class TestCertificates:
     def test_kitself_at_3(self):
         cert = kitself_certificate(3)
-        assert cert.passed
-        assert cert.conclusion == "K' = K"
-        assert cert.inertia_order == 56
-        assert check(cert, "frobenius_exponents").witness == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
-        assert check(cert, "elliptic_order").witness == "p^2 - 1 = 8"
+        assert cert.concluded
+        assert cert.results["conclusion"] == "K' = K"
+        assert cert.results["inertia_order"] == 56
+        assert check(cert, "frobenius_exponents")["witness"] == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
+        assert check(cert, "elliptic_order")["witness"] == "p^2 - 1 = 8"
         assert Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True) in cert.hypotheses
         assert all(h.holds for h in cert.hypotheses)
 
     def test_kitself_at_17(self):
         cert = kitself_certificate(17)
-        assert cert.passed
-        assert cert.inertia_order == 78624
+        assert cert.concluded
+        assert cert.results["inertia_order"] == 78624
 
     def test_kitself_fails_at_2(self):
         cert = kitself_certificate(2)
-        assert not cert.passed
-        assert cert.conclusion is None
-        failed = {c.name for c in cert.checks if not c.passed}
+        assert not cert.concluded
+        assert cert.results["conclusion"] is None
+        failed = {c["name"] for c in cert.results["checks"] if not c["pass"]}
         assert "congruence_check" in failed
 
     def test_composite_rejected(self):
@@ -284,8 +284,8 @@ class TestCertificates:
 
     def test_base_certificate_3_17(self):
         cert = base_certificate(3, 17)
-        assert cert.passed
-        assert cert.conclusion == "K_Phi(A) = K = Q_Phi(A)"
+        assert cert.concluded
+        assert cert.results["conclusion"] == "K_Phi(A) = K = Q_Phi(A)"
         assert {h.name for h in cert.hypotheses if h.kind == "assumed"} == {
             CLASS_NUMBER_ASSUMPTION,
             GOOD_REDUCTION_ASSUMPTION,
@@ -299,9 +299,10 @@ class TestCertificates:
 
     def test_base_certificate_fails_at_2(self):
         cert = base_certificate(3, 2)
-        assert not cert.passed
-        assert cert.conclusion is None
-        assert not check(cert.certificate_q, "congruence_check").passed
+        assert not cert.concluded
+        assert cert.results["conclusion"] is None
+        congruence_q = cert.results["certificate_q"]["checks"][0]
+        assert congruence_q["name"] == "congruence_check" and not congruence_q["pass"]
         assert {h.name for h in cert.hypotheses if not h.holds} == {
             "p and q are odd", "K' = K at q = 2"}
         # every statement rests on the failed checks
@@ -334,4 +335,4 @@ class TestCertificates:
 
 def test_every_inert_3_mod_7_prime_certifies():
     for p in INERT_PRIMES_3_MOD_7:
-        assert kitself_certificate(p).passed
+        assert kitself_certificate(p).concluded

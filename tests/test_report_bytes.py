@@ -6,7 +6,8 @@ in exit 1 or 2 contributes the message ``main`` prints for it.  The
 SHA-256 of each corpus's concatenated output is pinned below, so a change
 to any report byte or error message, however small, fails here.  The
 pinned digests must only change together with a deliberate change of the
-report format, recorded in CHANGES.md.
+report format, recorded in CHANGES.md.  The same corpora also check that
+no report concludes over a hypothesis that does not hold or a failed check.
 
 The half-systems are chosen from each field's cosets computed here from
 the conductor and the fixed group, independently of ``cmtypes``.  Fields
@@ -17,6 +18,7 @@ of ``cm_fields(40, 8)`` that no field literal names are sent as
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import Counter
 from itertools import product
 from math import gcd
@@ -261,3 +263,31 @@ PINNED = {
 ])
 def test_report_bytes_are_pinned(name, jobs):
     assert digest(jobs()) == PINNED[name]
+
+
+def false_records(value) -> int:
+    """Hypothesis records with ``holds: false`` and certificate checks with
+    ``pass: false`` inside a report value."""
+    if isinstance(value, list):
+        return sum(false_records(v) for v in value)
+    if isinstance(value, dict):
+        own = value.get("holds") is False or value.get("pass") is False
+        return own + sum(false_records(v) for v in value.values())
+    return 0
+
+
+@pytest.mark.usefixtures("corpus_literals")
+def test_no_report_concludes_over_a_false_record():
+    # the invariant of the pinned corpora above: a hypothesis that does not
+    # hold, or a certificate check that fails, never yields concluded: true
+    blocked = 0
+    for command, payload in command_jobs() + cmtype_jobs() + twist_jobs():
+        code, text = outcome(command, payload)
+        if code == 1 or text.startswith("hypothesis failure: "):
+            continue
+        doc = json.loads(text)
+        if false_records([doc["results"], doc["hypotheses"]]):
+            blocked += 1
+            assert doc["concluded"] is False and code == 2, (command, payload)
+    # twist-x, twist-e, inertia, base-cert and example-42 each have one
+    assert blocked == 5

@@ -61,16 +61,20 @@ class TestMakeCharacter:
             assert roots_of_unity_order(c.value_field) % c.order == 0
 
 
+def layer_orders(res: dict) -> tuple[int, int]:
+    """The orders of the two cyclic layers, read back from "Z/<order>"."""
+    return tuple(int(res[k].removeprefix("Z/")) for k in ("gal_phiB_over_F", "gal_M_over_phiB"))
+
+
 class TestDiscondGroups:
     def test_trivial_intersection(self):
         res = discond_groups(3, 1)
-        assert res.gal_phiB_over_F_order == 3
-        assert res.gal_M_over_phiB_order == 1
+        assert layer_orders(res) == (3, 1)
 
     def test_split_six(self):
         res = discond_groups(6, 2)
-        assert (res.gal_phiB_over_F_order, res.gal_M_over_phiB_order) == (3, 2)
-        assert res.to_dict()["gal_phiB_over_F"] == "Z/3"
+        assert layer_orders(res) == (3, 2)
+        assert res["gal_phiB_over_F"] == "Z/3"
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError):
@@ -83,38 +87,40 @@ class TestDiscondGroups:
             with pytest.raises(ValueError):
                 discond_groups(n, d)
         else:
-            res = discond_groups(n, d)
-            assert res.gal_phiB_over_F_order * res.gal_M_over_phiB_order == n
+            a, b = layer_orders(discond_groups(n, d))
+            assert a * b == n
 
 
 class TestTwistX:
     def test_paper_cubic_twist(self):
         rep = twist_x(datum_41(), make_character(quadratic(-3), 3))
-        assert (rep.n, rep.r, rep.t) == (3, 8, 1)
-        assert rep.mu_bound == 1
-        assert rep.phiB_equals_M
-        assert rep.phiB_over_F_exact == 3
+        res, deg = rep.results, rep.results["conclusions"]
+        assert (res["n"], res["r"], res["t"]) == (3, 8, 1)
+        assert res["mu_bound"] == 1
+        assert deg["phiB_equals_M"]
+        assert deg["phiB_over_F_exact"] == 3
         assert rep.concluded and all(h.holds for h in rep.hypotheses)
         assert rep.statements[:2] == LEADING_X
 
     def test_exact_two_when_t_two(self):
         # order 6 over the 12th cyclotomic field, r = 2: t = gcd(6, 4) = 2
         k, D = synthetic_weil_datum(6, 2)
-        rep = twist_x(D, make_character(k, 6))
-        assert rep.t == 2
-        assert rep.exact_m_over_phiB == 2
-        assert rep.phiB_over_F_exact == 3
-        assert not rep.phiB_equals_M
+        res = twist_x(D, make_character(k, 6)).results
+        deg = res["conclusions"]
+        assert res["t"] == 2
+        assert deg["exact_m_over_phiB"] == 2
+        assert deg["phiB_over_F_exact"] == 3
+        assert not deg["phiB_equals_M"]
 
     def test_order_ten_fifth_cyclotomic(self):
         k = cyclotomic(5)
         assert roots_of_unity_order(k) == 10
         _, D = synthetic_weil_datum(5, 4)  # same field: cyclotomic(10) = cyclotomic(5)
         assert D.base == k
-        rep = twist_x(D, make_character(k, 10))
-        assert rep.t == 2
-        assert rep.exact_m_over_phiB == 2
-        assert rep.phiB_over_F_exact == 5
+        res = twist_x(D, make_character(k, 10)).results
+        assert res["t"] == 2
+        assert res["conclusions"]["exact_m_over_phiB"] == 2
+        assert res["conclusions"]["phiB_over_F_exact"] == 5
 
     def test_n_dividing_r_rejected(self):
         with pytest.raises(HypothesisError, match="n does not divide r"):
@@ -143,15 +149,17 @@ class TestTwistX:
                       base_central=False)
         assert Hypothesis(HYP_CENTRAL, "assumed", False) in rep.hypotheses
         assert rep.statements == () and not rep.concluded
-        assert rep.m_over_phiB_divisor is None and not rep.phiB_equals_M
+        deg = rep.results["conclusions"]
+        assert deg["m_over_phiB_divisor"] is None and not deg["phiB_equals_M"]
 
     def test_unassumed_phi_base_blocks_degree_conclusions(self):
         rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
                       phi_base_equal=False)
         assert rep.statements == LEADING_X and not rep.concluded
-        assert rep.m_over_phiB_divisor is None
-        assert rep.exact_m_over_phiB is None
-        assert not rep.phiB_equals_M
+        deg = rep.results["conclusions"]
+        assert deg["m_over_phiB_divisor"] is None
+        assert deg["exact_m_over_phiB"] is None
+        assert not deg["phiB_equals_M"]
 
     def test_assumed_flags_echoed(self):
         rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
@@ -167,16 +175,17 @@ class TestTwistX:
                     assert gcd(n, 2 * r) == 1
         # spot-check the resulting report at datum level
         k, D = synthetic_weil_datum(9, 4)
-        rep = twist_x(D, make_character(k, 9))
-        assert rep.t == 1 and rep.phiB_equals_M and rep.phiB_over_F_exact == 9
+        res = twist_x(D, make_character(k, 9)).results
+        deg = res["conclusions"]
+        assert res["t"] == 1 and deg["phiB_equals_M"] and deg["phiB_over_F_exact"] == 9
 
     def test_deterministic_reports(self):
         c = make_character(quadratic(-3), 3)
         rep1 = twist_x(datum_41(), c)
         rep2 = twist_x(datum_41(), c)
         assert rep1 == rep2
-        assert json.dumps(rep1.to_dict(), sort_keys=True) == json.dumps(
-            rep2.to_dict(), sort_keys=True
+        assert json.dumps(rep1.results, sort_keys=True) == json.dumps(
+            rep2.results, sort_keys=True
         )
 
 
@@ -184,7 +193,7 @@ class TestTwistE:
     def test_paper_product_twist(self):
         k, D = datum_42()
         rep = twist_e(3, 1, k, D, extension_label="L_d")
-        assert rep.t == 3 and rep.deg_k == 2
+        assert rep.results["t"] == 3 and rep.results["deg_k"] == 2
         assert rep.concluded and all(h.holds for h in rep.hypotheses)
         assert rep.statements == LEADING_E + ("F_Phi(B) = L_d",)
 
@@ -205,7 +214,7 @@ class TestTwistE:
         psibar = validate_cm_type(k, [4, 5, 6])
         D = weil_datum(k, [psi, psibar, psi, psibar])
         rep = twist_e(9, 3, k, D)
-        assert rep.t == 3 and rep.deg_k == 6
+        assert rep.results["t"] == 3 and rep.results["deg_k"] == 6
         assert rep.concluded
 
     def test_dimension_mismatch_rejected(self):
@@ -238,15 +247,17 @@ class TestReportInvariants:
                 if r % n == 0:
                     continue
                 _, D = synthetic_weil_datum(n, r)
-                rep = twist_x(D, c)
-                assert rep.t == gcd(n, 2 * r)
-                assert n % rep.t == 0 and (2 * r) % rep.t == 0
-                assert rep.t % rep.mu_bound == 0
-                assert rep.m_over_phiB_divisor == rep.mu_bound
-                if rep.exact_m_over_phiB is not None:
-                    assert rep.mu_bound % rep.exact_m_over_phiB == 0
-                    assert rep.exact_m_over_phiB * rep.phiB_over_F_exact == n
-                assert not (rep.phiB_equals_M and rep.exact_m_over_phiB != 1)
+                res = twist_x(D, c).results
+                t, mu, deg = res["t"], res["mu_bound"], res["conclusions"]
+                exact = deg["exact_m_over_phiB"]
+                assert t == gcd(n, 2 * r)
+                assert n % t == 0 and (2 * r) % t == 0
+                assert t % mu == 0
+                assert deg["m_over_phiB_divisor"] == mu
+                if exact is not None:
+                    assert mu % exact == 0
+                    assert exact * deg["phiB_over_F_exact"] == n
+                assert not (deg["phiB_equals_M"] and exact != 1)
 
     def test_character_existence_makes_mu_bound_t(self):
         # t | n | w(k) collapses the refinement onto t itself
@@ -254,5 +265,5 @@ class TestReportInvariants:
             k, D = synthetic_weil_datum(n, 4)
             if 4 % n == 0:
                 continue
-            rep = twist_x(D, make_character(k, n))
-            assert rep.mu_bound == rep.t
+            res = twist_x(D, make_character(k, n)).results
+            assert res["mu_bound"] == res["t"]
