@@ -187,13 +187,29 @@ def _compositum_field(parts: tuple[AbelianField, ...]) -> AbelianField:
     return out
 
 
+MAX_LITERAL_DEPTH = 500
+"""Deepest nesting of ``compositum`` literals a job may hold.  Up to Python
+3.11 ``json.load`` refuses a file about 490 levels deep and parsing a deeper
+document built in process runs out of stack; from 3.12 both may go deeper.
+The budget makes the limit the same on every version."""
+
+
 def parse_field_literal(obj: Any, where: str = "field") -> AbelianField:
     """Field literal: {"cyclotomic": m} | {"quadratic": d} |
     {"real_subfield_of": m} | {"compositum": [literal, ...]}.
 
     Fields are cached by literal value, never by ``where``, and failures are
-    not cached, so every error names the path it was found at.
+    not cached, so every error names the path it was found at.  A literal
+    nested deeper than :data:`MAX_LITERAL_DEPTH` raises ``RecursionError``,
+    as one deeper than the stack does.
     """
+    return _parse_literal(obj, where, 1)
+
+
+def _parse_literal(obj: Any, where: str, depth: int) -> AbelianField:
+    if depth > MAX_LITERAL_DEPTH:
+        raise RecursionError(
+            f"maximum recursion depth exceeded: more than {MAX_LITERAL_DEPTH} nested field literals")
     obj = _require_mapping(obj, where)
     if len(obj) != 1:
         raise InputError(f"{where}: field literal must have exactly one key")
@@ -207,7 +223,7 @@ def parse_field_literal(obj: Any, where: str = "field") -> AbelianField:
             # a list comprehension, not a generator: from Python 3.12 it is
             # inlined, so each nesting level costs one frame
             return _compositum_field(tuple([
-                parse_field_literal(v, f"{where}.compositum[{i}]")
+                _parse_literal(v, f"{where}.compositum[{i}]", depth + 1)
                 for i, v in enumerate(value)
             ]))
     except ValueError as exc:
@@ -620,7 +636,10 @@ def run(job: JobSpec) -> Report:
     """Dispatch a validated job to its owning module and collect the report.
 
     A library ``ValueError`` that no handler mapped is a malformed job and
-    becomes an :class:`InputError`; a :class:`HypothesisError` passes through.
+    becomes an :class:`InputError`, and so does the ``RecursionError`` of a
+    field literal nested deeper than :data:`MAX_LITERAL_DEPTH` or the stack
+    allows (a document built in process never met ``json.load``'s depth
+    limit); a :class:`HypothesisError` passes through.
     """
     try:
         c = _COMMANDS[job.command].run(job.payload)
@@ -628,6 +647,8 @@ def run(job: JobSpec) -> Report:
         raise
     except ValueError as exc:
         raise InputError(f"payload: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{job.command}: nested too deeply ({exc})") from exc
     return Report(job.command, job.payload, c.results, c.statements, c.hypotheses, c.concluded)
 
 
@@ -658,9 +679,9 @@ def _payload_from_args(args: argparse.Namespace) -> dict:
         with open(args.input, "r", encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                # ValueError covers JSONDecodeError, UnicodeDecodeError and
-                # the int-to-str digit limit; RecursionError deep nesting.
+            except ValueError as exc:
+                # JSONDecodeError, UnicodeDecodeError and the int-to-str digit
+                # limit; a RecursionError (deep nesting) goes to main()
                 raise InputError(f"{args.input}: invalid JSON ({exc})") from exc
         return _require_mapping(document, args.input)
     payload = {}
@@ -697,26 +718,22 @@ def main(argv: Optional[list[str]] = None) -> int:
              **({"output": args.output} if args.output else {})}
         )
         report = run(job)
-        text = report.to_json()
+        # the summary path reads no bytes, so only --json or --output emits
+        text = report.to_json() if args.json or job.output_path else None
         if job.output_path:
             with open(job.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except InputError as exc:
+    except (InputError, OSError, RecursionError) as exc:
+        depth = exc if isinstance(exc, RecursionError) else exc.__cause__
+        if isinstance(depth, RecursionError):
+            # a job nested too deeply to load, parse or emit: name the file
+            # it came from, if any, rather than the field path inside it
+            exc = f"{args.input or args.command}: nested too deeply ({depth})"
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except HypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError as exc:
-        # Up to Python 3.11 json.load refuses such a file itself; from 3.12
-        # it may load, and parsing, running or emitting the job runs out of
-        # stack instead.
-        print(f"input error: {args.input or args.command}: nested too deeply ({exc})",
-              file=sys.stderr)
-        return 1
 
     if args.json:
         sys.stdout.write(text)

@@ -38,8 +38,8 @@ from .residues import (
 
 # Largest conductor any constructor accepts.  A full `field` job on
 # cyclotomic(999983), the largest prime conductor inside it, takes about
-# 0.8 s in process, and one on cyclotomic(100003) about 0.08 s (2-vCPU host,
-# Python 3.11).
+# 0.04 s in process (0.1 s as a cold `cmtwist field` process), and one on
+# cyclotomic(100003) about 0.004 s (2-vCPU host, Python 3.11).
 MAX_CONDUCTOR = 10**6
 
 

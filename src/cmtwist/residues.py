@@ -1,19 +1,26 @@
 """Finite abelian group arithmetic inside unit groups (Z/m)^x.
 
-Everything at desk scale: subgroups are explicit element sets, quotients
-are explicit coset lists, and invariant factors come from peeling
-maximal-order elements.  No matrix Smith-form machinery.  The unit group
-itself comes from a sieve: a byte mask over [0, m) with the multiples of
-each prime divisor of m cleared by slice assignment, so no residue is
-tested in Python.  A subgroup is generated by coset extension,
-<S, g> = S u gS u g^2 S u ..., so building it costs about its size; the
-order of a coset xH comes from stripping the primes of |G/H| while a power
-of x stays in H, never from walking powers.  Peeling stops as soon as one
-coset's order equals |G/H|: the quotient is then cyclic and that coset
-alone is its basis, so the full group <x, H> is never built.  Every
-quotient basis is still verified by :func:`is_quotient_basis` before it is
-returned, and the brute-force versions of these kernels live in the test
-suite as oracles.
+Everything at desk scale: subgroups are explicit element sets, and
+invariant factors come from peeling maximal-order elements.  No matrix
+Smith-form machinery.  The unit group itself comes from a sieve: a byte
+mask over [0, m) with the multiples of each prime divisor of m cleared by
+slice assignment, so no residue is tested in Python.  A subgroup is
+generated by coset extension, <S, g> = S u gS u g^2 S u ..., so building
+it costs about its size; the order of a coset xH comes from stripping the
+primes of |G/H| while a power of x stays in H, never from walking powers.
+Peeling stops as soon as one coset's order equals |G/H|: the quotient is
+then cyclic and that coset alone is its basis, so the full group <x, H> is
+never built.
+
+Every quotient basis ((g_1, d_1), ..., (g_r, d_r)) is certified by
+:func:`is_quotient_basis` before it is returned, by orders and the socle
+rather than by listing the quotient: the d_i multiply to |G/H|, each
+g_i^(d_i) lies in H, and for each prime p one representative of every
+line of the p-socle (spanned by the g_i^(d_i/p)) lies outside H.  The
+check costs sum_p (p^(r_p) - 1)/(p - 1) products, where r_p is the
+p-rank of G/H, and never grows with |G| or |G/H|; its docstring has the
+proof.  The brute-force versions of these kernels live in the test suite
+as oracles.
 
 Group elements are plain residues (ints coprime to the modulus).  An
 element of a quotient (Z/m)^x / H, such as a Galois element of an abelian
@@ -27,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from math import gcd, lcm, prod
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -277,26 +284,60 @@ def _quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
     return [(x, e)] + adjusted
 
 
-def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
-    """Do the residues hit every coset of H exactly once as a product box?
+def _socle_lines(m: int, p: int, ys: Sequence[int]) -> Iterator[int]:
+    """One residue per line of the F_p-span of ``ys``: prod y_i^(a_i) mod m.
 
-    The box of products g_1^a_1 ... g_r^a_r, 0 <= a_i < d_i, meets every
-    coset once exactly when it has |G/H| residues and their cosets cover G.
+    The exponent vectors a in F_p^r are normalized, their first nonzero
+    coordinate being 1, so each of the (p^r - 1)/(p - 1) lines through the
+    origin is met once, and memory stays O(r) whatever their number.
+    """
+    for k, y in enumerate(ys):
+        for tail in product(range(p), repeat=len(ys) - k - 1):
+            x = y
+            for z, a in zip(ys[k + 1:], tail):
+                x = x * pow(z, a, m) % m
+            yield x
+
+
+def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
+    """Is a -> prod g_i^(a_i) H a bijection from Z/d_1 + ... + Z/d_r onto G/H?
+
+    Here G = (Z/m)^x and ``basis`` = ((g_1, d_1), ..., (g_r, d_r)); when it
+    holds, each g_i has order exactly d_i in G/H.  The certificate:
+
+    (a) d_1 * ... * d_r = |G/H|;
+    (b) g_i^(d_i) lies in H for each i, so the map is a well-defined
+        homomorphism from the direct sum;
+    (c) for each prime p dividing |G/H|, with y_i = g_i^(d_i/p) for the i
+        such that p | d_i, each normalized product prod y_i^(c_i) (one per
+        line of F_p^(r_p), r_p = #{i : p | d_i}) lies outside H.
+
+    Proof that (a)-(c) give a bijection: if the kernel were nontrivial it
+    would contain an element of prime order p (Cauchy).  An element of
+    order p of the direct sum has coordinates a_i = c_i d_i/p with c_i in
+    F_p, zero where p does not divide d_i, so it maps to prod y_i^(c_i) H.
+    The kernel is a subgroup, so a unit multiple of c (the normalized
+    vector of its line) also lies in it, against (c).  An injective map
+    between sets of equal size (a) is a bijection.  Conversely a bijection
+    with g_i of order d_i satisfies (a)-(c).  So the cost is r powers for
+    (b) and sum_p (p^(r_p) - 1)/(p - 1) products for (c) (one per prime
+    when G/H is cyclic), never a walk over G or G/H (Cohen, GTM 138, 2.4).
     """
     basis = tuple(basis)
     if m == 1:
-        return len(basis) == 0
-    if prod(d for _, d in basis) != group_order(m) // H.order:
+        return not basis
+    n = group_order(m) // H.order
+    if any(d < 1 for _, d in basis) or prod(d for _, d in basis) != n:
         return False
-    box = [1]
-    for g, d in basis:
+    for g, _ in basis:
         _check_unit(m, g)
-        powers, p = [], 1
-        for _ in range(d):
-            powers.append(p)
-            p = p * g % m
-        box = [x * p % m for p in powers for x in box]
-    return len({x * h % m for x in box for h in H.elements}) == group_order(m)
+    if any(pow(g, d, m) not in H for g, d in basis):
+        return False
+    return not any(
+        x in H
+        for p in _prime_divisors(n)
+        for x in _socle_lines(m, p, [pow(g, d // p, m) for g, d in basis if d % p == 0])
+    )
 
 
 def invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int], ...]:

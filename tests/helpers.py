@@ -219,8 +219,11 @@ def peeled_quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, in
     return [(x, e)] + adjusted
 
 
-def coset_box_is_basis(m: int, H: Subgroup, basis) -> bool:
-    """Does the product box of ``basis`` meet every coset of H once?  By listing cosets."""
+def box_and_orders_is_basis(m: int, H: Subgroup, basis) -> bool:
+    """Does the product box of ``basis`` meet every coset of H once, with every
+    g_i^(d_i) in H?  By listing cosets, so each g_i has order exactly d_i."""
+    if any(pow(g, d, m) not in H.elements for g, d in basis):
+        return False
     box = [1]
     for g, d in basis:
         box = [(x * pow(g, a, m)) % m for x in box for a in range(d)]

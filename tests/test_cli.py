@@ -295,6 +295,33 @@ class TestMainExitCodes:
         assert json.loads(printed)["results"]["certificate"]["inertia_order"] == 56
         assert out.read_text() == printed
 
+    @pytest.mark.parametrize("argv, code", [
+        (["example-41"], 0),
+        (["base-cert", "--p", "3", "--q", "2"], 2),
+        (["inertia", "--p", "2"], 2),
+        (["field", "--input", "job.json"], 0),
+    ], ids=["example-41", "base-cert-fails", "inertia-fails", "field"])
+    def test_summary_path_emits_no_report(self, argv, code, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.json").write_text('{"field": {"quadratic": -7}}')
+        command, payload = argv[0], cli._payload_from_args(cli._build_parser().parse_args(argv))
+        expected = "\n".join(cli._summary_lines(run(JobSpec(command, payload)))) + "\n"
+
+        def refuse(report):
+            raise AssertionError("the summary path serialized the report")
+
+        monkeypatch.setattr(cli.Report, "to_json", refuse)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == expected and captured.err == ""
+
+    def test_output_file_without_json_flag(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["base-cert", "--p", "3", "--q", "2", "--output", str(out)]) == 2
+        report = run_command("base-cert", {"p": 3, "q": 2})
+        assert out.read_text() == report.to_json()
+        assert capsys.readouterr().out == "\n".join(cli._summary_lines(report)) + "\n"
+
     def test_malformed_json_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -340,6 +367,33 @@ class TestMainExitCodes:
         assert main(["field"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: field: nested too deeply (maximum recursion depth"), err[:300]
+
+    def test_job_too_deep_for_the_stack_is_an_input_error_in_process(self):
+        literal = {"cyclotomic": 7}
+        for _ in range(600):
+            literal = {"compositum": [literal]}
+        job = validate_input({"command": "field", "payload": {"field": literal}})
+        with pytest.raises(InputError, match=r"^field: nested too deeply \(maximum recursion depth"):
+            run(job)
+
+    def test_literal_depth_budget_holds_whatever_the_stack(self):
+        def nested(depth):
+            literal = {"cyclotomic": 7}
+            for _ in range(depth - 1):
+                literal = {"compositum": [literal]}
+            return {"command": "twist-x", "payload": {
+                "base": literal, "components": [], "character": {"order": 2}}}
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 4 * cli.MAX_LITERAL_DEPTH)
+        try:
+            assert parse_field_literal(nested(cli.MAX_LITERAL_DEPTH)["payload"]["base"]) == cyclotomic(7)
+            with pytest.raises(InputError, match=(
+                    r"^twist-x: nested too deeply \(maximum recursion depth exceeded: "
+                    r"more than 500 nested field literals\)$")):
+                run(validate_input(nested(cli.MAX_LITERAL_DEPTH + 1)))
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_twist_e_dimension_mismatch_is_input_error(self, tmp_path, capsys):
         # the datum has dimension 3 + 1 = 4, but dim(X) + dim(Y) = 6

@@ -5,8 +5,9 @@ from operator import lt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import totient
+from sympy import primefactors, totient
 
+import cmtwist.residues as residues
 from cmtwist.residues import (
     Subgroup,
     _max_order_residue,
@@ -25,7 +26,7 @@ from helpers import (
     abstract_order_histogram,
     all_subgroups,
     bfs_subgroup_generated,
-    coset_box_is_basis,
+    box_and_orders_is_basis,
     coset_inv,
     coset_mul,
     coset_of,
@@ -263,7 +264,7 @@ class TestAgainstQuadraticOracles:
         assert 2 * 31 * 653 == p - 1
         assert all(pow(g, n // r, p * p) != 1 for r in (2, 31, 653, p))
 
-    def test_is_quotient_basis_matches_coset_listing(self):
+    def test_is_quotient_basis_matches_box_and_orders(self):
         # swap one generator for every unit, as declared_basis does
         verdicts = set()
         for m in range(3, 33):
@@ -273,9 +274,66 @@ class TestAgainstQuadraticOracles:
                     for u in unit_group(m):
                         candidate = basis[:i] + ((u, d),) + basis[i + 1:]
                         verdict = is_quotient_basis(m, S, candidate)
-                        assert verdict == coset_box_is_basis(m, S, candidate)
+                        assert verdict == box_and_orders_is_basis(m, S, candidate), (m, candidate)
                         verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_box_of_coset_representatives_with_a_wrong_order_is_refused(self):
+        # 13 has order 4 mod 15, yet {13^a 2^b : a < 2, b < 4} lists (Z/15)^x
+        H = trivial_subgroup(15)
+        assert element_order(15, 13) == 4
+        assert {13 ** a * 2 ** b % 15 for a in range(2) for b in range(4)} == set(unit_group(15))
+        assert is_quotient_basis(15, H, ((13, 2), (2, 4))) is False
+        assert is_quotient_basis(15, H, ((14, 2), (2, 4))) is True
+
+    def test_invariant_factor_basis_refuses_a_basis_the_gate_fails(self, monkeypatch):
+        monkeypatch.setattr(residues, "_quotient_basis", lambda m, H_elems: [(2, 4), (13, 2)])
+        with pytest.raises(AssertionError, match="not a direct-sum decomposition"):
+            invariant_factor_basis(15, trivial_subgroup(15))
+
+    def test_is_quotient_basis_edge_cases(self):
+        assert is_quotient_basis(1, trivial_subgroup(1), ()) is True
+        assert is_quotient_basis(1, trivial_subgroup(1), ((0, 1),)) is False
+        G = subgroup_generated(20, unit_group(20))
+        assert is_quotient_basis(20, G, ()) is True
+        assert is_quotient_basis(20, G, ((3, 1), (7, 1))) is True
+        assert is_quotient_basis(20, G, ((3, 2),)) is False
+        # an empty basis of a nontrivial quotient, and orders of the wrong product
+        assert is_quotient_basis(7, trivial_subgroup(7), ()) is False
+        assert is_quotient_basis(7, trivial_subgroup(7), ((3, 3),)) is False
+        assert is_quotient_basis(7, trivial_subgroup(7), ((3, 6), (6, 2))) is False
+        assert is_quotient_basis(7, trivial_subgroup(7), ((3, -6), (6, -1))) is False
+        assert is_quotient_basis(7, trivial_subgroup(7), ((3, 6),)) is True
+
+    @given(st.integers(min_value=2, max_value=399), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_quotient_basis_matches_box_and_orders_on_corrupted_bases(self, m, data):
+        units = unit_group(m)
+        H = subgroup_generated(m, data.draw(st.lists(st.sampled_from(units), max_size=2)))
+        basis = list(invariant_factor_basis(m, H))
+        corruption = data.draw(st.sampled_from(
+            ["none", "swap", "shift", "power", "reorder", "orders"]))
+        if basis and corruption == "swap":
+            i = data.draw(st.integers(0, len(basis) - 1))
+            basis[i] = (data.draw(st.sampled_from(units)), basis[i][1])
+        elif basis and corruption == "shift":
+            # g h for h in H keeps a basis, as does g^k below for k prime to d
+            i = data.draw(st.integers(0, len(basis) - 1))
+            g, d = basis[i]
+            basis[i] = (g * data.draw(st.sampled_from(H.sorted_elements())) % m, d)
+        elif basis and corruption == "power":
+            i = data.draw(st.integers(0, len(basis) - 1))
+            g, d = basis[i]
+            basis[i] = (pow(g, data.draw(st.integers(1, 2 * d)), m), d)
+        elif corruption == "reorder":
+            basis = data.draw(st.permutations(basis))
+        elif len(basis) > 1 and corruption == "orders":
+            # move a prime factor from one order to another: same product
+            i, j = data.draw(st.permutations(range(len(basis))))[:2]
+            (gi, di), (gj, dj) = basis[i], basis[j]
+            q = data.draw(st.sampled_from(primefactors(di)))
+            basis[i], basis[j] = (gi, di // q), (gj, dj * q)
+        assert is_quotient_basis(m, H, basis) == box_and_orders_is_basis(m, H, basis), (m, basis)
 
     @given(st.integers(min_value=2, max_value=150), st.data())
     @settings(max_examples=150, deadline=None)
