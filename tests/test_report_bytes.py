@@ -244,6 +244,25 @@ def twist_jobs() -> list[tuple[str, dict]]:
     return jobs
 
 
+def rationals_jobs() -> list[tuple[str, dict]]:
+    """The rationals, conductor 1, as every literal that names them, as one
+    factor of a compositum on either side, and as a field or base that is
+    not CM."""
+    Q = {"cyclotomic": 1}
+    jobs = [("field", {"field": {"cyclotomic": m}}) for m in (1, 2)]
+    jobs += [("field", {"field": {"real_subfield_of": m}}) for m in (1, 3, 4, 6)]
+    for other in ({"quadratic": -3}, {"cyclotomic": 7}):
+        jobs += [("field", {"field": {"compositum": [Q, other]}}),
+                 ("field", {"field": {"compositum": [other, Q]}})]
+    seven = [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]}]
+    jobs += [
+        ("cmtype", {"field": Q, "type": [0]}),
+        ("twist-x", {"base": Q, "components": seven, "character": {"order": 2}}),
+        ("twist-e", {"base": Q, "components": seven, "dim_x": 3, "dim_y": 1}),
+    ]
+    return jobs
+
+
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
     "commands": ("0acf5d9c73d53028ca3a296450778e391e0076320c3eeb8d9b769e7919715c9d",
@@ -252,6 +271,8 @@ PINNED = {
                {0: 295, 1: 9}),
     "twists": ("6b8efc0d04834af5e276784e5a40198687ca59478e55b16efdb7a1ac254450b5",
                {0: 90, 2: 326}),
+    "rationals": ("9878047c321dcb4e04be73e48656928d8c1a69afa75cd04fabbce13ae9b4bfdc",
+                  {0: 10, 1: 3}),
 }
 
 
@@ -260,6 +281,7 @@ PINNED = {
     ("commands", command_jobs),
     ("cmtype", cmtype_jobs),
     ("twists", twist_jobs),
+    ("rationals", rationals_jobs),
 ])
 def test_report_bytes_are_pinned(name, jobs):
     assert digest(jobs()) == PINNED[name]
@@ -281,7 +303,7 @@ def test_no_report_concludes_over_a_false_record():
     # the invariant of the pinned corpora above: a hypothesis that does not
     # hold, or a certificate check that fails, never yields concluded: true
     blocked = 0
-    for command, payload in command_jobs() + cmtype_jobs() + twist_jobs():
+    for command, payload in command_jobs() + cmtype_jobs() + twist_jobs() + rationals_jobs():
         code, text = outcome(command, payload)
         if code == 1 or text.startswith("hypothesis failure: "):
             continue
