@@ -19,9 +19,8 @@ from .cmtypes import (
     CMType,
     WeilDatum,
     balance_product,
-    is_primitive,
     is_weil_type,
-    reflex_field,
+    reflex_types,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -57,7 +56,6 @@ __all__ = [
     "discond_groups",
     "field_from",
     "is_cm",
-    "is_primitive",
     "is_subfield",
     "is_totally_real",
     "is_weil_type",
@@ -65,7 +63,7 @@ __all__ = [
     "make_character",
     "maximal_real_subfield",
     "quadratic",
-    "reflex_field",
+    "reflex_types",
     "restriction_multiplicities",
     "roots_of_unity_order",
     "stabilizer",

@@ -20,11 +20,9 @@ from typing import AbstractSet, Any, Callable, Optional
 from . import __version__
 from .cmtypes import (
     CMType,
-    _reflex_type,
     balance_product,
-    is_primitive,
     is_weil_type,
-    reflex_field,
+    reflex_types,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -82,7 +80,6 @@ class Report:
     statements: tuple[str, ...]
     hypotheses: tuple[Hypothesis, ...]
     concluded: bool
-    version: str = __version__
 
     def to_document(self) -> dict:
         return {
@@ -92,7 +89,7 @@ class Report:
             "statements": list(self.statements),
             "hypotheses": [h.to_dict() for h in self.hypotheses],
             "concluded": self.concluded,
-            "version": self.version,
+            "version": __version__,
         }
 
     def to_json(self) -> str:
@@ -339,7 +336,8 @@ def validate_input(document: Any) -> JobSpec:
 def field_dict(K: AbelianField) -> dict:
     return {
         "conductor": K.conductor,
-        "fixed_group": sorted(K.fixed_group.elements),
+        # format 0.2.0 writes the trivial group {0} of Q as []
+        "fixed_group": sorted(K.fixed_group.elements - {0}),
         "degree": K.degree,
         "is_cm": is_cm(K),
         "is_totally_real": is_totally_real(K),
@@ -382,8 +380,7 @@ def _run_cmtype(payload: dict) -> Conclusion:
     T, basis = parse_cm_type(K, payload["type"])
     stab = stabilizer(T)
     refl = field_from(K.conductor, stab)    # the reflex field
-    inv = _reflex_type(T, refl, "inverse")
-    conj = _reflex_type(T, refl, "conjugate")
+    inv, conj = reflex_types(T, refl)
     results = {
         "field": field_dict(K),
         "type": _cmtype_list(T),
@@ -522,8 +519,9 @@ def _run_example_41(payload: dict) -> Conclusion:
     char = make_character(k, 3, "M")
     twist = twist_x(datum, char)
     degrees = twist.results["conclusions"]
-    primitive = is_primitive(T)
-    reflex_is_K = reflex_field(T) == K
+    stab = stabilizer(T)
+    primitive = stab.elements == K.fixed_group.elements
+    reflex_is_K = field_from(K.conductor, stab) == K
     results = {
         "field_K": field_dict(K),
         "field_k": field_dict(k),
@@ -562,9 +560,8 @@ def _run_example_42(payload: dict) -> Conclusion:
     q = _require_int(payload.get("q", 17), "q")
     K = cyclotomic(7)
     T = validate_cm_type(K, [1, 2, 3])
-    refl = reflex_field(T)
-    refl_inv = _reflex_type(T, refl, "inverse")
-    refl_conj = _reflex_type(T, refl, "conjugate")
+    refl = field_from(K.conductor, stabilizer(T))
+    refl_inv, refl_conj = reflex_types(T, refl)
     k = quadratic(-7)
     datum_j = weil_datum(k, [T])
     counts_j = restriction_multiplicities(datum_j)

@@ -90,38 +90,25 @@ def stabilizer(T: CMType) -> Subgroup:
     return Subgroup(m, frozenset(g * h % m for g in stab for h in K.fixed_group.elements))
 
 
-def is_primitive(T: CMType) -> bool:
-    """True when only the identity stabilizes psi (induced from no subfield)."""
-    return stabilizer(T).elements == T.field.fixed_group.elements
+def reflex_types(T: CMType, refl: AbelianField) -> tuple[CMType, CMType]:
+    """Reflex CM-types of T on its reflex field ``refl``, under both conventions.
 
-
-def reflex_field(T: CMType) -> AbelianField:
-    """Fixed field of the stabilizer of psi.
+    The first restricts {sigma^-1 : sigma in psi} to ``refl``, the second
+    the conjugate half-system; both are valid CM-types on ``refl``, the
+    fixed field of :func:`stabilizer`.
 
     >>> from .fields import cyclotomic
-    >>> reflex_field(validate_cm_type(cyclotomic(7), [1, 2, 4])).degree
-    2
-    """
-    return field_from(T.field.conductor, stabilizer(T))
-
-
-def _reflex_type(T: CMType, refl: AbelianField, convention: str) -> CMType:
-    """Reflex CM-type of T on its reflex field ``refl``, under either convention.
-
-    ``inverse`` restricts {sigma^-1 : sigma in psi} to ``refl``;
-    ``conjugate`` restricts the conjugate half-system instead.  Both yield
-    valid CM-types on the same field.
+    >>> T = validate_cm_type(cyclotomic(7), [1, 2, 4])
+    >>> [R.sorted_psi() for R in reflex_types(T, field_from(7, stabilizer(T)))]
+    [((1, 2, 4),), ((3, 5, 6),)]
     """
     K = T.field
     if not is_subfield(refl, K):
         raise ValueError("restriction target is not a subfield")
-    m, rep_r = K.conductor, _coset_rep(refl)
-    if convention == "inverse":
-        source = (pow(c, -1, m) for c in T.psi)
-    else:
-        source = ((m - 1) * c % m for c in T.psi)
-    restricted = (rep_r[x % refl.conductor] for x in source)
-    return validate_cm_type(refl, restricted)
+    m, m_r, rep_r = K.conductor, refl.conductor, _coset_rep(refl)
+    inverse = (rep_r[pow(c, -1, m) % m_r] for c in T.psi)
+    conjugate = (rep_r[(m - 1) * c % m_r] for c in T.psi)
+    return validate_cm_type(refl, inverse), validate_cm_type(refl, conjugate)
 
 
 # ---------------------------------------------------------------------------

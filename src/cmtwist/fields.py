@@ -9,9 +9,10 @@ A Galois element of K is one int: the least residue of its coset of H,
 so Gal(K/Q) is the ascending tuple :func:`galois_group` and the private
 table ``_coset_rep(K)`` sends every residue mod m to the least residue of
 its coset.  The product of g and h is ``rep[g * h % m]`` and complex
-conjugation sends g to ``rep[(m - 1) * g % m]``.  The rationals (m = 1)
-have the single element 0.  :func:`coset` expands an element to its
-residues, which is needed only when a report prints it.
+conjugation sends g to ``rep[(m - 1) * g % m]``.  The rationals are the
+pair (1, {0}), since 0 is the one residue mod 1 and a unit: Gal(Q/Q) =
+(Z/1)^x = {0} needs no case of its own.  :func:`coset` expands an element
+to its residues, which is needed only when a report prints it.
 
 Every constructor refuses a conductor above :data:`MAX_CONDUCTOR` before
 any unit-group work: that work is linear in phi(m) at best, and an
@@ -67,7 +68,8 @@ class AbelianField:
         return group_order(self.conductor) // self.fixed_group.order
 
     def __repr__(self) -> str:
-        h = ",".join(str(x) for x in self.fixed_group.sorted_elements())
+        # messages write the trivial group {0} of Q as {}, as format 0.2.0 does
+        h = ",".join(str(x) for x in self.fixed_group.sorted_elements() if x)
         return f"AbelianField(conductor={self.conductor}, fixed={{{h}}})"
 
 
@@ -98,14 +100,9 @@ def field_from(m: int, elements) -> AbelianField:
         if all(x in H.elements for x in range(1, m, m2) if gcd(x, m) == 1):
             if m2 == m:
                 return AbelianField(m, H)
-            if m2 == 1:
-                return RATIONALS
             image = frozenset(x % m2 for x in H.elements)
             return AbelianField(m2, subgroup(m2, image))
     raise AssertionError("unreachable: m divides m")
-
-
-RATIONALS = AbelianField(1, Subgroup(1, frozenset()))
 
 
 def cyclotomic(m: int) -> AbelianField:
@@ -226,8 +223,6 @@ def compositum(K1: AbelianField, K2: AbelianField) -> AbelianField:
     >>> compositum(quadratic(-3), cyclotomic(7)).degree
     12
     """
-    if K1.conductor == 1 or K2.conductor == 1:
-        return K2 if K1.conductor == 1 else K1
     M = lcm(K1.conductor, K2.conductor)
     _check_conductor(M)
     K1, K2 = sorted((K1, K2), key=lambda K: len(K.fixed_group.elements) * (M // K.conductor))
@@ -251,8 +246,6 @@ def is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
     True
     """
     m1 = K1.conductor
-    if m1 == 1:
-        return True
     if K2.conductor % m1 != 0:
         return False
     H1 = K1.fixed_group.elements
@@ -260,8 +253,6 @@ def is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
 
 
 def is_totally_real(K: AbelianField) -> bool:
-    if K.degree == 1:
-        return True
     return (K.conductor - 1) in K.fixed_group.elements
 
 
@@ -277,8 +268,6 @@ def maximal_real_subfield(K: AbelianField) -> AbelianField:
     3
     """
     m = K.conductor
-    if m == 1:
-        return K
     H = subgroup_generated(m, set(K.fixed_group.elements) | {m - 1})
     return field_from(m, H)
 
@@ -303,11 +292,9 @@ def _coset_rep(K: AbelianField) -> tuple[int, ...]:
 def galois_group(K: AbelianField) -> tuple[int, ...]:
     """Gal(K/Q) as the least residues of the cosets of the fixed group, ascending.
 
-    >>> galois_group(quadratic(-7)), galois_group(RATIONALS)
+    >>> galois_group(quadratic(-7)), galois_group(cyclotomic(1))
     ((1, 3), (0,))
     """
-    if K.conductor == 1:
-        return (0,)
     rep = _coset_rep(K)
     return tuple(x for x in unit_group(K.conductor) if rep[x] == x)
 

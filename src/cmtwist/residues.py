@@ -22,12 +22,12 @@ p-rank of G/H, and never grows with |G| or |G/H|; its docstring has the
 proof.  The brute-force versions of these kernels live in the test suite
 as oracles.
 
-Group elements are plain residues (ints coprime to the modulus).  An
-element of a quotient (Z/m)^x / H, such as a Galois element of an abelian
-field, is one int as well: the least residue of its coset, looked up in
-the table of :mod:`cmtwist.fields`.  No coset is ever held as a set.  The
-modulus m = 1 denotes the trivial group and is represented by an empty
-element set of order 1.
+Group elements are plain residues (ints in [0, m) coprime to the
+modulus).  An element of a quotient (Z/m)^x / H, such as a Galois element
+of an abelian field, is one int as well: the least residue of its coset,
+looked up in the table of :mod:`cmtwist.fields`.  No coset is ever held as
+a set.  The one residue mod 1 is 0, and gcd(0, 1) = 1, so (Z/1)^x = {0}
+with identity 1 % 1 = 0, and needs no case of its own.
 """
 
 from __future__ import annotations
@@ -41,31 +41,30 @@ from typing import Iterable, Iterator, Sequence
 
 @lru_cache(maxsize=None)
 def unit_group(m: int) -> tuple[int, ...]:
-    """All residues in [1, m) coprime to m, sorted.
+    """All residues in [0, m) coprime to m, sorted.
 
     >>> unit_group(7)
     (1, 2, 3, 4, 5, 6)
     >>> unit_group(1)
-    ()
+    (0,)
     >>> len(unit_group(51))
     32
     """
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     mask = bytearray(b"\x01") * m
-    mask[0] = 0
     for p in _prime_divisors(m):
         mask[::p] = bytes(len(range(0, m, p)))
     return tuple(compress(range(m), mask))
 
 
 def group_order(m: int) -> int:
-    """Order of (Z/m)^x; the m = 1 convention still has order 1."""
-    return len(unit_group(m)) if m > 1 else 1
+    """Order of (Z/m)^x."""
+    return len(unit_group(m))
 
 
 def _check_unit(m: int, x: int) -> int:
-    if not (1 <= x < m) or gcd(x, m) != 1:
+    if not (0 <= x < m) or gcd(x, m) != 1:
         raise ValueError(f"{x} is not a unit residue mod {m}")
     return x
 
@@ -83,7 +82,7 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements) if self.elements else 1
+        return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
         return x in self.elements
@@ -131,15 +130,11 @@ def subgroup(m: int, elements: Iterable[int]) -> Subgroup:
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     elems = frozenset(elements)
-    if m == 1:
-        if elems:
-            raise ValueError("modulus 1 carries the trivial group; no residues allowed")
-        return Subgroup(1, frozenset())
     for x in elems:
         _check_unit(m, x)
-    if 1 not in elems:
+    if 1 % m not in elems:
         raise ValueError("subgroup must contain 1")
-    group = {1}
+    group = {1 % m}
     for x in sorted(elems):
         if x not in group:
             _adjoin(m, group, x, within=elems)
@@ -147,7 +142,7 @@ def subgroup(m: int, elements: Iterable[int]) -> Subgroup:
 
 
 def trivial_subgroup(m: int) -> Subgroup:
-    return Subgroup(m, frozenset() if m == 1 else frozenset({1}))
+    return Subgroup(m, frozenset({1 % m}))
 
 
 def subgroup_generated(m: int, gens: Iterable[int]) -> Subgroup:
@@ -162,11 +157,7 @@ def subgroup_generated(m: int, gens: Iterable[int]) -> Subgroup:
     """
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    if m == 1:
-        if any(g != 0 for g in gens):
-            raise ValueError("modulus 1 carries the trivial group")
-        return Subgroup(1, frozenset())
-    group = {1}
+    group = {1 % m}
     for g in gens:
         if _check_unit(m, g) not in group:
             _adjoin(m, group, g)
@@ -176,7 +167,7 @@ def subgroup_generated(m: int, gens: Iterable[int]) -> Subgroup:
 def element_order(m: int, x: int) -> int:
     _check_unit(m, x)
     order, y = 1, x
-    while y != 1:
+    while y != 1 % m:
         y = (y * x) % m
         order += 1
     return order
@@ -324,8 +315,6 @@ def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
     when G/H is cyclic), never a walk over G or G/H (Cohen, GTM 138, 2.4).
     """
     basis = tuple(basis)
-    if m == 1:
-        return not basis
     n = group_order(m) // H.order
     if any(d < 1 for _, d in basis) or prod(d for _, d in basis) != n:
         return False
@@ -350,8 +339,6 @@ def invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int], ...]:
     >>> invariant_factor_basis(8, trivial_subgroup(8))
     ((5, 2), (3, 2))
     """
-    if m == 1:
-        return ()
     basis = tuple(reversed(_quotient_basis(m, H.elements)))
     if not is_quotient_basis(m, H, basis):
         raise AssertionError("basis is not a direct-sum decomposition")

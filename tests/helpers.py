@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
-from cmtwist.cmtypes import CMType, WeilDatum, validate_cm_type, weil_datum
+from cmtwist.cmtypes import CMType, WeilDatum, stabilizer, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
     compositum,
@@ -102,6 +102,10 @@ def example41_type() -> CMType:
 # ---------------------------------------------------------------------------
 # Field corpora.
 
+# Q as the pair (1, {0}): (Z/1)^x is the trivial group {0}.
+RATIONALS = AbelianField(1, Subgroup(1, frozenset({0})))
+
+
 @lru_cache(maxsize=None)
 def cm_fields(max_conductor: int, max_degree: int) -> tuple[AbelianField, ...]:
     """All conductor-normalized abelian CM fields in the given box."""
@@ -131,8 +135,8 @@ def subgroups_two_generated(m: int) -> set[frozenset[int]]:
 # Brute-force oracles.
 
 def gcd_scan_unit_group(m: int) -> tuple[int, ...]:
-    """Units mod m, by a gcd test on every residue."""
-    return tuple(x for x in range(1, m) if gcd(x, m) == 1)
+    """Units mod m, by a gcd test on every residue in [0, m)."""
+    return tuple(x for x in range(m) if gcd(x, m) == 1)
 
 
 def kronecker_scan_quadratic_kernel(d: int) -> frozenset[int]:
@@ -146,8 +150,6 @@ def _lift(field: AbelianField, M: int) -> frozenset[int]:
     m = field.conductor
     if M % m != 0:
         raise ValueError("can only lift along a divisor")
-    if m == 1:
-        return frozenset(unit_group(M))
     H = field.fixed_group.elements
     return frozenset(x for x in unit_group(M) if x % m in H)
 
@@ -233,8 +235,6 @@ def box_and_orders_is_basis(m: int, H: Subgroup, basis) -> bool:
 
 def peeled_invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int], ...]:
     """The oracle basis in ``invariant_factor_basis`` order (d_1 | d_2 | ...)."""
-    if m == 1:
-        return ()
     return tuple(reversed(peeled_quotient_basis(m, H.elements)))
 
 
@@ -282,6 +282,16 @@ def quotient_order_histogram(m: int, H: Subgroup) -> Counter:
                    for c in quotient_cosets(m, H))
 
 
+def reflex_field(T: CMType) -> AbelianField:
+    """Fixed field of the stabilizer of psi, as the CLI handlers build it."""
+    return field_from(T.field.conductor, stabilizer(T))
+
+
+def is_primitive(T: CMType) -> bool:
+    """Does only the identity stabilize psi?  The report's ``primitive``."""
+    return stabilizer(T).elements == T.field.fixed_group.elements
+
+
 def brute_stabilizer_subgroup(T: CMType) -> Subgroup:
     """Largest subgroup whose cosets tile the half-system, by enumeration."""
     m = T.field.conductor
@@ -308,8 +318,6 @@ def brute_stabilizer_subgroup(T: CMType) -> Subgroup:
 # ``cmtypes``: each works on the sets and hands back least residues.
 
 def coset_of(m: int, H: Subgroup, x: int) -> frozenset[int]:
-    if m == 1:
-        return frozenset()
     _check_unit(m, x)
     return frozenset((x * h) % m for h in H.elements)
 
@@ -320,8 +328,6 @@ def quotient_cosets(m: int, H: Subgroup) -> tuple[frozenset[int], ...]:
     >>> quotient_cosets(7, Subgroup(7, frozenset({1, 2, 4})))
     (frozenset({1, 2, 4}), frozenset({3, 5, 6}))
     """
-    if m == 1:
-        return (frozenset(),)
     seen: set[int] = set()
     cosets = []
     for x in unit_group(m):
@@ -333,20 +339,16 @@ def quotient_cosets(m: int, H: Subgroup) -> tuple[frozenset[int], ...]:
 
 
 def coset_mul(m: int, c1: frozenset[int], c2: frozenset[int]) -> frozenset[int]:
-    if m == 1:
-        return frozenset()
     return frozenset((a * b) % m for a in c1 for b in c2)
 
 
 def coset_inv(m: int, c: frozenset[int]) -> frozenset[int]:
-    if m == 1:
-        return frozenset()
     return frozenset(pow(a, -1, m) for a in c)
 
 
 def least(c: frozenset[int]) -> int:
-    """The Galois element a coset set stands for (0 for the rationals)."""
-    return min(c, default=0)
+    """The Galois element a coset set stands for."""
+    return min(c)
 
 
 def element_set(K: AbelianField, g: int) -> frozenset[int]:

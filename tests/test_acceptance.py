@@ -8,9 +8,7 @@ from sympy import primerange
 
 from cmtwist.cli import EXAMPLE_42_ASSUMED, JobSpec, run
 from cmtwist.cmtypes import (
-    _reflex_type,
-    is_primitive,
-    reflex_field,
+    reflex_types,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -29,7 +27,9 @@ from helpers import (
     example41_field,
     example41_type,
     galois_vs_frobenius,
+    is_primitive,
     quotient_cosets,
+    reflex_field,
     synthetic_weil_datum,
 )
 
@@ -84,8 +84,7 @@ def test_criterion_3_cubic_twist_conclusion():
 def test_criterion_4_reflex_conventions():
     T = validate_cm_type(cyclotomic(7), [1, 2, 3])
     refl = reflex_field(T)
-    inv = _reflex_type(T, refl, "inverse")
-    conj = _reflex_type(T, refl, "conjugate")
+    inv, conj = reflex_types(T, refl)
     ok = (
         refl == cyclotomic(7)
         and conj.sorted_psi() == ((4,), (5,), (6,))

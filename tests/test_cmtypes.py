@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtwist.cmtypes import (
-    _reflex_type,
     balance_product,
-    is_primitive,
     is_weil_type,
-    reflex_field,
+    reflex_types,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -45,8 +43,10 @@ from helpers import (
     example41_field,
     example41_type,
     induced_cm_type,
+    is_primitive,
     least,
     quotient_cosets,
+    reflex_field,
     subgroup_lattice_subfields,
 )
 
@@ -147,27 +147,28 @@ class TestReflexType:
         T = jacobian_type()
         # inverses: 2*4 = 1 and 3*5 = 1 mod 7
         assert pow(2, -1, 7) == 4 and pow(3, -1, 7) == 5
-        inv = _reflex_type(T, reflex_field(T), "inverse")
+        inv, conj = reflex_types(T, reflex_field(T))
         assert inv.sorted_psi() == ((1,), (4,), (5,))
-        conj = _reflex_type(T, reflex_field(T), "conjugate")
         assert conj.sorted_psi() == ((4,), (5,), (6,))
 
     def test_quadratic_reflex(self):
         T = validate_cm_type(SQRT_M7, [1])
-        inv = _reflex_type(T, reflex_field(T), "inverse")
+        inv, conj = reflex_types(T, reflex_field(T))
         assert inv.psi == {galois_group(SQRT_M7)[0]}
         # the conjugate convention flips a quadratic type to the other one
-        conj = _reflex_type(T, reflex_field(T), "conjugate")
         assert conj.psi == {least(conjugation_set(SQRT_M7))}
 
     def test_reflex_always_validates(self):
         for K in cm_fields(26, 6):
             for T in all_cm_types(K):
                 refl = reflex_field(T)
-                for convention in ("inverse", "conjugate"):
-                    r = _reflex_type(T, refl, convention)
+                for r in reflex_types(T, refl):
                     assert r.field == refl
                     assert len(r.psi) == refl.degree // 2
+
+    def test_reflex_target_must_be_a_subfield(self):
+        with pytest.raises(ValueError, match="restriction target is not a subfield"):
+            reflex_types(jacobian_type(), quadratic(-3))
 
 
 class TestMultiplicities:

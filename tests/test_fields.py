@@ -6,7 +6,6 @@ from sympy import jacobi_symbol, primerange
 
 from cmtwist.fields import (
     MAX_CONDUCTOR,
-    RATIONALS,
     _coset_rep,
     compositum,
     coset,
@@ -24,8 +23,14 @@ from cmtwist.fields import (
     roots_of_unity_order,
 )
 from cmtwist import fields
-from cmtwist.residues import _unit_generators, invariant_factors, subgroup_generated
+from cmtwist.residues import (
+    _unit_generators,
+    invariant_factors,
+    subgroup_generated,
+    unit_group,
+)
 from helpers import (
+    RATIONALS,
     cm_fields,
     conjugation_set,
     coset_of,
@@ -131,6 +136,15 @@ class TestConstructors:
         assert cyclotomic(7).degree == 6
         assert quadratic(5).degree == 2
         assert RATIONALS.degree == 1
+
+    def test_rationals_are_the_pair_one_and_zero(self):
+        # Gal(Q/Q) is the unit 0 of (Z/1)^x, a coset of its own fixed group
+        assert galois_group(RATIONALS) == unit_group(1) == (0,)
+        assert coset(RATIONALS, 0) == [0] and _coset_rep(RATIONALS) == (0,)
+        for m in (1, 2, 3, 4, 6):
+            assert maximal_real_subfield(cyclotomic(m)) == RATIONALS
+        assert field_from(12, unit_group(12)) == RATIONALS
+        assert maximal_real_subfield(RATIONALS) == RATIONALS
 
 
 class TestLatticeOperations:

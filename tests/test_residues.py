@@ -47,14 +47,28 @@ class TestUnitGroup:
 
     def test_size_matches_totient(self):
         for m in range(1, 120):
-            expected = 1 if m == 1 else int(totient(m))
-            assert group_order(m) == expected
+            assert group_order(m) == int(totient(m))
         assert len(unit_group(51)) == 32
 
     def test_trivial_modulus(self):
-        assert unit_group(1) == ()
+        # 0 is the only residue mod 1, and gcd(0, 1) = 1: (Z/1)^x = {0}
+        assert unit_group(1) == (0,)
         assert group_order(1) == 1
         assert unit_group(2) == (1,)
+        assert trivial_subgroup(1) == subgroup(1, [0]) == subgroup_generated(1, [0, 0])
+        assert trivial_subgroup(1).order == 1 and element_order(1, 0) == 1
+        assert invariant_factor_basis(1, trivial_subgroup(1)) == ()
+        with pytest.raises(ValueError, match="subgroup must contain 1"):
+            subgroup(1, [])
+        with pytest.raises(ValueError, match="1 is not a unit residue mod 1"):
+            subgroup_generated(1, [1])
+
+    def test_zero_is_a_unit_only_mod_one(self):
+        for m in (2, 7, 8):
+            for call in (lambda: element_order(m, 0), lambda: subgroup_generated(m, [0]),
+                         lambda: subgroup(m, [0, 1])):
+                with pytest.raises(ValueError, match=f"^0 is not a unit residue mod {m}$"):
+                    call()
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -292,8 +306,14 @@ class TestAgainstQuadraticOracles:
             invariant_factor_basis(15, trivial_subgroup(15))
 
     def test_is_quotient_basis_edge_cases(self):
-        assert is_quotient_basis(1, trivial_subgroup(1), ()) is True
-        assert is_quotient_basis(1, trivial_subgroup(1), ((0, 1),)) is False
+        # mod 1 the unit 0 has order 1, as 3 and 7 do in (Z/20)^x / G below
+        Q1 = trivial_subgroup(1)
+        for basis, verdict in (((), True), (((0, 1),), True), (((0, 2),), False),
+                               (((0, 1), (0, 1)), True), (((0, 1), (0, 2)), False)):
+            assert is_quotient_basis(1, Q1, basis) is verdict, basis
+            assert box_and_orders_is_basis(1, Q1, basis) is verdict, basis
+        with pytest.raises(ValueError, match="1 is not a unit residue mod 1"):
+            is_quotient_basis(1, Q1, ((1, 1),))
         G = subgroup_generated(20, unit_group(20))
         assert is_quotient_basis(20, G, ()) is True
         assert is_quotient_basis(20, G, ((3, 1), (7, 1))) is True
