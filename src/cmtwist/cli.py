@@ -31,10 +31,10 @@ from .cmtypes import (
 )
 from .fields import (
     AbelianField,
+    _fixed_field,
     compositum,
     coset,
     cyclotomic,
-    field_from,
     is_cm,
     is_totally_real,
     maximal_real_subfield,
@@ -337,7 +337,7 @@ def field_dict(K: AbelianField) -> dict:
     return {
         "conductor": K.conductor,
         # format 0.2.0 writes the trivial group {0} of Q as []
-        "fixed_group": sorted(K.fixed_group.elements - {0}),
+        "fixed_group": sorted(K.fixed_group - {0}),
         "degree": K.degree,
         "is_cm": is_cm(K),
         "is_totally_real": is_totally_real(K),
@@ -379,14 +379,14 @@ def _run_cmtype(payload: dict) -> Conclusion:
     K = parse_field_literal(payload["field"])
     T, basis = parse_cm_type(K, payload["type"])
     stab = stabilizer(T)
-    refl = field_from(K.conductor, stab)    # the reflex field
+    refl = _fixed_field(K.conductor, stab)    # the reflex field
     inv, conj = reflex_types(T, refl)
     results = {
         "field": field_dict(K),
         "type": _cmtype_list(T),
         "valid": True,
-        "stabilizer": sorted(stab.elements),
-        "primitive": stab.elements == K.fixed_group.elements,
+        "stabilizer": sorted(stab),
+        "primitive": stab == K.fixed_group,
         "reflex_field": field_dict(refl),
         "reflex_type_inverse": _cmtype_list(inv),
         "reflex_type_conjugate": _cmtype_list(conj),
@@ -520,8 +520,8 @@ def _run_example_41(payload: dict) -> Conclusion:
     twist = twist_x(datum, char)
     degrees = twist.results["conclusions"]
     stab = stabilizer(T)
-    primitive = stab.elements == K.fixed_group.elements
-    reflex_is_K = field_from(K.conductor, stab) == K
+    primitive = stab == K.fixed_group
+    reflex_is_K = _fixed_field(K.conductor, stab) == K
     results = {
         "field_K": field_dict(K),
         "field_k": field_dict(k),
@@ -560,7 +560,7 @@ def _run_example_42(payload: dict) -> Conclusion:
     q = _require_int(payload.get("q", 17), "q")
     K = cyclotomic(7)
     T = validate_cm_type(K, [1, 2, 3])
-    refl = field_from(K.conductor, stabilizer(T))
+    refl = _fixed_field(K.conductor, stabilizer(T))
     refl_inv, refl_conj = reflex_types(T, refl)
     k = quadratic(-7)
     datum_j = weil_datum(k, [T])

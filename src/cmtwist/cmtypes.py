@@ -25,12 +25,11 @@ from .fields import (
     AbelianField,
     _coset_rep,
     coset,
-    field_from,
     galois_group,
     is_cm,
     is_subfield,
 )
-from .residues import Subgroup, _check_unit
+from .residues import _check_unit
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
         raise ValueError(f"{K!r} is not a CM field")
     m, rep = K.conductor, _coset_rep(K)
     elements = frozenset(rep[_check_unit(m, x)] for x in psi)
-    half = len(galois_group(K)) // 2
+    half = K.degree // 2
     if len(elements) != half:
         raise ValueError(f"half-system must have {half} elements, got {len(elements)}")
     for g in sorted(elements):
@@ -73,7 +72,7 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
     return CMType(K, elements)
 
 
-def stabilizer(T: CMType) -> Subgroup:
+def stabilizer(T: CMType) -> frozenset[int]:
     """Stabilizer {g : g psi = psi}, returned as its preimage in (Z/m)^x.
 
     The preimage is the union of the stabilizing cosets, a subgroup
@@ -87,7 +86,7 @@ def stabilizer(T: CMType) -> Subgroup:
     c0_inv = pow(next(iter(psi)), -1, m)
     stab = [g for g in (rep[c * c0_inv % m] for c in psi)
             if all(rep[g * c % m] in psi for c in psi)]
-    return Subgroup(m, frozenset(g * h % m for g in stab for h in K.fixed_group.elements))
+    return frozenset(g * h % m for g in stab for h in K.fixed_group)
 
 
 def reflex_types(T: CMType, refl: AbelianField) -> tuple[CMType, CMType]:
@@ -97,7 +96,7 @@ def reflex_types(T: CMType, refl: AbelianField) -> tuple[CMType, CMType]:
     the conjugate half-system; both are valid CM-types on ``refl``, the
     fixed field of :func:`stabilizer`.
 
-    >>> from .fields import cyclotomic
+    >>> from .fields import cyclotomic, field_from
     >>> T = validate_cm_type(cyclotomic(7), [1, 2, 4])
     >>> [R.sorted_psi() for R in reflex_types(T, field_from(7, stabilizer(T)))]
     [((1, 2, 4),), ((3, 5, 6),)]

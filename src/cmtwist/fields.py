@@ -2,8 +2,13 @@
 
 A field is a pair (conductor m, fixed group H <= (Z/m)^x): the field is
 the fixed field of H acting on the m-th cyclotomic field, and m is always
-normalized to be minimal.  Compositum, subfield tests and real subfields
-then reduce to subgroup arithmetic from :mod:`cmtwist.residues`.
+normalized to be minimal.  H is the frozenset of its residues mod m, as
+everywhere in :mod:`cmtwist.residues`, so compositum, subfield tests and
+real subfields reduce to set arithmetic.  :func:`field_from` checks that
+a given set is a subgroup; the constructors that build H from generators
+(:func:`cyclotomic`, :func:`quadratic`, :func:`maximal_real_subfield`,
+and the reflex fields of :mod:`cmtwist.cli`) skip that check through the
+private normalizer ``_fixed_field``.
 
 A Galois element of K is one int: the least residue of its coset of H,
 so Gal(K/Q) is the ascending tuple :func:`galois_group` and the private
@@ -26,13 +31,11 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .residues import (
-    Subgroup,
     _prime_divisors,
     _unit_generators,
     group_order,
     subgroup,
     subgroup_generated,
-    trivial_subgroup,
     unit_group,
 )
 
@@ -61,15 +64,15 @@ class AbelianField:
     """
 
     conductor: int
-    fixed_group: Subgroup
+    fixed_group: frozenset[int]
 
     @property
     def degree(self) -> int:
-        return group_order(self.conductor) // self.fixed_group.order
+        return group_order(self.conductor) // len(self.fixed_group)
 
     def __repr__(self) -> str:
         # messages write the trivial group {0} of Q as {}, as format 0.2.0 does
-        h = ",".join(str(x) for x in self.fixed_group.sorted_elements() if x)
+        h = ",".join(str(x) for x in sorted(self.fixed_group) if x)
         return f"AbelianField(conductor={self.conductor}, fixed={{{h}}})"
 
 
@@ -89,19 +92,28 @@ def _divisors(m: int) -> list[int]:
 def field_from(m: int, elements) -> AbelianField:
     """Conductor-normalized field for a fixed group given as a residue set.
 
-    The conductor is the least m2 | m whose reduction kernel, the units
-    1 + k*m2 of (Z/m)^x, lies in the fixed group.
+    The set is always validated by :func:`~cmtwist.residues.subgroup`, so
+    any iterable of residues mod m is accepted and a set that is not a
+    subgroup is refused.
+    """
+    return _fixed_field(m, subgroup(m, elements))
+
+
+def _fixed_field(m: int, H: frozenset[int]) -> AbelianField:
+    """Conductor-normalized fixed field of a subgroup H of (Z/m)^x.
+
+    H is trusted to be a subgroup: callers that build it from generators
+    (or as a stabilizer) come here directly and skip the closure check of
+    :func:`field_from`.  The conductor is the least m2 | m whose reduction
+    kernel, the units 1 + k*m2 of (Z/m)^x, lies in H; the image of H mod
+    m2 is validated.
     """
     _check_conductor(m)
-    H = elements if isinstance(elements, Subgroup) else subgroup(m, elements)
-    if H.modulus != m:
-        raise ValueError("fixed group modulus mismatch")
     for m2 in _divisors(m):
-        if all(x in H.elements for x in range(1, m, m2) if gcd(x, m) == 1):
+        if all(x in H for x in range(1, m, m2) if gcd(x, m) == 1):
             if m2 == m:
                 return AbelianField(m, H)
-            image = frozenset(x % m2 for x in H.elements)
-            return AbelianField(m2, subgroup(m2, image))
+            return AbelianField(m2, subgroup(m2, (x % m2 for x in H)))
     raise AssertionError("unreachable: m divides m")
 
 
@@ -115,7 +127,7 @@ def cyclotomic(m: int) -> AbelianField:
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    return field_from(m, trivial_subgroup(m))
+    return _fixed_field(m, frozenset({1 % m}))
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -188,8 +200,8 @@ def quadratic(d: int) -> AbelianField:
     exponents on the value -1 generators sum to an even number, and these
     elements generate every such product.
 
-    >>> quadratic(-7).fixed_group.sorted_elements()
-    (1, 2, 4)
+    >>> sorted(quadratic(-7).fixed_group)
+    [1, 2, 4]
     >>> quadratic(-3).conductor
     3
     """
@@ -205,7 +217,7 @@ def quadratic(d: int) -> AbelianField:
         (kernel_gens if kronecker_symbol(disc, g) == 1 else minus).append(g)
     kernel_gens += [g * g % m for g in minus]
     kernel_gens += [minus[0] * g % m for g in minus[1:]]
-    field = field_from(m, subgroup_generated(m, kernel_gens))
+    field = _fixed_field(m, subgroup_generated(m, kernel_gens))
     if field.degree != 2 or field.conductor != m:
         raise AssertionError(f"quadratic field construction failed for d={d}")
     return field
@@ -225,11 +237,10 @@ def compositum(K1: AbelianField, K2: AbelianField) -> AbelianField:
     """
     M = lcm(K1.conductor, K2.conductor)
     _check_conductor(M)
-    K1, K2 = sorted((K1, K2), key=lambda K: len(K.fixed_group.elements) * (M // K.conductor))
-    m1, m2 = K1.conductor, K2.conductor
-    H2 = K2.fixed_group.elements
+    K1, K2 = sorted((K1, K2), key=lambda K: len(K.fixed_group) * (M // K.conductor))
+    m1, m2, H2 = K1.conductor, K2.conductor, K2.fixed_group
     return field_from(M, frozenset(
-        x for h in K1.fixed_group.elements for x in range(h, M, m1) if x % m2 in H2
+        x for h in K1.fixed_group for x in range(h, M, m1) if x % m2 in H2
     ))
 
 
@@ -248,12 +259,12 @@ def is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
     m1 = K1.conductor
     if K2.conductor % m1 != 0:
         return False
-    H1 = K1.fixed_group.elements
-    return all(h % m1 in H1 for h in K2.fixed_group.elements)
+    H1 = K1.fixed_group
+    return all(h % m1 in H1 for h in K2.fixed_group)
 
 
 def is_totally_real(K: AbelianField) -> bool:
-    return (K.conductor - 1) in K.fixed_group.elements
+    return (K.conductor - 1) in K.fixed_group
 
 
 def is_cm(K: AbelianField) -> bool:
@@ -268,8 +279,7 @@ def maximal_real_subfield(K: AbelianField) -> AbelianField:
     3
     """
     m = K.conductor
-    H = subgroup_generated(m, set(K.fixed_group.elements) | {m - 1})
-    return field_from(m, H)
+    return _fixed_field(m, subgroup_generated(m, K.fixed_group | {m - 1}))
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +293,7 @@ def _coset_rep(K: AbelianField) -> tuple[int, ...]:
     rep = [0] * m
     for x in unit_group(m):
         if not rep[x]:
-            for h in K.fixed_group.elements:
+            for h in K.fixed_group:
                 rep[x * h % m] = x
     return tuple(rep)
 
@@ -305,7 +315,7 @@ def coset(K: AbelianField, g: int) -> list[int]:
     >>> coset(quadratic(-7), 3)
     [3, 5, 6]
     """
-    return sorted(g * h % K.conductor for h in K.fixed_group.elements)
+    return sorted(g * h % K.conductor for h in K.fixed_group)
 
 
 @lru_cache(maxsize=None)
@@ -326,5 +336,5 @@ def roots_of_unity_order(K: AbelianField) -> int:
     >>> roots_of_unity_order(quadratic(-7))
     2
     """
-    g = gcd(K.conductor, *(h - 1 for h in K.fixed_group.elements))
+    g = gcd(K.conductor, *(h - 1 for h in K.fixed_group))
     return g if g % 2 == 0 else 2 * g

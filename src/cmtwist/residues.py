@@ -1,7 +1,8 @@
 """Finite abelian group arithmetic inside unit groups (Z/m)^x.
 
-Everything at desk scale: subgroups are explicit element sets, and
-invariant factors come from peeling maximal-order elements.  No matrix
+Everything at desk scale: a subgroup is the frozenset of its residues,
+read against the modulus m that the caller already holds, and invariant
+factors come from peeling maximal-order elements.  No matrix
 Smith-form machinery.  The unit group itself comes from a sieve: a byte
 mask over [0, m) with the multiples of each prime divisor of m cleared by
 slice assignment, so no residue is tested in Python.  A subgroup is
@@ -23,16 +24,18 @@ proof.  The brute-force versions of these kernels live in the test suite
 as oracles.
 
 Group elements are plain residues (ints in [0, m) coprime to the
-modulus).  An element of a quotient (Z/m)^x / H, such as a Galois element
-of an abelian field, is one int as well: the least residue of its coset,
-looked up in the table of :mod:`cmtwist.fields`.  No coset is ever held as
-a set.  The one residue mod 1 is 0, and gcd(0, 1) = 1, so (Z/1)^x = {0}
-with identity 1 % 1 = 0, and needs no case of its own.
+modulus), and a subgroup H is a ``frozenset`` of them.  No type marks a
+set as closed: :func:`subgroup` checks closure, :func:`subgroup_generated`
+builds a closed set, and the functions that take an H trust it.  An
+element of a quotient (Z/m)^x / H, such as a Galois element of an abelian
+field, is one int as well: the least residue of its coset, looked up in
+the table of :mod:`cmtwist.fields`.  No coset is ever held as a set.  The
+one residue mod 1 is 0, and gcd(0, 1) = 1, so (Z/1)^x = {0} with identity
+1 % 1 = 0, and needs no case of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from math import gcd, lcm, prod
@@ -69,28 +72,6 @@ def _check_unit(m: int, x: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup of (Z/m)^x stored as an explicit residue set.
-
-    Use :func:`subgroup` or :func:`subgroup_generated` to build one;
-    the constructor itself does not validate closure.
-    """
-
-    modulus: int
-    elements: frozenset[int]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
-    def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
-
-
 def _adjoin(m: int, group: set[int], g: int, within: frozenset[int] | None = None) -> None:
     """Grow the subgroup ``group`` to <group, g> in place by coset extension.
 
@@ -117,15 +98,15 @@ def _not_closed(m: int, a: int, b: int) -> ValueError:
     return ValueError(f"set not closed under multiplication mod {m}: {a}*{b}")
 
 
-def subgroup(m: int, elements: Iterable[int]) -> Subgroup:
+def subgroup(m: int, elements: Iterable[int]) -> frozenset[int]:
     """Validated subgroup from an element list (must already be closed).
 
     Closure is checked exactly: the set is generated from its own elements
     in ascending order, and the first product that leaves the set is
     reported.
 
-    >>> subgroup(7, [1, 2, 4]).order
-    3
+    >>> sorted(subgroup(7, [4, 2, 1]))
+    [1, 2, 4]
     """
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
@@ -138,22 +119,18 @@ def subgroup(m: int, elements: Iterable[int]) -> Subgroup:
     for x in sorted(elems):
         if x not in group:
             _adjoin(m, group, x, within=elems)
-    return Subgroup(m, elems)
+    return elems
 
 
-def trivial_subgroup(m: int) -> Subgroup:
-    return Subgroup(m, frozenset({1 % m}))
-
-
-def subgroup_generated(m: int, gens: Iterable[int]) -> Subgroup:
+def subgroup_generated(m: int, gens: Iterable[int]) -> frozenset[int]:
     """Smallest subgroup of (Z/m)^x containing ``gens``.
 
-    >>> subgroup_generated(7, [2]).sorted_elements()
-    (1, 2, 4)
-    >>> subgroup_generated(51, [16]).sorted_elements()
-    (1, 16)
-    >>> subgroup_generated(7, []).sorted_elements()
-    (1,)
+    >>> sorted(subgroup_generated(7, [2]))
+    [1, 2, 4]
+    >>> sorted(subgroup_generated(51, [16]))
+    [1, 16]
+    >>> subgroup_generated(7, [])
+    frozenset({1})
     """
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
@@ -161,7 +138,7 @@ def subgroup_generated(m: int, gens: Iterable[int]) -> Subgroup:
     for g in gens:
         if _check_unit(m, g) not in group:
             _adjoin(m, group, g)
-    return Subgroup(m, frozenset(group))
+    return frozenset(group)
 
 
 def element_order(m: int, x: int) -> int:
@@ -220,7 +197,7 @@ def _unit_generators(m: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
+def _max_order_residue(m: int, H: frozenset[int]) -> tuple[int, int]:
     """Least residue whose coset has maximal order in (Z/m)^x / H, and that order.
 
     The order of xH divides n = |G/H|: start from n and strip each prime q
@@ -228,13 +205,13 @@ def _max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
     G/H, the lcm of the orders of the images of generators of (Z/m)^x, so
     the ascending scan stops at the first residue of that order.
     """
-    n = group_order(m) // len(H_elems)
+    n = group_order(m) // len(H)
     primes = _prime_divisors(n)
 
     def order(x: int) -> int:
         e = n
         for q in primes:
-            while e % q == 0 and pow(x, e // q, m) in H_elems:
+            while e % q == 0 and pow(x, e // q, m) in H:
                 e //= q
         return e
 
@@ -249,15 +226,15 @@ def _max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
     return best_x, best_e
 
 
-def _quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
+def _quotient_basis(m: int, H: frozenset[int]) -> list[tuple[int, int]]:
     """Basis [(residue, order), ...] of (Z/m)^x / H, orders non-increasing."""
-    n = group_order(m) // len(H_elems)
+    n = group_order(m) // len(H)
     if n == 1:
         return []
-    x, e = _max_order_residue(m, H_elems)
+    x, e = _max_order_residue(m, H)
     if e == n:
         return [(x, e)]
-    bigger = set(H_elems)
+    bigger = set(H)
     _adjoin(m, bigger, x)
     rest = _quotient_basis(m, frozenset(bigger))
     x_inv = pow(x, -1, m)
@@ -266,7 +243,7 @@ def _quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
         # y^ey lands in <x, H>; write it as x^c mod H, then cancel x^(c/ey)
         # so the lift keeps order exactly ey.
         t, c = pow(y, ey, m), 0
-        while t not in H_elems:
+        while t not in H:
             t = (t * x_inv) % m
             c += 1
         if c % ey != 0:
@@ -290,7 +267,7 @@ def _socle_lines(m: int, p: int, ys: Sequence[int]) -> Iterator[int]:
             yield x
 
 
-def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
+def is_quotient_basis(m: int, H: frozenset[int], basis) -> bool:
     """Is a -> prod g_i^(a_i) H a bijection from Z/d_1 + ... + Z/d_r onto G/H?
 
     Here G = (Z/m)^x and ``basis`` = ((g_1, d_1), ..., (g_r, d_r)); when it
@@ -315,7 +292,7 @@ def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
     when G/H is cyclic), never a walk over G or G/H (Cohen, GTM 138, 2.4).
     """
     basis = tuple(basis)
-    n = group_order(m) // H.order
+    n = group_order(m) // len(H)
     if any(d < 1 for _, d in basis) or prod(d for _, d in basis) != n:
         return False
     for g, _ in basis:
@@ -329,32 +306,30 @@ def is_quotient_basis(m: int, H: Subgroup, basis) -> bool:
     )
 
 
-def invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int], ...]:
+def invariant_factor_basis(m: int, H: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """Residues generating (Z/m)^x / H as a direct sum of cyclic groups.
 
     Returns ((g_1, d_1), ..., (g_r, d_r)) with d_1 | d_2 | ... | d_r and the
     map (a_1, ..., a_r) -> prod g_i^{a_i} * H a bijection onto the quotient.
     The bijection is verified before returning.
 
-    >>> invariant_factor_basis(8, trivial_subgroup(8))
+    >>> invariant_factor_basis(8, frozenset({1}))
     ((5, 2), (3, 2))
     """
-    basis = tuple(reversed(_quotient_basis(m, H.elements)))
+    basis = tuple(reversed(_quotient_basis(m, H)))
     if not is_quotient_basis(m, H, basis):
         raise AssertionError("basis is not a direct-sum decomposition")
     return basis
 
 
-def invariant_factors(m: int, H: Subgroup) -> tuple[int, ...]:
+def invariant_factors(m: int, H: frozenset[int]) -> tuple[int, ...]:
     """Canonical divisibility chain d_1 | d_2 | ... for (Z/m)^x / H.
 
     >>> invariant_factors(51, subgroup_generated(51, [16]))
     (2, 8)
-    >>> invariant_factors(7, trivial_subgroup(7))
+    >>> invariant_factors(7, frozenset({1}))
     (6,)
-    >>> invariant_factors(8, trivial_subgroup(8))
+    >>> invariant_factors(8, frozenset({1}))
     (2, 2)
     """
-    if H.modulus != m:
-        raise ValueError("subgroup modulus mismatch")
     return tuple(d for _, d in invariant_factor_basis(m, H))

@@ -12,6 +12,7 @@ from math import gcd, lcm
 from cmtwist.cmtypes import CMType, WeilDatum, stabilizer, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
+    _fixed_field,
     compositum,
     cyclotomic,
     field_from,
@@ -23,13 +24,11 @@ from cmtwist.fields import (
 )
 from cmtwist.inertia import isprime
 from cmtwist.residues import (
-    Subgroup,
     _check_unit,
     _prime_divisors,
     element_order,
     group_order,
     subgroup_generated,
-    trivial_subgroup,
     unit_group,
 )
 
@@ -38,9 +37,9 @@ from cmtwist.residues import (
 # Subgroup enumeration of (Z/m)^x.
 
 def cyclic_subgroups(m: int) -> set[frozenset[int]]:
-    subs = {trivial_subgroup(m).elements}
+    subs = {frozenset({1 % m})}
     for x in unit_group(m):
-        subs.add(subgroup_generated(m, [x]).elements)
+        subs.add(subgroup_generated(m, [x]))
     return subs
 
 
@@ -54,7 +53,7 @@ def _join_closure(m: int, gens: set[frozenset[int]]) -> set[frozenset[int]]:
             for C in gens:
                 if C <= S:
                     continue
-                T = subgroup_generated(m, S | C).elements
+                T = subgroup_generated(m, S | C)
                 if T not in subs:
                     subs.add(T)
                     new.add(T)
@@ -63,12 +62,10 @@ def _join_closure(m: int, gens: set[frozenset[int]]) -> set[frozenset[int]]:
 
 
 @lru_cache(maxsize=None)
-def all_subgroups(m: int) -> tuple[Subgroup, ...]:
+def all_subgroups(m: int) -> tuple[frozenset[int], ...]:
     """Every subgroup of (Z/m)^x, by saturating joins of cyclic subgroups."""
     subs = _join_closure(m, cyclic_subgroups(m))
-    return tuple(
-        Subgroup(m, s) for s in sorted(subs, key=lambda s: (len(s), sorted(s)))
-    )
+    return tuple(sorted(subs, key=lambda s: (len(s), sorted(s))))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ def example41_type() -> CMType:
 # Field corpora.
 
 # Q as the pair (1, {0}): (Z/1)^x is the trivial group {0}.
-RATIONALS = AbelianField(1, Subgroup(1, frozenset({0})))
+RATIONALS = AbelianField(1, frozenset({0}))
 
 
 @lru_cache(maxsize=None)
@@ -112,22 +109,23 @@ def cm_fields(max_conductor: int, max_degree: int) -> tuple[AbelianField, ...]:
     fields = set()
     for m in range(3, max_conductor + 1):
         for S in all_subgroups(m):
-            F = field_from(m, S)
+            F = _fixed_field(m, S)
             if F.conductor == m and is_cm(F) and F.degree <= max_degree:
                 fields.add(F)
+    # sort by the ascending residue tuple: frozensets compare by inclusion
     return tuple(
         sorted(fields, key=lambda F: (F.conductor, F.degree,
-                                      F.fixed_group.sorted_elements()))
+                                      tuple(sorted(F.fixed_group))))
     )
 
 
 def subgroups_two_generated(m: int) -> set[frozenset[int]]:
     """Distinct subgroups of (Z/m)^x generated by at most two elements."""
-    cyclics = {subgroup_generated(m, [x]).elements for x in unit_group(m)}
+    cyclics = {subgroup_generated(m, [x]) for x in unit_group(m)}
     cyclics.add(frozenset({1}))
     subs = set(cyclics)
     for A, B in combinations(cyclics, 2):
-        subs.add(subgroup_generated(m, A | B).elements)
+        subs.add(subgroup_generated(m, A | B))
     return subs
 
 
@@ -150,7 +148,7 @@ def _lift(field: AbelianField, M: int) -> frozenset[int]:
     m = field.conductor
     if M % m != 0:
         raise ValueError("can only lift along a divisor")
-    H = field.fixed_group.elements
+    H = field.fixed_group
     return frozenset(x for x in unit_group(M) if x % m in H)
 
 
@@ -221,21 +219,21 @@ def peeled_quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, in
     return [(x, e)] + adjusted
 
 
-def box_and_orders_is_basis(m: int, H: Subgroup, basis) -> bool:
+def box_and_orders_is_basis(m: int, H: frozenset[int], basis) -> bool:
     """Does the product box of ``basis`` meet every coset of H once, with every
     g_i^(d_i) in H?  By listing cosets, so each g_i has order exactly d_i."""
-    if any(pow(g, d, m) not in H.elements for g, d in basis):
+    if any(pow(g, d, m) not in H for g, d in basis):
         return False
     box = [1]
     for g, d in basis:
         box = [(x * pow(g, a, m)) % m for x in box for a in range(d)]
-    cosets = {frozenset((x * h) % m for h in H.elements) for x in box}
+    cosets = {frozenset((x * h) % m for h in H) for x in box}
     return len(cosets) == len(box) == len(quotient_cosets(m, H))
 
 
-def peeled_invariant_factor_basis(m: int, H: Subgroup) -> tuple[tuple[int, int], ...]:
+def peeled_invariant_factor_basis(m: int, H: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """The oracle basis in ``invariant_factor_basis`` order (d_1 | d_2 | ...)."""
-    return tuple(reversed(peeled_quotient_basis(m, H.elements)))
+    return tuple(reversed(peeled_quotient_basis(m, H)))
 
 
 def full_scan_max_order_residue(m: int, H_elems: frozenset[int]) -> tuple[int, int]:
@@ -260,10 +258,10 @@ def subgroup_lattice_subfields(K: AbelianField) -> tuple[AbelianField, ...]:
     """Subfields of K from every subgroup of (Z/m)^x containing the fixed
     group H: the joins of the groups <H, x>, one per coset of H."""
     m, H = K.conductor, K.fixed_group
-    over_H = {subgroup_generated(m, H.elements | c).elements for c in quotient_cosets(m, H)}
-    fields = {field_from(m, Subgroup(m, S)) for S in _join_closure(m, over_H)}
+    over_H = {subgroup_generated(m, H | c) for c in quotient_cosets(m, H)}
+    fields = {_fixed_field(m, S) for S in _join_closure(m, over_H)}
     return tuple(sorted(fields, key=lambda F: (F.degree, F.conductor,
-                                               F.fixed_group.sorted_elements())))
+                                               tuple(sorted(F.fixed_group)))))
 
 
 def abstract_order_histogram(factors) -> Counter:
@@ -277,38 +275,38 @@ def abstract_order_histogram(factors) -> Counter:
     return hist
 
 
-def quotient_order_histogram(m: int, H: Subgroup) -> Counter:
-    return Counter(power_walk_coset_order(m, H.elements, min(c))
+def quotient_order_histogram(m: int, H: frozenset[int]) -> Counter:
+    return Counter(power_walk_coset_order(m, H, min(c))
                    for c in quotient_cosets(m, H))
 
 
 def reflex_field(T: CMType) -> AbelianField:
     """Fixed field of the stabilizer of psi, as the CLI handlers build it."""
-    return field_from(T.field.conductor, stabilizer(T))
+    return _fixed_field(T.field.conductor, stabilizer(T))
 
 
 def is_primitive(T: CMType) -> bool:
     """Does only the identity stabilize psi?  The report's ``primitive``."""
-    return stabilizer(T).elements == T.field.fixed_group.elements
+    return stabilizer(T) == T.field.fixed_group
 
 
-def brute_stabilizer_subgroup(T: CMType) -> Subgroup:
+def brute_stabilizer_subgroup(T: CMType) -> frozenset[int]:
     """Largest subgroup whose cosets tile the half-system, by enumeration."""
     m = T.field.conductor
     H = T.field.fixed_group
     psi_residues = frozenset().union(*(coset_of(m, H, g) for g in T.psi))
-    best = H.elements
+    best = H
     for S in all_subgroups(m):
-        if not (S.elements >= H.elements):
+        if not (S >= H):
             continue
-        if len(S.elements) <= len(best):
+        if len(S) <= len(best):
             continue
         if all(
-            frozenset((x * s) % m for s in S.elements) <= psi_residues
+            frozenset((x * s) % m for s in S) <= psi_residues
             for x in psi_residues
         ):
-            best = S.elements
-    return Subgroup(m, best)
+            best = S
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +315,15 @@ def brute_stabilizer_subgroup(T: CMType) -> Subgroup:
 # product.  Oracles for the least-residue lookups of ``fields`` and
 # ``cmtypes``: each works on the sets and hands back least residues.
 
-def coset_of(m: int, H: Subgroup, x: int) -> frozenset[int]:
+def coset_of(m: int, H: frozenset[int], x: int) -> frozenset[int]:
     _check_unit(m, x)
-    return frozenset((x * h) % m for h in H.elements)
+    return frozenset((x * h) % m for h in H)
 
 
-def quotient_cosets(m: int, H: Subgroup) -> tuple[frozenset[int], ...]:
+def quotient_cosets(m: int, H: frozenset[int]) -> tuple[frozenset[int], ...]:
     """Cosets of H in (Z/m)^x, sorted by least representative.
 
-    >>> quotient_cosets(7, Subgroup(7, frozenset({1, 2, 4})))
+    >>> quotient_cosets(7, frozenset({1, 2, 4}))
     (frozenset({1, 2, 4}), frozenset({3, 5, 6}))
     """
     seen: set[int] = set()
@@ -419,7 +417,7 @@ def coset_mul_conjugate_type(T: CMType) -> CMType:
     return coset_mul_translate(T, T.field.conductor - 1)
 
 
-def coset_mul_stabilizer(T: CMType) -> Subgroup:
+def coset_mul_stabilizer(T: CMType) -> frozenset[int]:
     """Union of the Galois elements g with g psi = psi, trying every g."""
     K = T.field
     m = K.conductor
@@ -428,7 +426,7 @@ def coset_mul_stabilizer(T: CMType) -> Subgroup:
     for g in quotient_cosets(m, K.fixed_group):
         if {coset_mul(m, g, c) for c in psi} == psi:
             residues |= g
-    return Subgroup(m, frozenset(residues))
+    return frozenset(residues)
 
 
 def coset_mul_restriction_multiplicities(D: WeilDatum) -> dict[int, int]:

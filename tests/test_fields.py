@@ -7,6 +7,7 @@ from sympy import jacobi_symbol, primerange
 from cmtwist.fields import (
     MAX_CONDUCTOR,
     _coset_rep,
+    _fixed_field,
     compositum,
     coset,
     cyclotomic,
@@ -26,6 +27,7 @@ from cmtwist import fields
 from cmtwist.residues import (
     _unit_generators,
     invariant_factors,
+    subgroup,
     subgroup_generated,
     unit_group,
 )
@@ -79,7 +81,7 @@ class TestConstructors:
     def test_quadratic_minus7(self):
         K = quadratic(-7)
         assert K.conductor == 7
-        assert K.fixed_group.sorted_elements() == (1, 2, 4)
+        assert K.fixed_group == frozenset({1, 2, 4})
 
     def test_quadratic_minus3_is_third_cyclotomic(self):
         assert quadratic(-3) == cyclotomic(3)
@@ -99,20 +101,20 @@ class TestConstructors:
                 if (2 * d) % p == 0:
                     continue
                 splits = pow(d % p, (p - 1) // 2, p) == 1
-                assert splits == (p % m in K.fixed_group.elements), (d, p)
+                assert splits == (p % m in K.fixed_group), (d, p)
 
     def test_quadratic_kernel_matches_kronecker_scan(self):
         for d in range(-1500, 1501):
             disc = d if d % 4 == 1 else 4 * d
             if d not in (0, 1) and abs(disc) <= 1500 and is_squarefree(d):
-                assert quadratic(d).fixed_group.elements == kronecker_scan_quadratic_kernel(d), d
+                assert quadratic(d).fixed_group == kronecker_scan_quadratic_kernel(d), d
 
     # d = 1 mod 4 has disc = d, any other d has |disc| = 4|d|
     @given(st.integers(-10**4, 10**4).map(lambda d: d if d % 4 == 1 else d // 4))
     @settings(max_examples=40, deadline=None)
     def test_quadratic_kernel_matches_kronecker_scan_at_larger_discriminants(self, d):
         assume(d not in (0, 1) and is_squarefree(d))
-        assert quadratic(d).fixed_group.elements == kronecker_scan_quadratic_kernel(d)
+        assert quadratic(d).fixed_group == kronecker_scan_quadratic_kernel(d)
 
     def test_quadratic_evaluates_the_character_on_generators_only(self, monkeypatch):
         calls = []
@@ -152,7 +154,7 @@ class TestLatticeOperations:
         K = example41_field()
         assert K.conductor == 51
         assert K.degree == 16
-        assert K.fixed_group.sorted_elements() == (1, 16)
+        assert K.fixed_group == frozenset({1, 16})
 
     def test_intersect_coprime_conductors(self):
         # normalized conductors make a common subfield compare equal
@@ -220,6 +222,27 @@ class TestLatticeOperations:
             assert again == K
 
 
+def test_unchecked_constructors_build_subgroups():
+    # cyclotomic, quadratic and maximal_real_subfield hand their fixed group
+    # to _fixed_field without a closure check, and no type marks a checked
+    # set, so this is what shows the skipped check would have passed
+    quadratics = [quadratic(d) for d in range(-199, 200) if d not in (0, 1)
+                  and is_squarefree(d) and abs(d if d % 4 == 1 else 4 * d) < 200]
+    corpus = (
+        list(cm_fields(40, 8))
+        + [maximal_real_subfield(K) for K in cm_fields(40, 8)]
+        + [cyclotomic(m) for m in range(1, 200)]
+        + [maximal_real_subfield(cyclotomic(m)) for m in range(1, 200)]
+        + quadratics
+        + [example41_field(), compositum(quadratic(-3), cyclotomic(5)),
+           compositum(quadratic(-1), quadratic(5)), compositum(quadratic(-3), quadratic(-7))]
+    )
+    assert len(quadratics) == 122
+    for K in corpus:
+        assert subgroup(K.conductor, K.fixed_group) == K.fixed_group, K
+        assert _fixed_field(K.conductor, K.fixed_group) == K, K
+
+
 class TestCMStructure:
     def test_predicates(self):
         assert is_cm(cyclotomic(7))
@@ -232,7 +255,7 @@ class TestCMStructure:
         # adjoin -1 = 6 to the trivial fixed group
         L = maximal_real_subfield(cyclotomic(7))
         assert L.degree == 3
-        assert L.fixed_group.sorted_elements() == (1, 6)
+        assert L.fixed_group == frozenset({1, 6})
 
     def test_conjugation_coset(self):
         # the lookup rep[m - 1] the CLI runs for complex conjugation
@@ -353,6 +376,6 @@ def test_field_hashable_and_comparable():
 
 def test_invalid_subgroup_data_rejected():
     with pytest.raises(ValueError):
-        field_from(7, subgroup_generated(5, [4]))
+        field_from(7, subgroup_generated(5, [4]))  # {1, 4} is closed mod 5, not mod 7
     with pytest.raises(ValueError):
         field_from(7, [1, 3])  # not closed

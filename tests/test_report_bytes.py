@@ -73,7 +73,7 @@ def digest(jobs) -> tuple[str, dict[int, int]]:
 
 def coset_lists(K) -> list[list[int]]:
     """Cosets of the fixed group as sorted residue lists, by least residue."""
-    m, H = K.conductor, K.fixed_group.elements
+    m, H = K.conductor, K.fixed_group
     seen: set[int] = set()
     cosets = []
     for x in range(1, m):
