@@ -20,7 +20,7 @@ from .cmtypes import (
     WeilDatum,
     balance_product,
     is_weil_type,
-    reflex_types,
+    reflex,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -28,11 +28,9 @@ from .cmtypes import (
     weil_r,
 )
 from .twists import (
-    CharacterSpec,
     Conclusion,
     HypothesisError,
     discond_groups,
-    make_character,
     twist_e,
     twist_x,
 )
@@ -45,7 +43,6 @@ from .inertia import (
 __all__ = [
     "AbelianField",
     "CMType",
-    "CharacterSpec",
     "Conclusion",
     "HypothesisError",
     "WeilDatum",
@@ -60,10 +57,9 @@ __all__ = [
     "is_totally_real",
     "is_weil_type",
     "kitself_certificate",
-    "make_character",
     "maximal_real_subfield",
     "quadratic",
-    "reflex_types",
+    "reflex",
     "restriction_multiplicities",
     "roots_of_unity_order",
     "stabilizer",

@@ -20,18 +20,17 @@ from typing import AbstractSet, Any, Callable, Optional
 from . import __version__
 from .cmtypes import (
     CMType,
+    WeilDatum,
     balance_product,
     is_weil_type,
-    reflex_types,
+    reflex,
     restriction_multiplicities,
-    stabilizer,
     validate_cm_type,
     weil_datum,
     weil_r,
 )
 from .fields import (
     AbelianField,
-    _fixed_field,
     compositum,
     coset,
     cyclotomic,
@@ -56,7 +55,6 @@ from .twists import (
     Hypothesis,
     HypothesisError,
     discond_groups,
-    make_character,
     twist_e,
     twist_x,
 )
@@ -69,7 +67,6 @@ class InputError(ValueError):
 class JobSpec:
     command: str
     payload: dict
-    output_path: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -317,17 +314,14 @@ def _parse_assume(obj: Any, allowed: set[str], where: str) -> dict[str, bool]:
 def validate_input(document: Any) -> JobSpec:
     """Strict validation of a job document {"command": ..., "payload": {...}}."""
     document = _require_mapping(document, "job")
-    _check_keys(document, {"command"}, {"payload", "output"}, "job")
+    _check_keys(document, {"command"}, {"payload"}, "job")
     command = document["command"]
     if not isinstance(command, str) or command not in _COMMANDS:
         raise InputError(f"job.command: unknown command {command!r}")
     payload = _require_mapping(document.get("payload", {}), "payload")
     spec = _COMMANDS[command]
     _check_keys(payload, spec.required, spec.optional, "payload")
-    output = document.get("output")
-    if output is not None and not isinstance(output, str):
-        raise InputError("job.output: expected a string path")
-    return JobSpec(command, payload, output)
+    return JobSpec(command, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +372,7 @@ def _run_field(payload: dict) -> Conclusion:
 def _run_cmtype(payload: dict) -> Conclusion:
     K = parse_field_literal(payload["field"])
     T, basis = parse_cm_type(K, payload["type"])
-    stab = stabilizer(T)
-    refl = _fixed_field(K.conductor, stab)    # the reflex field
-    inv, conj = reflex_types(T, refl)
+    stab, refl, inv, conj = reflex(T)
     results = {
         "field": field_dict(K),
         "type": _cmtype_list(T),
@@ -405,6 +397,17 @@ def _run_cmtype(payload: dict) -> Conclusion:
 _TWIST_X_ASSUME = {"end_field_equal", "phi_base_equal", "aut_valued", "base_central"}
 _TWIST_E_ASSUME = {"hom_xy_zero", "end_fields_equal", "phi_base_equal"}
 
+
+def _twist_report(datum: WeilDatum, twist: Conclusion) -> Conclusion:
+    """A twist theorem's conclusion, its section nested under ``twist``."""
+    return replace(twist, results={
+        "base": field_dict(datum.base),
+        "multiplicities": _mults_list(datum.base, restriction_multiplicities(datum)),
+        "weil_r": weil_r(datum),
+        "twist": twist.results,
+    })
+
+
 def _run_twist_x(payload: dict) -> Conclusion:
     base = parse_field_literal(payload["base"], "base")
     datum = _parse_components(base, payload["components"], "components")
@@ -413,15 +416,9 @@ def _run_twist_x(payload: dict) -> Conclusion:
     label = char_obj.get("label", "M")
     if not isinstance(label, str):
         raise InputError("character.label: expected a string")
-    char = make_character(base, _require_int(char_obj["order"], "character.order"), label)
+    order = _require_int(char_obj["order"], "character.order")
     assume = _parse_assume(payload.get("assume"), _TWIST_X_ASSUME, "assume")
-    twist = twist_x(datum, char, **assume)
-    return replace(twist, results={
-        "base": field_dict(base),
-        "multiplicities": _mults_list(base, restriction_multiplicities(datum)),
-        "weil_r": twist.results["r"],
-        "twist": twist.results,
-    })
+    return _twist_report(datum, twist_x(datum, order, label, **assume))
 
 
 def _run_twist_e(payload: dict) -> Conclusion:
@@ -433,13 +430,7 @@ def _run_twist_e(payload: dict) -> Conclusion:
     if not isinstance(label, str):
         raise InputError("label: expected a string")
     assume = _parse_assume(payload.get("assume"), _TWIST_E_ASSUME, "assume")
-    twist = twist_e(dim_x, dim_y, base, datum, extension_label=label, **assume)
-    return replace(twist, results={
-        "base": field_dict(base),
-        "multiplicities": _mults_list(base, restriction_multiplicities(datum)),
-        "weil_r": weil_r(datum),
-        "twist": twist.results,
-    })
+    return _twist_report(datum, twist_e(dim_x, dim_y, datum, extension_label=label, **assume))
 
 
 def _run_discond(payload: dict) -> Conclusion:
@@ -516,12 +507,11 @@ def _run_example_41(payload: dict) -> Conclusion:
     T = validate_cm_type(K, residues)
     datum = weil_datum(k, [T])
     counts = restriction_multiplicities(datum)
-    char = make_character(k, 3, "M")
-    twist = twist_x(datum, char)
+    twist = twist_x(datum, 3)
     degrees = twist.results["conclusions"]
-    stab = stabilizer(T)
+    stab, refl, _, _ = reflex(T)
     primitive = stab == K.fixed_group
-    reflex_is_K = _fixed_field(K.conductor, stab) == K
+    reflex_is_K = refl == K
     results = {
         "field_K": field_dict(K),
         "field_k": field_dict(k),
@@ -560,8 +550,7 @@ def _run_example_42(payload: dict) -> Conclusion:
     q = _require_int(payload.get("q", 17), "q")
     K = cyclotomic(7)
     T = validate_cm_type(K, [1, 2, 3])
-    refl = _fixed_field(K.conductor, stabilizer(T))
-    refl_inv, refl_conj = reflex_types(T, refl)
+    _, refl, refl_inv, refl_conj = reflex(T)
     k = quadratic(-7)
     datum_j = weil_datum(k, [T])
     counts_j = restriction_multiplicities(datum_j)
@@ -571,7 +560,7 @@ def _run_example_42(payload: dict) -> Conclusion:
     datum = weil_datum(k, [T, balancing])
     counts = restriction_multiplicities(datum)
     cert = base_certificate(p, q)
-    twist = twist_e(3, 1, k, datum, extension_label="L_d")
+    twist = twist_e(3, 1, datum, extension_label="L_d")
     concluded = cert.concluded and twist.concluded
     results = {
         "field_K": field_dict(K),
@@ -709,16 +698,12 @@ def _summary_lines(report: Report) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload = _payload_from_args(args)
-        job = validate_input(
-            {"command": args.command, "payload": payload,
-             **({"output": args.output} if args.output else {})}
-        )
-        report = run(job)
+        report = run(validate_input({"command": args.command,
+                                     "payload": _payload_from_args(args)}))
         # the summary path reads no bytes, so only --json or --output emits
-        text = report.to_json() if args.json or job.output_path else None
-        if job.output_path:
-            with open(job.output_path, "w", encoding="utf-8") as fh:
+        text = report.to_json() if args.json or args.output else None
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except (InputError, OSError, RecursionError) as exc:
         depth = exc if isinstance(exc, RecursionError) else exc.__cause__

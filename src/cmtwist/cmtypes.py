@@ -14,6 +14,10 @@ residues (``fields._coset_rep``): g*c is ``rep[g * c % m]``, the conjugate
 of c is ``rep[(m - 1) * c % m]``, and c restricts to the subfield k as
 ``rep_k[c % m_k]``.  So the stabilizer of psi costs |psi|^2 lookups.
 Elements become residue lists only in reports and error messages.
+
+A type fixes its reflex field, the fixed field of its stabilizer, so
+:func:`reflex` takes the type alone and returns the stabilizer, the
+reflex field and both reflex types.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Iterable, Optional
 from .fields import (
     AbelianField,
     _coset_rep,
+    _fixed_field,
     coset,
     galois_group,
     is_cm,
@@ -89,25 +94,27 @@ def stabilizer(T: CMType) -> frozenset[int]:
     return frozenset(g * h % m for g in stab for h in K.fixed_group)
 
 
-def reflex_types(T: CMType, refl: AbelianField) -> tuple[CMType, CMType]:
-    """Reflex CM-types of T on its reflex field ``refl``, under both conventions.
+def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
+    """The stabilizer of T, its fixed field (the reflex field), and the
+    reflex CM-types on it under both conventions.
 
-    The first restricts {sigma^-1 : sigma in psi} to ``refl``, the second
-    the conjugate half-system; both are valid CM-types on ``refl``, the
-    fixed field of :func:`stabilizer`.
+    The first type restricts {sigma^-1 : sigma in psi} to the reflex field,
+    the second the conjugate half-system.  The stabilizer is built as a
+    subgroup, so its field skips the closure check of
+    :func:`~cmtwist.fields.field_from`.
 
-    >>> from .fields import cyclotomic, field_from
-    >>> T = validate_cm_type(cyclotomic(7), [1, 2, 4])
-    >>> [R.sorted_psi() for R in reflex_types(T, field_from(7, stabilizer(T)))]
-    [((1, 2, 4),), ((3, 5, 6),)]
+    >>> from .fields import cyclotomic
+    >>> stab, refl, inv, conj = reflex(validate_cm_type(cyclotomic(7), [1, 2, 4]))
+    >>> sorted(stab), refl.degree, inv.sorted_psi(), conj.sorted_psi()
+    ([1, 2, 4], 2, ((1, 2, 4),), ((3, 5, 6),))
     """
-    K = T.field
-    if not is_subfield(refl, K):
-        raise ValueError("restriction target is not a subfield")
-    m, m_r, rep_r = K.conductor, refl.conductor, _coset_rep(refl)
+    m = T.field.conductor
+    stab = stabilizer(T)
+    refl = _fixed_field(m, stab)
+    m_r, rep_r = refl.conductor, _coset_rep(refl)
     inverse = (rep_r[pow(c, -1, m) % m_r] for c in T.psi)
     conjugate = (rep_r[(m - 1) * c % m_r] for c in T.psi)
-    return validate_cm_type(refl, inverse), validate_cm_type(refl, conjugate)
+    return stab, refl, validate_cm_type(refl, inverse), validate_cm_type(refl, conjugate)
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +144,19 @@ def weil_datum(base: AbelianField, components: Iterable[CMType]) -> WeilDatum:
     return WeilDatum(base, comps)
 
 
-def weil_r_from_dims(dim_a: int, base_degree: int) -> int:
-    """r = 2 dim(A) / [k:Q], which must come out an integer.
+def weil_r(D: WeilDatum) -> int:
+    """r = 2 dim(A) / [k:Q], which must come out a positive integer.
 
-    >>> weil_r_from_dims(8, 2)
-    8
+    >>> from .fields import cyclotomic, quadratic
+    >>> weil_r(weil_datum(quadratic(-7), [validate_cm_type(cyclotomic(7), [1, 2, 4])]))
+    3
     """
-    r, rem = divmod(2 * dim_a, base_degree)
+    r, rem = divmod(2 * D.dim, D.base.degree)
     if rem != 0 or r <= 0:
         raise ValueError(
-            f"2*dim/[k:Q] = 2*{dim_a}/{base_degree} is not a positive integer"
+            f"2*dim/[k:Q] = 2*{D.dim}/{D.base.degree} is not a positive integer"
         )
     return r
-
-
-def weil_r(D: WeilDatum) -> int:
-    return weil_r_from_dims(D.dim, D.base.degree)
 
 
 def restriction_multiplicities(D: WeilDatum) -> dict[int, int]:

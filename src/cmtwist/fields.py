@@ -7,8 +7,8 @@ everywhere in :mod:`cmtwist.residues`, so compositum, subfield tests and
 real subfields reduce to set arithmetic.  :func:`field_from` checks that
 a given set is a subgroup; the constructors that build H from generators
 (:func:`cyclotomic`, :func:`quadratic`, :func:`maximal_real_subfield`,
-and the reflex fields of :mod:`cmtwist.cli`) skip that check through the
-private normalizer ``_fixed_field``.
+and :func:`cmtwist.cmtypes.reflex`, from a stabilizer) skip that check
+through the private normalizer ``_fixed_field``.
 
 A Galois element of K is one int: the least residue of its coset of H,
 so Gal(K/Q) is the ascending tuple :func:`galois_group` and the private

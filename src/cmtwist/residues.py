@@ -241,13 +241,13 @@ def _quotient_basis(m: int, H: frozenset[int]) -> list[tuple[int, int]]:
     adjusted = []
     for y, ey in rest:
         # y^ey lands in <x, H>; write it as x^c mod H, then cancel x^(c/ey)
-        # so the lift keeps order exactly ey.
+        # so the lift keeps order exactly ey.  Were ey not to divide c, the
+        # lift's ey-th power x^(c mod ey) would lie outside H, and
+        # is_quotient_basis would refuse the basis.
         t, c = pow(y, ey, m), 0
         while t not in H:
             t = (t * x_inv) % m
             c += 1
-        if c % ey != 0:
-            raise AssertionError("basis adjustment failed: order obstruction")
         adjusted.append(((y * pow(x_inv, c // ey, m)) % m, ey))
     return [(x, e)] + adjusted
 

@@ -5,6 +5,8 @@ acting CM field, the reports below record exactly what the group theory
 forces about the twisted variety's connectedness extension: a divisor
 bound gcd(n, 2r) refined through the roots of unity of the value field,
 exact degrees when that bound collapses to 1 or 2, and nothing else.
+The acting field is the datum's base k, so a character is given by its
+order n alone (:func:`twist_x`), or is the quadratic one (:func:`twist_e`).
 
 Each theorem is held as a table of rows (statement, names of the
 hypotheses it rests on), and every hypothesis becomes a
@@ -25,7 +27,7 @@ from math import gcd
 from typing import Iterable
 
 from .cmtypes import WeilDatum, is_weil_type, weil_r
-from .fields import AbelianField, is_subfield, roots_of_unity_order
+from .fields import roots_of_unity_order
 
 
 class HypothesisError(ValueError):
@@ -94,37 +96,6 @@ HYP_T_ODD = "dim(X) = t dim(Y) for some odd positive integer t"
 HYP_QUADRATIC = "c is the non-trivial character of the quadratic extension M/F"
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
-    """Finite-order character valued in the roots of unity of a number field.
-
-    ``extension_label`` names the cyclic degree-n extension M of the ground
-    field cut out by the character; M itself is never constructed.
-    """
-
-    value_field: AbelianField
-    order: int
-    extension_label: str
-
-
-def make_character(k: AbelianField, n: int, label: str = "M") -> CharacterSpec:
-    """Character of exact order n with values mu_n(k); needs n | w(k).
-
-    >>> from .fields import quadratic
-    >>> make_character(quadratic(-3), 3).order
-    3
-    """
-    if n < 2:
-        raise ValueError(f"character order must be at least 2, got {n}")
-    w = roots_of_unity_order(k)
-    if gcd(n, w) != n:
-        raise HypothesisError(
-            f"character with image mu_{n}(k) impossible in this field",
-            f"w(k) = {w} is not divisible by {n}",
-        )
-    return CharacterSpec(k, n, label)
-
-
 def discond_groups(n: int, d: int) -> dict:
     """Split Gal(M/F) of order n into the two cyclic layers.
 
@@ -149,37 +120,50 @@ def _leading_names(hypotheses: tuple[Hypothesis, ...]) -> list[str]:
 
 def twist_x(
     D: WeilDatum,
-    c: CharacterSpec,
+    n: int,
+    label: str = "M",
     *,
     end_field_equal: bool = True,
     phi_base_equal: bool = True,
     aut_valued: bool = True,
     base_central: bool = True,
 ) -> Conclusion:
-    """Run the single-variety twist theorem on a Weil datum and character.
+    """Run the single-variety twist theorem on a Weil datum and a character
+    of exact order n with values mu_n(k), k = D.base; ``label`` names the
+    cyclic degree-n extension M the character cuts out.
 
-    Checked hypotheses raise :class:`HypothesisError` naming the violated
-    condition.  Assumed flags become records; a false one withholds every
-    statement resting on it and leaves the report unconcluded.
+    An order below 2 raises ``ValueError``.  Checked hypotheses raise
+    :class:`HypothesisError` naming the violated condition.  Assumed flags
+    become records; a false one withholds every statement resting on it
+    and leaves the report unconcluded.
+
+    >>> from .cmtypes import validate_cm_type, weil_datum
+    >>> from .fields import quadratic
+    >>> k = quadratic(-3)
+    >>> D = weil_datum(k, [validate_cm_type(k, [1]), validate_cm_type(k, [2])])
+    >>> twist_x(D, 3).results["conclusions"]["phiB_over_F_exact"]
+    3
     """
-    k = c.value_field
-    if k != D.base or not all(is_subfield(k, T.field) for T in D.components):
-        raise HypothesisError(HYP_VALUES_IN_K,
-                              "character value field must be the datum's base field")
+    if n < 2:
+        raise ValueError(f"character order must be at least 2, got {n}")
+    w_k = roots_of_unity_order(D.base)
+    if w_k % n != 0:
+        raise HypothesisError(
+            f"character with image mu_{n}(k) impossible in this field",
+            f"w(k) = {w_k} is not divisible by {n}",
+        )
     r = weil_r(D)
     if r % 2 != 0:
         raise HypothesisError(HYP_R_EVEN, f"r = {r}")
-    n = c.order
     if r % n == 0:
         raise HypothesisError(HYP_N_NOT_DIVIDING_R, f"n = {n} divides r = {r}")
     if not is_weil_type(D):
         raise HypothesisError(HYP_WEIL_TYPE)
 
     t = gcd(n, 2 * r)
-    w_k = roots_of_unity_order(k)
     mu_bound = gcd(t, w_k)
-    label = c.extension_label
     hypotheses = (
+        # n | w(k), checked above: mu_n lies in k^x
         Hypothesis(HYP_VALUES_IN_K, "checked", True),
         Hypothesis(HYP_R_EVEN, "checked", True),
         Hypothesis(HYP_N_NOT_DIVIDING_R, "checked", True),
@@ -228,7 +212,6 @@ def twist_x(
 def twist_e(
     dim_x: int,
     dim_y: int,
-    k: AbelianField,
     D: WeilDatum,
     *,
     extension_label: str = "M",
@@ -236,19 +219,22 @@ def twist_e(
     end_fields_equal: bool = True,
     phi_base_equal: bool = True,
 ) -> Conclusion:
-    """Quadratic twist of the elliptic-type factor of a Weil-type product.
+    """Quadratic twist of the elliptic-type factor of a Weil-type product,
+    by a character with values in k^x, k = D.base.
 
-    Hypotheses are checked and recorded as in :func:`twist_x`.
+    A dimension below 1 raises ``ValueError``; hypotheses are checked and
+    recorded as in :func:`twist_x`.
     """
+    if dim_x < 1 or dim_y < 1:
+        raise ValueError(
+            f"dimensions must be positive, got dim(X) = {dim_x}, dim(Y) = {dim_y}")
+    k = D.base
     if k.degree != 2 * dim_y:
         raise HypothesisError(HYP_DEG_K,
                               f"[k:Q] = {k.degree}, dim(Y) = {dim_y}")
     t, rem = divmod(dim_x, dim_y)
-    if rem != 0 or t <= 0 or t % 2 == 0:
+    if rem != 0 or t % 2 == 0:
         raise HypothesisError(HYP_T_ODD, f"dim(X)/dim(Y) = {dim_x}/{dim_y}")
-    if D.base != k:
-        raise HypothesisError(HYP_VALUES_IN_K,
-                              "datum base must be the twisting CM field")
     if D.dim != dim_x + dim_y:
         raise ValueError(
             f"datum dimension {D.dim} does not match dim(X) + dim(Y) = {dim_x + dim_y}"
@@ -260,6 +246,7 @@ def twist_e(
     hypotheses = (
         Hypothesis(HYP_DEG_K, "checked", True),
         Hypothesis(HYP_T_ODD, "checked", True),
+        # by construction: the character takes values in D.base = k
         Hypothesis(HYP_VALUES_IN_K, "checked", True),
         Hypothesis(HYP_WEIL_TYPE, "checked", True),
         # by construction: twist_e twists by exactly this character

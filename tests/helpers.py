@@ -281,7 +281,7 @@ def quotient_order_histogram(m: int, H: frozenset[int]) -> Counter:
 
 
 def reflex_field(T: CMType) -> AbelianField:
-    """Fixed field of the stabilizer of psi, as the CLI handlers build it."""
+    """Fixed field of the stabilizer of psi, as ``cmtypes.reflex`` builds it."""
     return _fixed_field(T.field.conductor, stabilizer(T))
 
 

@@ -8,7 +8,7 @@ from sympy import primerange
 
 from cmtwist.cli import EXAMPLE_42_ASSUMED, JobSpec, run
 from cmtwist.cmtypes import (
-    reflex_types,
+    reflex,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
@@ -17,7 +17,7 @@ from cmtwist.cmtypes import (
 from cmtwist.fields import cyclotomic, field_from, quadratic
 from cmtwist.inertia import base_certificate, kitself_certificate
 from cmtwist.residues import invariant_factors, subgroup_generated
-from cmtwist.twists import make_character, twist_x
+from cmtwist.twists import twist_x
 from helpers import (
     all_cm_types,
     brute_stabilizer_subgroup,
@@ -69,7 +69,7 @@ def test_criterion_2_cm_type():
 
 def test_criterion_3_cubic_twist_conclusion():
     D = weil_datum(quadratic(-3), [example41_type()])
-    res = twist_x(D, make_character(quadratic(-3), 3, "M")).results
+    res = twist_x(D, 3, "M").results
     ok = (
         res["n"] == 3
         and res["r"] == 8
@@ -83,10 +83,9 @@ def test_criterion_3_cubic_twist_conclusion():
 
 def test_criterion_4_reflex_conventions():
     T = validate_cm_type(cyclotomic(7), [1, 2, 3])
-    refl = reflex_field(T)
-    inv, conj = reflex_types(T, refl)
+    _, refl, inv, conj = reflex(T)
     ok = (
-        refl == cyclotomic(7)
+        refl == reflex_field(T) == cyclotomic(7)
         and conj.sorted_psi() == ((4,), (5,), (6,))
         and inv.sorted_psi() == ((1,), (4,), (5,))
     )
@@ -173,13 +172,11 @@ def test_criterion_9_twist_report_sweep():
     checked = 0
     good = 0
     for n in range(2, 51):
-        k, _ = synthetic_weil_datum(n, 2)
-        c = make_character(k, n)
         for r in range(2, 51, 2):
             if r % n == 0:
                 continue
             _, D = synthetic_weil_datum(n, r)
-            res = twist_x(D, c).results
+            res = twist_x(D, n).results
             t, mu, deg = res["t"], res["mu_bound"], res["conclusions"]
             exact = deg["exact_m_over_phiB"]
             checked += 1

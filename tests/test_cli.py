@@ -66,6 +66,11 @@ class TestValidateInput:
         with pytest.raises(InputError, match="unknown key"):
             validate_input({"command": "inertia", "payload": {"p": 3}, "when": 1})
 
+    def test_output_is_not_a_job_key(self):
+        # --output is a command-line flag; main() writes the file itself
+        with pytest.raises(InputError, match=r"^job: unknown key\(s\) \['output'\]$"):
+            validate_input({"command": "inertia", "payload": {"p": 3}, "output": "r.json"})
+
     def test_non_integer_rejected(self):
         job = validate_input({"command": "inertia", "payload": {"p": "3"}})
         with pytest.raises(InputError, match="expected an integer"):
@@ -412,6 +417,36 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "datum dimension 4" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dim_x, dim_y", [(3, 0), (3, -1), (0, 1)])
+    def test_twist_e_non_positive_dimension_is_input_error(self, dim_x, dim_y, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({**EXAMPLE_42_TWIST_E, "dim_x": dim_x, "dim_y": dim_y}))
+        assert main(["twist-e", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"input error: payload: dimensions must be positive, "
+                       f"got dim(X) = {dim_x}, dim(Y) = {dim_y}\n"), err
+
+    def test_twist_e_positive_degree_mismatch_is_a_hypothesis_failure(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({**EXAMPLE_42_TWIST_E, "dim_x": 3, "dim_y": 2}))
+        assert main(["twist-e", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("hypothesis failure: hypothesis violated: [k:Q] = 2 dim(Y) "
+                       "([k:Q] = 2, dim(Y) = 2)\n"), err
+
+    def test_twist_x_reads_assume_before_the_character_checks(self, tmp_path, capsys):
+        # order 4 is impossible over Q(sqrt -3), w = 6; a malformed assume
+        # is reported first, as in twist-e
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({**example41_twist_job(4), "assume": {"aut_valued": 1}}))
+        assert main(["twist-x", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "input error: assume.aut_valued: expected a boolean\n"
+        path.write_text(json.dumps({**example41_twist_job(4), "assume": {"aut_valued": True}}))
+        assert main(["twist-x", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "hypothesis failure: hypothesis violated: character with image mu_4(k) "
+            "impossible in this field (w(k) = 6 is not divisible by 4)\n")
 
     def test_trivial_character_order_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "job.json"

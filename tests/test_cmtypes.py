@@ -5,19 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtwist.cmtypes import (
+    WeilDatum,
     balance_product,
     is_weil_type,
-    reflex_types,
+    reflex,
     restriction_multiplicities,
     stabilizer,
     validate_cm_type,
     weil_datum,
     weil_r,
-    weil_r_from_dims,
 )
 from cmtwist.fields import (
     _coset_rep,
-    _fixed_field,
     compositum,
     cyclotomic,
     field_from,
@@ -144,13 +143,14 @@ class TestStabilizerAndReflex:
 
 
 def test_stabilizer_fields_match_the_checked_path():
-    # the CLI builds reflex fields by _fixed_field, skipping the closure
-    # check that field_from runs on the same stabilizer
+    # reflex builds its field by _fixed_field, skipping the closure check
+    # that field_from runs on the same stabilizer
     for K in cm_fields(40, 8):
         m = K.conductor
         for T in all_cm_types(K):
-            stab = stabilizer(T)
-            assert field_from(m, stab) == _fixed_field(m, stab), T
+            stab, refl, _, _ = reflex(T)
+            assert stab == stabilizer(T), T
+            assert refl == field_from(m, stabilizer(T)), T
 
 
 class TestReflexType:
@@ -158,13 +158,15 @@ class TestReflexType:
         T = jacobian_type()
         # inverses: 2*4 = 1 and 3*5 = 1 mod 7
         assert pow(2, -1, 7) == 4 and pow(3, -1, 7) == 5
-        inv, conj = reflex_types(T, reflex_field(T))
+        _, refl, inv, conj = reflex(T)
+        assert refl == reflex_field(T) == T.field
         assert inv.sorted_psi() == ((1,), (4,), (5,))
         assert conj.sorted_psi() == ((4,), (5,), (6,))
 
     def test_quadratic_reflex(self):
         T = validate_cm_type(SQRT_M7, [1])
-        inv, conj = reflex_types(T, reflex_field(T))
+        _, refl, inv, conj = reflex(T)
+        assert refl == reflex_field(T)
         assert inv.psi == {galois_group(SQRT_M7)[0]}
         # the conjugate convention flips a quadratic type to the other one
         assert conj.psi == {least(conjugation_set(SQRT_M7))}
@@ -172,14 +174,11 @@ class TestReflexType:
     def test_reflex_always_validates(self):
         for K in cm_fields(26, 6):
             for T in all_cm_types(K):
-                refl = reflex_field(T)
-                for r in reflex_types(T, refl):
+                _, refl, *types = reflex(T)
+                assert refl == reflex_field(T)
+                for r in types:
                     assert r.field == refl
                     assert len(r.psi) == refl.degree // 2
-
-    def test_reflex_target_must_be_a_subfield(self):
-        with pytest.raises(ValueError, match="restriction target is not a subfield"):
-            reflex_types(jacobian_type(), quadratic(-3))
 
 
 class TestMultiplicities:
@@ -253,10 +252,12 @@ class TestWeilDatum:
 
     def test_non_integral_r_rejected(self):
         # dim 3 over a quadratic base still gives the integer r = 3 (odd);
-        # genuine non-integrality needs [k:Q] not dividing 2 dim
-        assert weil_r_from_dims(3, 2) == 3
+        # genuine non-integrality needs [k:Q] not dividing 2 dim, which
+        # weil_datum never builds (each component's degree is a multiple
+        # of [k:Q]), so the datum is put together by hand
+        assert weil_r(weil_datum(SQRT_M7, [jacobian_type()])) == 3
         with pytest.raises(ValueError, match="not a positive integer"):
-            weil_r_from_dims(3, 4)
+            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),)))
 
     def test_base_must_be_subfield(self):
         with pytest.raises(ValueError, match="not a subfield"):

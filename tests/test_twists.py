@@ -14,7 +14,6 @@ from cmtwist.twists import (
     Hypothesis,
     HypothesisError,
     discond_groups,
-    make_character,
     twist_e,
     twist_x,
 )
@@ -30,35 +29,43 @@ def datum_41():
 
 
 def datum_42():
-    K7 = cyclotomic(7)
     k = quadratic(-7)
-    return k, weil_datum(
-        k, [validate_cm_type(K7, [1, 2, 3]), validate_cm_type(k, [3])]
-    )
+    return weil_datum(k, [validate_cm_type(cyclotomic(7), [1, 2, 3]), validate_cm_type(k, [3])])
 
 
 class TestMakeCharacter:
+    """The character checks that open twist_x: n >= 2 and n | w(k), k = D.base."""
+
     def test_cubic_over_sqrt_minus3(self):
-        c = make_character(quadratic(-3), 3)
-        assert c.order == 3
+        assert twist_x(datum_41(), 3).results["n"] == 3
 
     def test_quadratic_always_possible(self):
-        assert make_character(quadratic(-7), 2).order == 2
+        # w(k) is even, so order 2 passes the character check; it then
+        # divides the even r, which twist_x refuses next
+        for D in (datum_41(), datum_42(), synthetic_weil_datum(2, 2)[1],
+                  synthetic_weil_datum(5, 4)[1]):
+            with pytest.raises(HypothesisError, match="n does not divide r"):
+                twist_x(D, 2)
 
     def test_cubic_impossible_over_sqrt_minus7(self):
-        # w(Q(sqrt -7)) = 2, so no cubic values exist
+        # w(Q(sqrt -7)) = 2, so no cubic values exist (3 does not divide r = 4)
         with pytest.raises(HypothesisError, match="impossible in this field"):
-            make_character(quadratic(-7), 3)
+            twist_x(datum_42(), 3)
 
     def test_order_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            make_character(quadratic(-3), 1)
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least 2") as info:
+                twist_x(datum_41(), n)
+            assert not isinstance(info.value, HypothesisError)
 
     def test_order_divides_roots_of_unity(self):
-        for n in range(2, 20):
-            k = cyclotomic(2 * n)
-            c = make_character(k, n)
-            assert roots_of_unity_order(c.value_field) % c.order == 0
+        # n = 2 divides every even r: test_quadratic_always_possible has it
+        for n in range(3, 20):
+            k, D = synthetic_weil_datum(n, 2)
+            assert D.base == k == cyclotomic(2 * n)
+            res = twist_x(D, n).results
+            assert res["n"] == n and res["w_k"] == roots_of_unity_order(k)
+            assert res["w_k"] % n == 0
 
 
 def layer_orders(res: dict) -> tuple[int, int]:
@@ -93,7 +100,7 @@ class TestDiscondGroups:
 
 class TestTwistX:
     def test_paper_cubic_twist(self):
-        rep = twist_x(datum_41(), make_character(quadratic(-3), 3))
+        rep = twist_x(datum_41(), 3)
         res, deg = rep.results, rep.results["conclusions"]
         assert (res["n"], res["r"], res["t"]) == (3, 8, 1)
         assert res["mu_bound"] == 1
@@ -105,7 +112,7 @@ class TestTwistX:
     def test_exact_two_when_t_two(self):
         # order 6 over the 12th cyclotomic field, r = 2: t = gcd(6, 4) = 2
         k, D = synthetic_weil_datum(6, 2)
-        res = twist_x(D, make_character(k, 6)).results
+        res = twist_x(D, 6).results
         deg = res["conclusions"]
         assert res["t"] == 2
         assert deg["exact_m_over_phiB"] == 2
@@ -117,35 +124,31 @@ class TestTwistX:
         assert roots_of_unity_order(k) == 10
         _, D = synthetic_weil_datum(5, 4)  # same field: cyclotomic(10) = cyclotomic(5)
         assert D.base == k
-        res = twist_x(D, make_character(k, 10)).results
+        res = twist_x(D, 10).results
         assert res["t"] == 2
         assert res["conclusions"]["exact_m_over_phiB"] == 2
         assert res["conclusions"]["phiB_over_F_exact"] == 5
 
     def test_n_dividing_r_rejected(self):
         with pytest.raises(HypothesisError, match="n does not divide r"):
-            twist_x(datum_41(), make_character(quadratic(-3), 2))
+            twist_x(datum_41(), 2)
 
     def test_odd_r_rejected(self):
         k = cyclotomic(12)
         D = weil_datum(k, [validate_cm_type(k, [1, 5])])  # single factor, r = 1
         with pytest.raises(HypothesisError, match="r is even"):
-            twist_x(D, make_character(k, 4))
+            twist_x(D, 4)
 
     def test_unbalanced_datum_rejected(self):
         k = cyclotomic(12)
         psi = validate_cm_type(k, [1, 5])
         lopsided = weil_datum(k, [psi, psi])  # doubles one half-system, r = 2
         with pytest.raises(HypothesisError, match="Weil type"):
-            twist_x(lopsided, make_character(k, 4))
-
-    def test_value_field_mismatch_rejected(self):
-        with pytest.raises(HypothesisError, match="c takes values"):
-            twist_x(datum_41(), make_character(quadratic(-1), 4))
+            twist_x(lopsided, 4)
 
     def test_non_central_rejected(self):
         # an assumed flag never raises: it withholds every statement
-        rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
+        rep = twist_x(datum_41(), 3,
                       base_central=False)
         assert Hypothesis(HYP_CENTRAL, "assumed", False) in rep.hypotheses
         assert rep.statements == () and not rep.concluded
@@ -153,7 +156,7 @@ class TestTwistX:
         assert deg["m_over_phiB_divisor"] is None and not deg["phiB_equals_M"]
 
     def test_unassumed_phi_base_blocks_degree_conclusions(self):
-        rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
+        rep = twist_x(datum_41(), 3,
                       phi_base_equal=False)
         assert rep.statements == LEADING_X and not rep.concluded
         deg = rep.results["conclusions"]
@@ -162,7 +165,7 @@ class TestTwistX:
         assert not deg["phiB_equals_M"]
 
     def test_assumed_flags_echoed(self):
-        rep = twist_x(datum_41(), make_character(quadratic(-3), 3),
+        rep = twist_x(datum_41(), 3,
                       aut_valued=False)
         assert Hypothesis(HYP_AUT_VALUED, "assumed", False) in rep.hypotheses
         assert [h.name for h in rep.hypotheses if not h.holds] == [HYP_AUT_VALUED]
@@ -175,14 +178,13 @@ class TestTwistX:
                     assert gcd(n, 2 * r) == 1
         # spot-check the resulting report at datum level
         k, D = synthetic_weil_datum(9, 4)
-        res = twist_x(D, make_character(k, 9)).results
+        res = twist_x(D, 9).results
         deg = res["conclusions"]
         assert res["t"] == 1 and deg["phiB_equals_M"] and deg["phiB_over_F_exact"] == 9
 
     def test_deterministic_reports(self):
-        c = make_character(quadratic(-3), 3)
-        rep1 = twist_x(datum_41(), c)
-        rep2 = twist_x(datum_41(), c)
+        rep1 = twist_x(datum_41(), 3)
+        rep2 = twist_x(datum_41(), 3)
         assert rep1 == rep2
         assert json.dumps(rep1.results, sort_keys=True) == json.dumps(
             rep2.results, sort_keys=True
@@ -191,21 +193,21 @@ class TestTwistX:
 
 class TestTwistE:
     def test_paper_product_twist(self):
-        k, D = datum_42()
-        rep = twist_e(3, 1, k, D, extension_label="L_d")
+        D = datum_42()
+        rep = twist_e(3, 1, D, extension_label="L_d")
         assert rep.results["t"] == 3 and rep.results["deg_k"] == 2
         assert rep.concluded and all(h.holds for h in rep.hypotheses)
         assert rep.statements == LEADING_E + ("F_Phi(B) = L_d",)
 
     def test_even_ratio_rejected(self):
-        k, D = datum_42()
+        D = datum_42()
         with pytest.raises(HypothesisError, match="odd positive integer"):
-            twist_e(2, 1, k, D)
+            twist_e(2, 1, D)
 
     def test_degree_mismatch_rejected(self):
-        k, D = datum_42()
+        D = datum_42()
         with pytest.raises(HypothesisError, match=r"2 dim\(Y\)"):
-            twist_e(3, 2, k, D)
+            twist_e(3, 2, D)
 
     def test_synthetic_degree_six_base(self):
         # dim X = 9, dim Y = 3 over a sextic CM field, t = 3
@@ -213,7 +215,7 @@ class TestTwistE:
         psi = validate_cm_type(k, [1, 2, 3])
         psibar = validate_cm_type(k, [4, 5, 6])
         D = weil_datum(k, [psi, psibar, psi, psibar])
-        rep = twist_e(9, 3, k, D)
+        rep = twist_e(9, 3, D)
         assert rep.results["t"] == 3 and rep.results["deg_k"] == 6
         assert rep.concluded
 
@@ -223,17 +225,17 @@ class TestTwistE:
         psibar = validate_cm_type(k, [4, 5, 6])
         D = weil_datum(k, [psi, psibar])  # dim 6, but X x Y should have dim 12
         with pytest.raises(ValueError, match="dimension"):
-            twist_e(9, 3, k, D)
+            twist_e(9, 3, D)
 
     def test_hom_assumption_required(self):
-        k, D = datum_42()
-        rep = twist_e(3, 1, k, D, hom_xy_zero=False)
+        D = datum_42()
+        rep = twist_e(3, 1, D, hom_xy_zero=False)
         assert Hypothesis(HYP_HOM_ZERO, "assumed", False) in rep.hypotheses
         assert rep.statements == () and not rep.concluded
 
     def test_unassumed_phi_base_blocks_conclusion(self):
-        k, D = datum_42()
-        rep = twist_e(3, 1, k, D, phi_base_equal=False)
+        D = datum_42()
+        rep = twist_e(3, 1, D, phi_base_equal=False)
         assert rep.statements == LEADING_E and not rep.concluded
 
 
@@ -241,13 +243,11 @@ class TestReportInvariants:
     def test_divisor_chain_sweep(self):
         # arithmetic consistency across a broad (n, r) box
         for n in range(2, 26):
-            k, _ = synthetic_weil_datum(n, 2)
-            c = make_character(k, n)
             for r in range(2, 26, 2):
                 if r % n == 0:
                     continue
                 _, D = synthetic_weil_datum(n, r)
-                res = twist_x(D, c).results
+                res = twist_x(D, n).results
                 t, mu, deg = res["t"], res["mu_bound"], res["conclusions"]
                 exact = deg["exact_m_over_phiB"]
                 assert t == gcd(n, 2 * r)
@@ -262,8 +262,8 @@ class TestReportInvariants:
     def test_character_existence_makes_mu_bound_t(self):
         # t | n | w(k) collapses the refinement onto t itself
         for n in range(2, 26):
-            k, D = synthetic_weil_datum(n, 4)
+            _, D = synthetic_weil_datum(n, 4)
             if 4 % n == 0:
                 continue
-            res = twist_x(D, make_character(k, n)).results
+            res = twist_x(D, n).results
             assert res["mu_bound"] == res["t"]
