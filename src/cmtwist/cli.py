@@ -24,7 +24,6 @@ from .cmtypes import (
     balance_product,
     is_weil_type,
     reflex,
-    restriction_multiplicities,
     validate_cm_type,
     weil_datum,
     weil_r,
@@ -402,7 +401,7 @@ def _twist_report(datum: WeilDatum, twist: Conclusion) -> Conclusion:
     """A twist theorem's conclusion, its section nested under ``twist``."""
     return replace(twist, results={
         "base": field_dict(datum.base),
-        "multiplicities": _mults_list(datum.base, restriction_multiplicities(datum)),
+        "multiplicities": _mults_list(datum.base, datum.multiplicities),
         "weil_r": weil_r(datum),
         "twist": twist.results,
     })
@@ -506,7 +505,7 @@ def _run_example_41(payload: dict) -> Conclusion:
     ]
     T = validate_cm_type(K, residues)
     datum = weil_datum(k, [T])
-    counts = restriction_multiplicities(datum)
+    counts = datum.multiplicities
     twist = twist_x(datum, 3)
     degrees = twist.results["conclusions"]
     stab, refl, _, _ = reflex(T)
@@ -553,12 +552,12 @@ def _run_example_42(payload: dict) -> Conclusion:
     _, refl, refl_inv, refl_conj = reflex(T)
     k = quadratic(-7)
     datum_j = weil_datum(k, [T])
-    counts_j = restriction_multiplicities(datum_j)
+    counts_j = datum_j.multiplicities
     balancing = balance_product(datum_j)
     if balancing is None:
         raise AssertionError("the single-factor datum must balance")
     datum = weil_datum(k, [T, balancing])
-    counts = restriction_multiplicities(datum)
+    counts = datum.multiplicities
     cert = base_certificate(p, q)
     twist = twist_e(3, 1, datum, extension_label="L_d")
     concluded = cert.concluded and twist.concluded

@@ -4,7 +4,10 @@ Embeddings of an abelian field into the complex numbers are identified
 with Galois elements, so a CM-type is a set of Galois elements containing
 exactly one of each conjugate pair.  Restriction multiplicities n_sigma
 are fiber counts of CM-types over the Galois group of a base CM field;
-the Weil condition is their invariance under conjugation.
+the Weil condition is their invariance under conjugation.  A datum is
+checked and counted once: :func:`weil_datum` checks that each component
+contains the base and stores the counts in ``WeilDatum.multiplicities``,
+which :func:`is_weil_type` and :func:`balance_product` read.
 
 A Galois element is the least residue of its coset of the fixed group, as
 everywhere in :mod:`cmtwist.fields`: ``CMType.psi`` is a frozenset of
@@ -22,14 +25,15 @@ reflex field and both reflex types.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fields import (
     AbelianField,
     _coset_rep,
-    _fixed_field,
     coset,
+    field_from,
     galois_group,
     is_cm,
     is_subfield,
@@ -99,9 +103,8 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
     reflex CM-types on it under both conventions.
 
     The first type restricts {sigma^-1 : sigma in psi} to the reflex field,
-    the second the conjugate half-system.  The stabilizer is built as a
-    subgroup, so its field skips the closure check of
-    :func:`~cmtwist.fields.field_from`.
+    the second the conjugate half-system.  The stabilizer is a subgroup,
+    so :func:`~cmtwist.fields.field_from` takes it as it is.
 
     >>> from .fields import cyclotomic
     >>> stab, refl, inv, conj = reflex(validate_cm_type(cyclotomic(7), [1, 2, 4]))
@@ -110,7 +113,7 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
     """
     m = T.field.conductor
     stab = stabilizer(T)
-    refl = _fixed_field(m, stab)
+    refl = field_from(m, stab)
     m_r, rep_r = refl.conductor, _coset_rep(refl)
     inverse = (rep_r[pow(c, -1, m) % m_r] for c in T.psi)
     conjugate = (rep_r[(m - 1) * c % m_r] for c in T.psi)
@@ -122,10 +125,12 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
 
 @dataclass(frozen=True)
 class WeilDatum:
-    """Base CM field k with CM factors (K_i, psi_i), each K_i containing k."""
+    """Base CM field k with CM factors (K_i, psi_i), each K_i containing k,
+    and the fiber counts n_sigma that :func:`weil_datum` derives from them."""
 
     base: AbelianField
     components: tuple[CMType, ...]
+    multiplicities: dict[int, int] = dataclasses.field(compare=False, hash=False)
 
     @property
     def dim(self) -> int:
@@ -141,7 +146,7 @@ def weil_datum(base: AbelianField, components: Iterable[CMType]) -> WeilDatum:
     for T in comps:
         if not is_subfield(base, T.field):
             raise ValueError(f"base is not a subfield of component {T.field!r}")
-    return WeilDatum(base, comps)
+    return WeilDatum(base, comps, restriction_multiplicities(base, comps))
 
 
 def weil_r(D: WeilDatum) -> int:
@@ -159,17 +164,20 @@ def weil_r(D: WeilDatum) -> int:
     return r
 
 
-def restriction_multiplicities(D: WeilDatum) -> dict[int, int]:
+def restriction_multiplicities(k: AbelianField, components: Iterable[CMType]) -> dict[int, int]:
     """Fiber counts n_sigma: how many type elements restrict to each sigma.
 
-    Keys run over Gal(k/Q) in ascending order; values sum to dim(A).
+    Each component's field must contain k, which is not checked here
+    (:func:`weil_datum` checks it).  Keys run over Gal(k/Q) in ascending
+    order; values sum to dim(A).
+
+    >>> from .fields import cyclotomic, quadratic
+    >>> restriction_multiplicities(quadratic(-7), [validate_cm_type(cyclotomic(7), [1, 2, 3])])
+    {1: 2, 3: 1}
     """
-    k = D.base
     m_k, rep_k = k.conductor, _coset_rep(k)
     counts = dict.fromkeys(galois_group(k), 0)
-    for T in D.components:
-        if not is_subfield(k, T.field):
-            raise ValueError("restriction target is not a subfield")
+    for T in components:
         for c in T.psi:
             counts[rep_k[c % m_k]] += 1
     return counts
@@ -177,7 +185,7 @@ def restriction_multiplicities(D: WeilDatum) -> dict[int, int]:
 
 def is_weil_type(D: WeilDatum) -> bool:
     """True when n_sigma = n_{sigma-bar} for every embedding of the base."""
-    counts = restriction_multiplicities(D)
+    counts = D.multiplicities
     m, rep = D.base.conductor, _coset_rep(D.base)
     return all(counts[s] == counts[rep[(m - 1) * s % m]] for s in counts)
 
@@ -186,14 +194,17 @@ def balance_product(D: WeilDatum) -> Optional[CMType]:
     """CM-type on the base field whose elliptic factor balances the datum.
 
     The base must be imaginary quadratic (the new factor is an elliptic
-    curve with CM by it).  Returns the balancing choice of its two
-    CM-types, or None when no single factor can balance.
+    curve with CM by it).  The factor {sigma} adds one to n_sigma alone,
+    so it balances the datum exactly when n_sigma + 1 = n_{sigma-bar}.
+    Returns that choice of the two CM-types, or None when no single
+    factor can balance.
     """
     k = D.base
     if k.degree != 2:
         raise ValueError("an elliptic factor requires an imaginary quadratic base")
-    for sigma in galois_group(k):
-        candidate = CMType(k, frozenset({sigma}))
-        if is_weil_type(WeilDatum(k, D.components + (candidate,))):
-            return candidate
+    counts = D.multiplicities
+    m, rep = k.conductor, _coset_rep(k)
+    for sigma in counts:
+        if counts[sigma] + 1 == counts[rep[(m - 1) * sigma % m]]:
+            return CMType(k, frozenset({sigma}))
     return None

@@ -4,11 +4,12 @@ A field is a pair (conductor m, fixed group H <= (Z/m)^x): the field is
 the fixed field of H acting on the m-th cyclotomic field, and m is always
 normalized to be minimal.  H is the frozenset of its residues mod m, as
 everywhere in :mod:`cmtwist.residues`, so compositum, subfield tests and
-real subfields reduce to set arithmetic.  :func:`field_from` checks that
-a given set is a subgroup; the constructors that build H from generators
-(:func:`cyclotomic`, :func:`quadratic`, :func:`maximal_real_subfield`,
-and :func:`cmtwist.cmtypes.reflex`, from a stabilizer) skip that check
-through the private normalizer ``_fixed_field``.
+real subfields reduce to set arithmetic.  Every field passes through the
+one normalizer :func:`field_from`, which trusts H to be a subgroup: each
+caller builds it as one (from generators in :func:`cyclotomic`,
+:func:`quadratic` and :func:`maximal_real_subfield`, as an intersection
+of lifts in :func:`compositum`, as a stabilizer in
+:func:`cmtwist.cmtypes.reflex`), so closure is never checked again.
 
 A Galois element of K is one int: the least residue of its coset of H,
 so Gal(K/Q) is the ascending tuple :func:`galois_group` and the private
@@ -34,7 +35,6 @@ from .residues import (
     _prime_divisors,
     _unit_generators,
     group_order,
-    subgroup,
     subgroup_generated,
     unit_group,
 )
@@ -89,32 +89,24 @@ def _divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def field_from(m: int, elements) -> AbelianField:
-    """Conductor-normalized field for a fixed group given as a residue set.
-
-    The set is always validated by :func:`~cmtwist.residues.subgroup`, so
-    any iterable of residues mod m is accepted and a set that is not a
-    subgroup is refused.
-    """
-    return _fixed_field(m, subgroup(m, elements))
-
-
-def _fixed_field(m: int, H: frozenset[int]) -> AbelianField:
+def field_from(m: int, H: frozenset[int]) -> AbelianField:
     """Conductor-normalized fixed field of a subgroup H of (Z/m)^x.
 
-    H is trusted to be a subgroup: callers that build it from generators
-    (or as a stabilizer) come here directly and skip the closure check of
-    :func:`field_from`.  The conductor is the least m2 | m whose reduction
-    kernel, the units 1 + k*m2 of (Z/m)^x, lies in H; the image of H mod
-    m2 is validated.
+    H is trusted to be a subgroup, as everywhere in
+    :mod:`cmtwist.residues`; only the conductor budget is checked.  The
+    conductor is the least m2 | m whose reduction kernel, the units
+    1 + k*m2 of (Z/m)^x, lies in H (m itself always qualifies).  The image
+    of H mod m2 is the image of a subgroup, so a subgroup again.
+
+    >>> field_from(21, frozenset({1, 8})) == cyclotomic(7)
+    True
     """
     _check_conductor(m)
-    for m2 in _divisors(m):
-        if all(x in H for x in range(1, m, m2) if gcd(x, m) == 1):
-            if m2 == m:
-                return AbelianField(m, H)
-            return AbelianField(m2, subgroup(m2, (x % m2 for x in H)))
-    raise AssertionError("unreachable: m divides m")
+    m2 = next(m2 for m2 in _divisors(m)
+              if all(x in H for x in range(1, m, m2) if gcd(x, m) == 1))
+    if m2 == m:
+        return AbelianField(m, H)
+    return AbelianField(m2, frozenset(x % m2 for x in H))
 
 
 def cyclotomic(m: int) -> AbelianField:
@@ -127,7 +119,7 @@ def cyclotomic(m: int) -> AbelianField:
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    return _fixed_field(m, frozenset({1 % m}))
+    return field_from(m, frozenset({1 % m}))
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -217,7 +209,7 @@ def quadratic(d: int) -> AbelianField:
         (kernel_gens if kronecker_symbol(disc, g) == 1 else minus).append(g)
     kernel_gens += [g * g % m for g in minus]
     kernel_gens += [minus[0] * g % m for g in minus[1:]]
-    field = _fixed_field(m, subgroup_generated(m, kernel_gens))
+    field = field_from(m, subgroup_generated(m, kernel_gens))
     if field.degree != 2 or field.conductor != m:
         raise AssertionError(f"quadratic field construction failed for d={d}")
     return field
@@ -227,10 +219,11 @@ def compositum(K1: AbelianField, K2: AbelianField) -> AbelianField:
     """Smallest abelian field containing both arguments.
 
     Its fixed group in (Z/M)^x, M = lcm(m1, m2), is the set of units x with
-    x mod m1 in H1 and x mod m2 in H2.  The walk runs over the residues
-    h + k*m1 (h in H1, 0 <= k < M/m1) of the factor with fewer of them and
-    keeps those that reduce into H2 mod m2; each kept x is a unit, since it
-    is prime to m1 and to m2.
+    x mod m1 in H1 and x mod m2 in H2: the intersection of the preimages of
+    H1 and H2, so a subgroup, which :func:`field_from` trusts.  The walk
+    runs over the residues h + k*m1 (h in H1, 0 <= k < M/m1) of the factor
+    with fewer of them and keeps those that reduce into H2 mod m2; each
+    kept x is a unit, since it is prime to m1 and to m2.
 
     >>> compositum(quadratic(-3), cyclotomic(7)).degree
     12
@@ -279,7 +272,7 @@ def maximal_real_subfield(K: AbelianField) -> AbelianField:
     3
     """
     m = K.conductor
-    return _fixed_field(m, subgroup_generated(m, K.fixed_group | {m - 1}))
+    return field_from(m, subgroup_generated(m, K.fixed_group | {m - 1}))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from math import gcd, lcm
 from cmtwist.cmtypes import CMType, WeilDatum, stabilizer, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
-    _fixed_field,
     compositum,
     cyclotomic,
     field_from,
@@ -109,7 +108,7 @@ def cm_fields(max_conductor: int, max_degree: int) -> tuple[AbelianField, ...]:
     fields = set()
     for m in range(3, max_conductor + 1):
         for S in all_subgroups(m):
-            F = _fixed_field(m, S)
+            F = field_from(m, S)
             if F.conductor == m and is_cm(F) and F.degree <= max_degree:
                 fields.add(F)
     # sort by the ascending residue tuple: frozensets compare by inclusion
@@ -165,6 +164,54 @@ def pairwise_closure_witness(m: int, elems: frozenset[int]):
             if (a * b) % m not in elems:
                 return a, b
     return None
+
+
+def _not_closed(m: int, a: int, b: int) -> ValueError:
+    return ValueError(f"set not closed under multiplication mod {m}: {a}*{b}")
+
+
+def _adjoin_within(m: int, group: set[int], g: int, within: frozenset[int]) -> None:
+    """Grow ``group`` to <group, g> by coset extension, every new element
+    inside ``within`` (g already is); the first one outside it raises
+    ValueError naming two elements of ``within`` whose product is not in it."""
+    powers, p = [], g
+    while p not in group:
+        if p not in within:
+            raise _not_closed(m, powers[-1], g)
+        powers.append(p)
+        p = p * g % m
+    base = tuple(group)
+    new = [s * p % m for p in powers for s in base]
+    if not within.issuperset(new):
+        i = next(i for i, y in enumerate(new) if y not in within)
+        raise _not_closed(m, base[i % len(base)], powers[i // len(base)])
+    group.update(new)
+
+
+def subgroup(m: int, elements) -> frozenset[int]:
+    """The closure oracle: ``elements`` as a frozenset, if it is a subgroup
+    of (Z/m)^x, else ValueError.
+
+    The set is generated from its own elements in ascending order, and the
+    first product that leaves the set is reported.  The library trusts
+    every H it is given; this is what shows its constructors build
+    subgroups.
+
+    >>> sorted(subgroup(7, [4, 2, 1]))
+    [1, 2, 4]
+    """
+    if m < 1:
+        raise ValueError(f"modulus must be a positive integer, got {m}")
+    elems = frozenset(elements)
+    for x in elems:
+        _check_unit(m, x)
+    if 1 % m not in elems:
+        raise ValueError("subgroup must contain 1")
+    group = {1 % m}
+    for x in sorted(elems):
+        if x not in group:
+            _adjoin_within(m, group, x, elems)
+    return elems
 
 
 def bfs_subgroup_generated(m: int, gens) -> frozenset[int]:
@@ -259,7 +306,7 @@ def subgroup_lattice_subfields(K: AbelianField) -> tuple[AbelianField, ...]:
     group H: the joins of the groups <H, x>, one per coset of H."""
     m, H = K.conductor, K.fixed_group
     over_H = {subgroup_generated(m, H | c) for c in quotient_cosets(m, H)}
-    fields = {_fixed_field(m, S) for S in _join_closure(m, over_H)}
+    fields = {field_from(m, S) for S in _join_closure(m, over_H)}
     return tuple(sorted(fields, key=lambda F: (F.degree, F.conductor,
                                                tuple(sorted(F.fixed_group)))))
 
@@ -282,7 +329,7 @@ def quotient_order_histogram(m: int, H: frozenset[int]) -> Counter:
 
 def reflex_field(T: CMType) -> AbelianField:
     """Fixed field of the stabilizer of psi, as ``cmtypes.reflex`` builds it."""
-    return _fixed_field(T.field.conductor, stabilizer(T))
+    return field_from(T.field.conductor, stabilizer(T))
 
 
 def is_primitive(T: CMType) -> bool:
@@ -429,25 +476,33 @@ def coset_mul_stabilizer(T: CMType) -> frozenset[int]:
     return frozenset(residues)
 
 
-def coset_mul_restriction_multiplicities(D: WeilDatum) -> dict[int, int]:
+def coset_mul_restriction_multiplicities(k: AbelianField, components) -> dict[int, int]:
     """n_sigma, restricting each type element by the coset of its least residue."""
-    k = D.base
     counts = {least(sigma): 0 for sigma in quotient_cosets(k.conductor, k.fixed_group)}
-    for T in D.components:
+    for T in components:
         assert lift_is_subfield(k, T.field)
         for c in T.psi:
             counts[least(coset_of(k.conductor, k.fixed_group, c % k.conductor))] += 1
     return counts
 
 
-def coset_mul_is_weil_type(D: WeilDatum) -> bool:
-    k = D.base
-    counts = coset_mul_restriction_multiplicities(D)
+def coset_mul_is_weil_type(k: AbelianField, components) -> bool:
+    counts = coset_mul_restriction_multiplicities(k, components)
     conj = conjugation_set(k)
     return all(
         counts[s] == counts[least(coset_mul(k.conductor, conj, element_set(k, s)))]
         for s in counts
     )
+
+
+def appended_balance_product(D: WeilDatum):
+    """The elliptic factor that balances D, by appending each CM-type of the
+    quadratic base in turn and testing the longer datum; None if neither does."""
+    for sigma in quotient_cosets(D.base.conductor, D.base.fixed_group):
+        candidate = CMType(D.base, frozenset({least(sigma)}))
+        if coset_mul_is_weil_type(D.base, D.components + (candidate,)):
+            return candidate
+    return None
 
 
 def induced_cm_type(K: AbelianField, T_small: CMType) -> CMType:

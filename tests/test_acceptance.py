@@ -9,7 +9,6 @@ from sympy import primerange
 from cmtwist.cli import EXAMPLE_42_ASSUMED, JobSpec, run
 from cmtwist.cmtypes import (
     reflex,
-    restriction_multiplicities,
     stabilizer,
     validate_cm_type,
     weil_datum,
@@ -55,7 +54,7 @@ def test_criterion_2_cm_type():
         for g in quotient_cosets(51, K.fixed_group)
         if g != K.fixed_group
     )
-    counts = restriction_multiplicities(weil_datum(quadratic(-3), [T]))
+    counts = weil_datum(quadratic(-3), [T]).multiplicities
     ok = (
         len(T.psi) == 8
         and trivial

@@ -585,3 +585,22 @@ def test_cli_import_does_not_load_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("twist-x", example41_twist_job(3)),
+    ("twist-e", EXAMPLE_42_TWIST_E),
+], ids=["twist-x-example-41", "twist-e-example-42"])
+def test_twist_jobs_check_each_component_once(command, payload, monkeypatch):
+    # weil_datum checks that each component contains the base and counts
+    # the fibers; the theorem and the report read the datum after that
+    contained, real = [], cmtwist.cmtypes.is_subfield
+
+    def counting(k, K):
+        contained.append(K)
+        return real(k, K)
+
+    monkeypatch.setattr(cmtwist.cmtypes, "is_subfield", counting)
+    report = run_command(command, payload)
+    assert report.concluded
+    assert contained == [parse_field_literal(c["field"]) for c in payload["components"]]

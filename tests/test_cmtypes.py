@@ -28,6 +28,7 @@ from cmtwist.fields import (
 from cmtwist.residues import unit_group
 from helpers import (
     all_cm_types,
+    appended_balance_product,
     brute_stabilizer_subgroup,
     canonical_cm_type,
     cm_fields,
@@ -47,6 +48,7 @@ from helpers import (
     least,
     quotient_cosets,
     reflex_field,
+    subgroup,
     subgroup_lattice_subfields,
 )
 
@@ -143,13 +145,13 @@ class TestStabilizerAndReflex:
 
 
 def test_stabilizer_fields_match_the_checked_path():
-    # reflex builds its field by _fixed_field, skipping the closure check
-    # that field_from runs on the same stabilizer
+    # reflex hands the stabilizer to field_from, which trusts it to be a
+    # subgroup: the closure oracle checks that it is one
     for K in cm_fields(40, 8):
         m = K.conductor
         for T in all_cm_types(K):
             stab, refl, _, _ = reflex(T)
-            assert stab == stabilizer(T), T
+            assert stab == stabilizer(T) == subgroup(m, stab), T
             assert refl == field_from(m, stabilizer(T)), T
 
 
@@ -184,25 +186,25 @@ class TestReflexType:
 class TestMultiplicities:
     def test_paper_41_fibers(self):
         D = weil_datum(quadratic(-3), [example41_type()])
-        counts = restriction_multiplicities(D)
+        counts = D.multiplicities
         assert sorted(counts.values()) == [4, 4]
         assert is_weil_type(D)
 
     def test_jacobian_fibers(self):
         D = weil_datum(SQRT_M7, [jacobian_type()])
-        assert restriction_multiplicities(D) == {1: 2, 3: 1}
+        assert D.multiplicities == {1: 2, 3: 1}
         assert not is_weil_type(D)
 
     def test_balanced_product_fibers(self):
         elliptic = validate_cm_type(SQRT_M7, [3])
         D = weil_datum(SQRT_M7, [jacobian_type(), elliptic])
-        counts = restriction_multiplicities(D)
+        counts = D.multiplicities
         assert sorted(counts.values()) == [2, 2]
         assert is_weil_type(D)
 
     def test_other_half_system_unbalanced(self):
         D = weil_datum(SQRT_M7, [validate_cm_type(K7, [1, 3, 5])])
-        assert restriction_multiplicities(D) == {1: 1, 3: 2}
+        assert D.multiplicities == {1: 1, 3: 2}
         assert not is_weil_type(D)
 
     def test_single_component_conjugate_sum(self):
@@ -214,7 +216,7 @@ class TestMultiplicities:
                 rel_degree = K.degree // k.degree
                 conj = conjugation_set(k)
                 T = canonical_cm_type(K)
-                counts = restriction_multiplicities(weil_datum(k, [T]))
+                counts = weil_datum(k, [T]).multiplicities
                 for sigma, n in counts.items():
                     nbar = counts[least(coset_mul(k.conductor, conj, element_set(k, sigma)))]
                     assert n + nbar == rel_degree
@@ -230,12 +232,12 @@ class TestMultiplicities:
                 if not is_cm(k) or k.degree == K.degree:
                     continue
                 T = canonical_cm_type(K)
-                counts = restriction_multiplicities(weil_datum(k, [T]))
+                counts = weil_datum(k, [T]).multiplicities
                 for g in galois_group(K):
                     gT = coset_mul_translate(T, g)
                     validate_cm_type(K, gT.psi)
                     g_small = element_set(k, _coset_rep(k)[g % k.conductor])
-                    moved = restriction_multiplicities(weil_datum(k, [gT]))
+                    moved = weil_datum(k, [gT]).multiplicities
                     for sigma, n in counts.items():
                         assert moved[least(coset_mul(k.conductor, g_small, element_set(k, sigma)))] == n
 
@@ -254,10 +256,11 @@ class TestWeilDatum:
         # dim 3 over a quadratic base still gives the integer r = 3 (odd);
         # genuine non-integrality needs [k:Q] not dividing 2 dim, which
         # weil_datum never builds (each component's degree is a multiple
-        # of [k:Q]), so the datum is put together by hand
+        # of [k:Q]), so the datum is put together by hand, with fiber counts
+        # that weil_r does not read
         assert weil_r(weil_datum(SQRT_M7, [jacobian_type()])) == 3
         with pytest.raises(ValueError, match="not a positive integer"):
-            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),)))
+            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),), multiplicities={}))
 
     def test_base_must_be_subfield(self):
         with pytest.raises(ValueError, match="not a subfield"):
@@ -302,6 +305,26 @@ class TestBalanceProduct:
         D = weil_datum(SQRT_M7, [jacobian_type(), elliptic])
         assert balance_product(D) is None
 
+    def test_matches_appending_each_candidate(self):
+        # the fiber-count rule against appending each CM-type of the base
+        # and testing the longer datum, over every imaginary quadratic
+        # subfield of the corpus, with one and two components
+        seen, outcomes = set(), set()
+        for K in cm_fields(40, 8):
+            types = all_cm_types(K)
+            for k in subgroup_lattice_subfields(K):
+                if k.degree != 2 or not is_cm(k):
+                    continue
+                seen.add(k)
+                for T in types:
+                    for comps in ([T], [T, types[0]]):
+                        D = weil_datum(k, comps)
+                        choice = balance_product(D)
+                        assert choice == appended_balance_product(D), (k, comps)
+                        outcomes.add(choice and min(choice.psi) == min(galois_group(k)))
+        assert len(seen) == 14
+        assert outcomes == {None, True, False}  # either type, or none, balances
+
 
 # ---------------------------------------------------------------------------
 # Coset-index lookups against Galois arithmetic on literal coset sets.
@@ -318,9 +341,10 @@ def check_against_oracles(T, bases):
     assert stabilizer(T) == coset_mul_stabilizer(T)
     for k in bases:
         D = weil_datum(k, [T])
-        counts = restriction_multiplicities(D)
-        assert list(counts.items()) == list(coset_mul_restriction_multiplicities(D).items())
-        assert is_weil_type(D) == coset_mul_is_weil_type(D)
+        counts = D.multiplicities
+        assert list(counts.items()) == list(coset_mul_restriction_multiplicities(k, [T]).items())
+        assert counts == restriction_multiplicities(k, [T])
+        assert is_weil_type(D) == coset_mul_is_weil_type(k, [T])
 
 
 def draw_half_system(data, K):

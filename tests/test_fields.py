@@ -7,7 +7,6 @@ from sympy import jacobi_symbol, primerange
 from cmtwist.fields import (
     MAX_CONDUCTOR,
     _coset_rep,
-    _fixed_field,
     compositum,
     coset,
     cyclotomic,
@@ -24,15 +23,16 @@ from cmtwist.fields import (
     roots_of_unity_order,
 )
 from cmtwist import fields
+from cmtwist.cmtypes import reflex
 from cmtwist.residues import (
     _unit_generators,
     invariant_factors,
-    subgroup,
     subgroup_generated,
     unit_group,
 )
 from helpers import (
     RATIONALS,
+    all_cm_types,
     cm_fields,
     conjugation_set,
     coset_of,
@@ -42,6 +42,7 @@ from helpers import (
     lift_compositum,
     lift_is_subfield,
     quotient_cosets,
+    subgroup,
     subgroup_lattice_subfields,
 )
 
@@ -223,11 +224,14 @@ class TestLatticeOperations:
 
 
 def test_unchecked_constructors_build_subgroups():
-    # cyclotomic, quadratic and maximal_real_subfield hand their fixed group
-    # to _fixed_field without a closure check, and no type marks a checked
-    # set, so this is what shows the skipped check would have passed
+    # field_from trusts its set to be a subgroup, and no type marks a checked
+    # set, so the closure oracle is what shows each constructor builds one:
+    # from generators, as a compositum's intersection of lifts (also when
+    # the conductors share a factor), as a stabilizer, and as the image of
+    # one of these mod a smaller conductor (15 -> 3 for some reflex fields)
     quadratics = [quadratic(d) for d in range(-199, 200) if d not in (0, 1)
                   and is_squarefree(d) and abs(d if d % 4 == 1 else 4 * d) < 200]
+    reflex_fields = {reflex(T)[1] for K in cm_fields(40, 8) for T in all_cm_types(K)}
     corpus = (
         list(cm_fields(40, 8))
         + [maximal_real_subfield(K) for K in cm_fields(40, 8)]
@@ -235,12 +239,16 @@ def test_unchecked_constructors_build_subgroups():
         + [maximal_real_subfield(cyclotomic(m)) for m in range(1, 200)]
         + quadratics
         + [example41_field(), compositum(quadratic(-3), cyclotomic(5)),
-           compositum(quadratic(-1), quadratic(5)), compositum(quadratic(-3), quadratic(-7))]
+           compositum(quadratic(-1), quadratic(5)), compositum(quadratic(-3), quadratic(-7)),
+           compositum(quadratic(-3), cyclotomic(9)), compositum(quadratic(-1), cyclotomic(12)),
+           compositum(quadratic(-3), quadratic(-1)), compositum(cyclotomic(8), quadratic(2))]
+        + sorted(reflex_fields, key=lambda F: (F.conductor, sorted(F.fixed_group)))
     )
     assert len(quadratics) == 122
+    assert any(F.conductor == 3 for F in reflex_fields)
     for K in corpus:
         assert subgroup(K.conductor, K.fixed_group) == K.fixed_group, K
-        assert _fixed_field(K.conductor, K.fixed_group) == K, K
+        assert field_from(K.conductor, K.fixed_group) == K, K
 
 
 class TestCMStructure:
@@ -375,7 +383,8 @@ def test_field_hashable_and_comparable():
 
 
 def test_invalid_subgroup_data_rejected():
-    with pytest.raises(ValueError):
-        field_from(7, subgroup_generated(5, [4]))  # {1, 4} is closed mod 5, not mod 7
-    with pytest.raises(ValueError):
-        field_from(7, [1, 3])  # not closed
+    # field_from trusts its set; the closure oracle is what refuses these
+    with pytest.raises(ValueError, match=r"not closed under multiplication mod 7: 4\*4$"):
+        subgroup(7, subgroup_generated(5, [4]))  # {1, 4} is closed mod 5, not mod 7
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup(7, [1, 3])

@@ -16,7 +16,6 @@ from cmtwist.residues import (
     invariant_factor_basis,
     invariant_factors,
     is_quotient_basis,
-    subgroup,
     subgroup_generated,
     unit_group,
 )
@@ -35,6 +34,7 @@ from helpers import (
     power_walk_coset_order,
     quotient_cosets,
     quotient_order_histogram,
+    subgroup,
     subgroups_two_generated,
 )
 
