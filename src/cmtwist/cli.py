@@ -505,7 +505,6 @@ def _run_example_41(payload: dict) -> Conclusion:
     ]
     T = validate_cm_type(K, residues)
     datum = weil_datum(k, [T])
-    counts = datum.multiplicities
     twist = twist_x(datum, 3)
     degrees = twist.results["conclusions"]
     stab, refl, _, _ = reflex(T)
@@ -522,7 +521,7 @@ def _run_example_41(payload: dict) -> Conclusion:
         "cm_type_valid": True,
         "primitive": primitive,
         "reflex_field_is_K": reflex_is_K,
-        "n_sigma": _mults_list(k, counts),
+        "n_sigma": _mults_list(k, datum.multiplicities),
         "weil_type": is_weil_type(datum),
         "weil_r": twist.results["r"],
         "character": {"order": 3, "label": "M"},
@@ -537,7 +536,7 @@ def _run_example_41(payload: dict) -> Conclusion:
         factors == (2, 8)
         and primitive
         and reflex_is_K
-        and set(counts.values()) == {4}
+        and set(datum.multiplicities.values()) == {4}
         and degrees["phiB_equals_M"]
     )
     return Conclusion(results, _example_hypotheses(twist.hypotheses, EXAMPLE_41_ASSUMED),
@@ -552,12 +551,10 @@ def _run_example_42(payload: dict) -> Conclusion:
     _, refl, refl_inv, refl_conj = reflex(T)
     k = quadratic(-7)
     datum_j = weil_datum(k, [T])
-    counts_j = datum_j.multiplicities
     balancing = balance_product(datum_j)
     if balancing is None:
         raise AssertionError("the single-factor datum must balance")
     datum = weil_datum(k, [T, balancing])
-    counts = datum.multiplicities
     cert = base_certificate(p, q)
     twist = twist_e(3, 1, datum, extension_label="L_d")
     concluded = cert.concluded and twist.concluded
@@ -570,10 +567,10 @@ def _run_example_42(payload: dict) -> Conclusion:
         "reflex_field_is_K": refl == K,
         "reflex_type_inverse": _cmtype_list(refl_inv),
         "reflex_type_conjugate": _cmtype_list(refl_conj),
-        "n_sigma_J": _mults_list(k, counts_j),
+        "n_sigma_J": _mults_list(k, datum_j.multiplicities),
         "weil_type_J_alone": is_weil_type(datum_j),
         "balancing_type": _cmtype_list(balancing),
-        "n_sigma_product": _mults_list(k, counts),
+        "n_sigma_product": _mults_list(k, datum.multiplicities),
         "weil_type_product": is_weil_type(datum),
         "weil_r": weil_r(datum),
         "base_certificate": cert.results,

@@ -6,8 +6,8 @@ exactly one of each conjugate pair.  Restriction multiplicities n_sigma
 are fiber counts of CM-types over the Galois group of a base CM field;
 the Weil condition is their invariance under conjugation.  A datum is
 checked and counted once: :func:`weil_datum` checks that each component
-contains the base and stores the counts in ``WeilDatum.multiplicities``,
-which :func:`is_weil_type` and :func:`balance_product` read.
+contains the base, and ``WeilDatum.multiplicities`` counts on first use
+for :func:`is_weil_type`, :func:`balance_product` and the reports.
 
 A Galois element is the least residue of its coset of the fixed group, as
 everywhere in :mod:`cmtwist.fields`: ``CMType.psi`` is a frozenset of
@@ -25,8 +25,8 @@ reflex field and both reflex types.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .fields import (
@@ -125,16 +125,18 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
 
 @dataclass(frozen=True)
 class WeilDatum:
-    """Base CM field k with CM factors (K_i, psi_i), each K_i containing k,
-    and the fiber counts n_sigma that :func:`weil_datum` derives from them."""
+    """Base CM field k with CM factors (K_i, psi_i), each K_i containing k."""
 
     base: AbelianField
     components: tuple[CMType, ...]
-    multiplicities: dict[int, int] = dataclasses.field(compare=False, hash=False)
 
     @property
     def dim(self) -> int:
         return sum(T.field.degree for T in self.components) // 2
+
+    @cached_property
+    def multiplicities(self) -> dict[int, int]:
+        return restriction_multiplicities(self.base, self.components)
 
 
 def weil_datum(base: AbelianField, components: Iterable[CMType]) -> WeilDatum:
@@ -146,7 +148,7 @@ def weil_datum(base: AbelianField, components: Iterable[CMType]) -> WeilDatum:
     for T in comps:
         if not is_subfield(base, T.field):
             raise ValueError(f"base is not a subfield of component {T.field!r}")
-    return WeilDatum(base, comps, restriction_multiplicities(base, comps))
+    return WeilDatum(base, comps)
 
 
 def weil_r(D: WeilDatum) -> int:

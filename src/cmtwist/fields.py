@@ -5,11 +5,11 @@ the fixed field of H acting on the m-th cyclotomic field, and m is always
 normalized to be minimal.  H is the frozenset of its residues mod m, as
 everywhere in :mod:`cmtwist.residues`, so compositum, subfield tests and
 real subfields reduce to set arithmetic.  Every field passes through the
-one normalizer :func:`field_from`, which trusts H to be a subgroup: each
-caller builds it as one (from generators in :func:`cyclotomic`,
+one normalizer :func:`field_from`, which trusts H to be closed: each
+caller builds it as a subgroup (from generators in :func:`cyclotomic`,
 :func:`quadratic` and :func:`maximal_real_subfield`, as an intersection
 of lifts in :func:`compositum`, as a stabilizer in
-:func:`cmtwist.cmtypes.reflex`), so closure is never checked again.
+:func:`cmtwist.cmtypes.reflex`), so closure is never checked.
 
 A Galois element of K is one int: the least residue of its coset of H,
 so Gal(K/Q) is the ascending tuple :func:`galois_group` and the private
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Iterable
 
 from .residues import (
     _prime_divisors,
@@ -89,19 +90,22 @@ def _divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def field_from(m: int, H: frozenset[int]) -> AbelianField:
+def field_from(m: int, H: Iterable[int]) -> AbelianField:
     """Conductor-normalized fixed field of a subgroup H of (Z/m)^x.
 
-    H is trusted to be a subgroup, as everywhere in
-    :mod:`cmtwist.residues`; only the conductor budget is checked.  The
-    conductor is the least m2 | m whose reduction kernel, the units
-    1 + k*m2 of (Z/m)^x, lies in H (m itself always qualifies).  The image
-    of H mod m2 is the image of a subgroup, so a subgroup again.
+    H is trusted to be closed, as everywhere in :mod:`cmtwist.residues`;
+    only the conductor budget and 1 in H are checked, and H is stored as
+    a frozenset.  The conductor is the least m2 | m whose reduction
+    kernel, the units 1 + k*m2 of (Z/m)^x, lies in H (m itself does, as
+    1 is in H).  The image of H mod m2 is the image of a subgroup.
 
     >>> field_from(21, frozenset({1, 8})) == cyclotomic(7)
     True
     """
     _check_conductor(m)
+    H = frozenset(H)
+    if 1 % m not in H:
+        raise ValueError(f"a subgroup of (Z/{m})^x must contain {1 % m}")
     m2 = next(m2 for m2 in _divisors(m)
               if all(x in H for x in range(1, m, m2) if gcd(x, m) == 1))
     if m2 == m:
@@ -218,12 +222,11 @@ def quadratic(d: int) -> AbelianField:
 def compositum(K1: AbelianField, K2: AbelianField) -> AbelianField:
     """Smallest abelian field containing both arguments.
 
-    Its fixed group in (Z/M)^x, M = lcm(m1, m2), is the set of units x with
-    x mod m1 in H1 and x mod m2 in H2: the intersection of the preimages of
-    H1 and H2, so a subgroup, which :func:`field_from` trusts.  The walk
-    runs over the residues h + k*m1 (h in H1, 0 <= k < M/m1) of the factor
-    with fewer of them and keeps those that reduce into H2 mod m2; each
-    kept x is a unit, since it is prime to m1 and to m2.
+    Its fixed group in (Z/M)^x, M = lcm(m1, m2), is the subgroup of units x
+    with x mod m1 in H1 and x mod m2 in H2.  The walk runs over the residues
+    h + k*m1 (h in H1, 0 <= k < M/m1) of the factor with fewer of them and
+    keeps those that reduce into H2 mod m2; each kept x is a unit, since it
+    is prime to m1 and to m2.
 
     >>> compositum(quadratic(-3), cyclotomic(7)).degree
     12

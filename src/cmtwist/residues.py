@@ -26,13 +26,12 @@ as oracles.
 Group elements are plain residues (ints in [0, m) coprime to the
 modulus), and a subgroup H is a ``frozenset`` of them.  No type marks a
 set as closed, and nothing here checks closure: :func:`subgroup_generated`
-builds a closed set, and every function that takes an H trusts it to be
-a subgroup of (Z/m)^x (the closure check is an oracle of the test suite).
-An element of a quotient (Z/m)^x / H, such as a Galois element of an
-abelian field, is one int as well: the least residue of its coset, looked
-up in the table of :mod:`cmtwist.fields`.  No coset is ever held as a
-set.  The one residue mod 1 is 0, and gcd(0, 1) = 1, so (Z/1)^x = {0}
-with identity 1 % 1 = 0, and needs no case of its own.
+builds a closed set, and every function that takes an H trusts it (the
+closure check is a test oracle).  An element of a quotient (Z/m)^x / H,
+such as a Galois element of an abelian field, is one int too: the least
+residue of its coset, from the table in :mod:`cmtwist.fields`.  No coset
+is ever held as a set.  The one residue mod 1 is 0, and gcd(0, 1) = 1,
+so (Z/1)^x = {0} with identity 1 % 1 = 0, and needs no case of its own.
 """
 
 from __future__ import annotations

@@ -592,15 +592,22 @@ def test_cli_import_does_not_load_sympy():
     ("twist-e", EXAMPLE_42_TWIST_E),
 ], ids=["twist-x-example-41", "twist-e-example-42"])
 def test_twist_jobs_check_each_component_once(command, payload, monkeypatch):
-    # weil_datum checks that each component contains the base and counts
-    # the fibers; the theorem and the report read the datum after that
+    # weil_datum checks that each component contains the base, the datum
+    # counts its fibers once, and the theorem and the report read the counts
     contained, real = [], cmtwist.cmtypes.is_subfield
+    counted, real_counts = [], cmtwist.cmtypes.restriction_multiplicities
 
-    def counting(k, K):
+    def checking(k, K):
         contained.append(K)
         return real(k, K)
 
-    monkeypatch.setattr(cmtwist.cmtypes, "is_subfield", counting)
+    def counting(k, components):
+        counted.append((k, components))
+        return real_counts(k, components)
+
+    monkeypatch.setattr(cmtwist.cmtypes, "is_subfield", checking)
+    monkeypatch.setattr(cmtwist.cmtypes, "restriction_multiplicities", counting)
     report = run_command(command, payload)
     assert report.concluded
     assert contained == [parse_field_literal(c["field"]) for c in payload["components"]]
+    assert counted and len(set(counted)) == len(counted)

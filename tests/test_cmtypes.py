@@ -256,11 +256,10 @@ class TestWeilDatum:
         # dim 3 over a quadratic base still gives the integer r = 3 (odd);
         # genuine non-integrality needs [k:Q] not dividing 2 dim, which
         # weil_datum never builds (each component's degree is a multiple
-        # of [k:Q]), so the datum is put together by hand, with fiber counts
-        # that weil_r does not read
+        # of [k:Q]), so the datum is put together by hand
         assert weil_r(weil_datum(SQRT_M7, [jacobian_type()])) == 3
         with pytest.raises(ValueError, match="not a positive integer"):
-            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),), multiplicities={}))
+            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),)))
 
     def test_base_must_be_subfield(self):
         with pytest.raises(ValueError, match="not a subfield"):

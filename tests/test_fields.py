@@ -382,6 +382,23 @@ def test_field_hashable_and_comparable():
     assert len(seen) == 2
 
 
+def test_field_from_checks_the_identity_and_stores_a_frozenset():
+    # field_from trusts closure, but a set without 1 is refused with its own
+    # error (also inside a generator, where a StopIteration would turn into
+    # a RuntimeError), and any iterable is stored as a frozenset, so the
+    # field hashes
+    for H in (frozenset({3}), frozenset(), [6]):
+        with pytest.raises(ValueError, match=r"\(Z/7\)\^x must contain 1$"):
+            field_from(7, H)
+    with pytest.raises(ValueError, match="must contain 1$"):
+        list(field_from(7, H) for H in [frozenset({3})])
+    with pytest.raises(ValueError, match=r"\(Z/1\)\^x must contain 0$"):
+        field_from(1, frozenset())
+    K = field_from(7, [1, 6])
+    assert type(K.fixed_group) is frozenset and K in {maximal_real_subfield(cyclotomic(7))}
+    assert field_from(21, [1, 8]) == cyclotomic(7)
+
+
 def test_invalid_subgroup_data_rejected():
     # field_from trusts its set; the closure oracle is what refuses these
     with pytest.raises(ValueError, match=r"not closed under multiplication mod 7: 4\*4$"):
