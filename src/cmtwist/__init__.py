@@ -1,7 +1,7 @@
 """Exact arithmetic for abelian CM fields, CM-types, character twists,
 and connectedness-extension degree certificates."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .fields import (
     AbelianField,
@@ -29,7 +29,6 @@ from .cmtypes import (
 )
 from .twists import (
     Conclusion,
-    HypothesisError,
     discond_groups,
     twist_e,
     twist_x,
@@ -37,14 +36,12 @@ from .twists import (
 from .inertia import (
     base_certificate,
     kitself_certificate,
-    unit_generator_check,
 )
 
 __all__ = [
     "AbelianField",
     "CMType",
     "Conclusion",
-    "HypothesisError",
     "WeilDatum",
     "balance_product",
     "base_certificate",
@@ -65,7 +62,6 @@ __all__ = [
     "stabilizer",
     "twist_e",
     "twist_x",
-    "unit_generator_check",
     "validate_cm_type",
     "weil_datum",
     "weil_r",

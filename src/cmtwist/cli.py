@@ -4,7 +4,8 @@ One job per invocation.  Reports are deterministic: identical jobs emit
 byte-identical JSON (sorted keys, no timestamps).  Exit codes separate
 the three ways a run can end: 0 when every conclusion was reached, 2 when
 a hypothesis does not hold (a checked one failed, an assumed flag is
-false, or a certificate check failed), 1 for malformed input.
+false, or a certificate check failed), 1 for malformed input.  Exit 2
+always comes with a report that names what failed.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .twists import (
     HYP_PHI_BASE,
     Conclusion,
     Hypothesis,
-    HypothesisError,
     discond_groups,
     twist_e,
     twist_x,
@@ -329,7 +329,7 @@ def validate_input(document: Any) -> JobSpec:
 def field_dict(K: AbelianField) -> dict:
     return {
         "conductor": K.conductor,
-        # format 0.2.0 writes the trivial group {0} of Q as []
+        # from format 0.2.0 on, the trivial group {0} of Q is written as []
         "fixed_group": sorted(K.fixed_group - {0}),
         "degree": K.degree,
         "is_cm": is_cm(K),
@@ -375,7 +375,6 @@ def _run_cmtype(payload: dict) -> Conclusion:
     results = {
         "field": field_dict(K),
         "type": _cmtype_list(T),
-        "valid": True,
         "stabilizer": sorted(stab),
         "primitive": stab == K.fixed_group,
         "reflex_field": field_dict(refl),
@@ -518,7 +517,6 @@ def _run_example_41(payload: dict) -> Conclusion:
         "coordinate_basis": _basis_list(basis),
         "psi_coordinates": [list(t) for t in EXAMPLE_41_TUPLES],
         "psi_residues": sorted(residues),
-        "cm_type_valid": True,
         "primitive": primitive,
         "reflex_field_is_K": reflex_is_K,
         "n_sigma": _mults_list(k, datum.multiplicities),
@@ -621,11 +619,12 @@ def run(job: JobSpec) -> Report:
     becomes an :class:`InputError`, and so does the ``RecursionError`` of a
     field literal nested deeper than :data:`MAX_LITERAL_DEPTH` or the stack
     allows (a document built in process never met ``json.load``'s depth
-    limit); a :class:`HypothesisError` passes through.
+    limit).  A hypothesis that does not hold is no error: it is a record of
+    the report, which then does not conclude.
     """
     try:
         c = _COMMANDS[job.command].run(job.payload)
-    except (InputError, HypothesisError):
+    except InputError:
         raise
     except ValueError as exc:
         raise InputError(f"payload: {exc}") from exc
@@ -709,9 +708,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             exc = f"{args.input or args.command}: nested too deeply ({depth})"
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except HypothesisError as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return 2
 
     if args.json:
         sys.stdout.write(text)

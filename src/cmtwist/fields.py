@@ -72,7 +72,7 @@ class AbelianField:
         return group_order(self.conductor) // len(self.fixed_group)
 
     def __repr__(self) -> str:
-        # messages write the trivial group {0} of Q as {}, as format 0.2.0 does
+        # messages write the trivial group {0} of Q as {}, as reports write it as []
         h = ",".join(str(x) for x in sorted(self.fixed_group) if x)
         return f"AbelianField(conductor={self.conductor}, fixed={{{h}}})"
 

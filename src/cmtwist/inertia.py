@@ -3,11 +3,10 @@
 For a prime p = 3 (mod 7) the connectedness-base argument needs a handful
 of exact facts: the inertia subgroup at p inside the p-division field has
 order (p^6 - 1)/(p^2 + p + 1); the Frobenius powers p^3, p^4, p^5 realize
-the Galois elements of exponents 6, 4, 5; neither p^2 + p + 1 nor p^2 - 1
-is divisible by 7; and a cyclotomic unit surjects onto the residue field
-units at the ramified prime.  Everything here is verified by direct
-integer and polynomial arithmetic and packaged into certificates whose
-conclusion is only emitted when every check passes.
+the Galois elements of exponents 6, 4, 5; and neither p^2 + p + 1 nor
+p^2 - 1 is divisible by 7.  Everything here is verified by direct integer
+arithmetic and packaged into certificates whose conclusion is only
+emitted when every check passes.
 
 Primality is decided here too, with the standard library only: trial
 division by the primes below 50, then Miller-Rabin with a base set proven
@@ -24,7 +23,6 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .fields import kronecker_symbol
-from .residues import element_order
 from .twists import Conclusion, Hypothesis, conclude
 
 
@@ -138,30 +136,6 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def unit_generator_check() -> dict:
-    """-1 - zeta reduces to -2 = 5 (mod 7), a generator of (Z/7)^x.
-
-    Also re-derives the unit identity 1 - x^2 = (x - 1)(-1 - x) by exact
-    polynomial multiplication, so the element really is a unit upstairs.
-    """
-    value = (-1 - 1) % 7
-    order = element_order(7, value)
-    # (x - 1) * (-1 - x) expanded in Z[x]
-    left = [-1, 1]          # x - 1
-    right = [-1, -1]        # -1 - x
-    prod = [0, 0, 0]
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            prod[i + j] += a * b
-    identity = prod == [1, 0, -1]  # 1 - x^2
-    return {
-        "reduction_value_mod_7": value,
-        "reduction_order": order,
-        "unit_identity_holds": identity,
-        "passed": value == 5 and order == 6 and identity,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Certificates.
 
@@ -239,19 +213,10 @@ def kitself_certificate(p: int) -> Conclusion:
         f"p^2 - 1 = {p * p - 1}",
     ))
 
-    unit = unit_generator_check()
-    checks.append(_check(
-        "unit_generator",
-        "-1 - zeta reduces to a generator of (Z/7)^x",
-        unit["passed"],
-        f"value {unit['reduction_value_mod_7']}, order {unit['reduction_order']}",
-    ))
-
     concluded = all(c["pass"] for c in checks)
     results = {
         "p": p,
         "inertia_order": order_val,
-        "unit_generator": unit,
         "checks": checks,
         "conclusion": "K' = K" if concluded else None,
     }

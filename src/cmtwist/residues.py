@@ -105,15 +105,6 @@ def subgroup_generated(m: int, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(group)
 
 
-def element_order(m: int, x: int) -> int:
-    _check_unit(m, x)
-    order, y = 1, x
-    while y != 1 % m:
-        y = (y * x) % m
-        order += 1
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Invariant factors of (Z/m)^x / H by peeling: an element of maximal order
 # in a finite abelian group generates a direct summand, so peel it off and

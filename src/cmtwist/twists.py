@@ -10,14 +10,13 @@ order n alone (:func:`twist_x`), or is the quadratic one (:func:`twist_e`).
 
 Each theorem is held as a table of rows (statement, names of the
 hypotheses it rests on), and every hypothesis becomes a
-:class:`Hypothesis` record.  A checked hypothesis is verified here and
-raises :class:`HypothesisError` when it fails.  An assumed one
-(endomorphism fields, connectedness of the untwisted group, integrality
-of the character's automorphisms) is a caller's flag: a false flag never
-raises, it withholds every row resting on it.  :func:`conclude` keeps the
-rows whose hypotheses all hold, and a report is concluded only when
-every hypothesis holds, so each report is an honest conditional.  Every
-theorem returns one :class:`Conclusion`.
+:class:`Hypothesis` record.  A checked hypothesis is a predicate computed
+here; an assumed one (endomorphism fields, connectedness of the untwisted
+group, integrality of the character's automorphisms) is a caller's flag.
+Either kind only records whether it holds: nothing raises when one fails.
+:func:`conclude` keeps the rows whose hypotheses all hold, and a report
+is concluded only when every hypothesis holds, so each report is an
+honest conditional.  Every theorem returns one :class:`Conclusion`.
 """
 
 from __future__ import annotations
@@ -30,19 +29,10 @@ from .cmtypes import WeilDatum, is_weil_type, weil_r
 from .fields import roots_of_unity_order
 
 
-class HypothesisError(ValueError):
-    """A named theorem hypothesis fails; carries the hypothesis verbatim."""
-
-    def __init__(self, hypothesis: str, detail: str = ""):
-        self.hypothesis = hypothesis
-        super().__init__(f"hypothesis violated: {hypothesis}"
-                         + (f" ({detail})" if detail else ""))
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     """A named hypothesis of a theorem: ``kind`` is "checked" when the
-    program verified it, "assumed" when the caller asserts it."""
+    program computes whether it holds, "assumed" when the caller asserts it."""
 
     name: str
     kind: str
@@ -132,10 +122,11 @@ def twist_x(
     of exact order n with values mu_n(k), k = D.base; ``label`` names the
     cyclic degree-n extension M the character cuts out.
 
-    An order below 2 raises ``ValueError``.  Checked hypotheses raise
-    :class:`HypothesisError` naming the violated condition.  Assumed flags
-    become records; a false one withholds every statement resting on it
-    and leaves the report unconcluded.
+    An order below 2 raises ``ValueError``.  The checked hypotheses n | w(k)
+    (the values mu_n lie in k^x), r even, n not dividing r and the Weil
+    balance are computed, the assumed ones are the flags, and both become
+    records: a false one withholds every statement resting on it and
+    leaves the report unconcluded, with ``None`` for each degree.
 
     >>> from .cmtypes import validate_cm_type, weil_datum
     >>> from .fields import quadratic
@@ -147,27 +138,15 @@ def twist_x(
     if n < 2:
         raise ValueError(f"character order must be at least 2, got {n}")
     w_k = roots_of_unity_order(D.base)
-    if w_k % n != 0:
-        raise HypothesisError(
-            f"character with image mu_{n}(k) impossible in this field",
-            f"w(k) = {w_k} is not divisible by {n}",
-        )
     r = weil_r(D)
-    if r % 2 != 0:
-        raise HypothesisError(HYP_R_EVEN, f"r = {r}")
-    if r % n == 0:
-        raise HypothesisError(HYP_N_NOT_DIVIDING_R, f"n = {n} divides r = {r}")
-    if not is_weil_type(D):
-        raise HypothesisError(HYP_WEIL_TYPE)
-
     t = gcd(n, 2 * r)
     mu_bound = gcd(t, w_k)
     hypotheses = (
-        # n | w(k), checked above: mu_n lies in k^x
-        Hypothesis(HYP_VALUES_IN_K, "checked", True),
-        Hypothesis(HYP_R_EVEN, "checked", True),
-        Hypothesis(HYP_N_NOT_DIVIDING_R, "checked", True),
-        Hypothesis(HYP_WEIL_TYPE, "checked", True),
+        # mu_n lies in k^x exactly when n | w(k)
+        Hypothesis(HYP_VALUES_IN_K, "checked", w_k % n == 0),
+        Hypothesis(HYP_R_EVEN, "checked", r % 2 == 0),
+        Hypothesis(HYP_N_NOT_DIVIDING_R, "checked", r % n != 0),
+        Hypothesis(HYP_WEIL_TYPE, "checked", is_weil_type(D)),
         Hypothesis(HYP_CENTRAL, "assumed", base_central),
         Hypothesis(HYP_END_A, "assumed", end_field_equal),
         Hypothesis(HYP_PHI_BASE, "assumed", phi_base_equal),
@@ -222,33 +201,27 @@ def twist_e(
     """Quadratic twist of the elliptic-type factor of a Weil-type product,
     by a character with values in k^x, k = D.base.
 
-    A dimension below 1 raises ``ValueError``; hypotheses are checked and
-    recorded as in :func:`twist_x`.
+    A dimension below 1, or a datum whose dimension is not dim(X) + dim(Y),
+    raises ``ValueError``.  The checked hypotheses [k:Q] = 2 dim(Y), t odd
+    and the Weil balance are computed, and every hypothesis is recorded as
+    in :func:`twist_x`.
     """
     if dim_x < 1 or dim_y < 1:
         raise ValueError(
             f"dimensions must be positive, got dim(X) = {dim_x}, dim(Y) = {dim_y}")
-    k = D.base
-    if k.degree != 2 * dim_y:
-        raise HypothesisError(HYP_DEG_K,
-                              f"[k:Q] = {k.degree}, dim(Y) = {dim_y}")
-    t, rem = divmod(dim_x, dim_y)
-    if rem != 0 or t % 2 == 0:
-        raise HypothesisError(HYP_T_ODD, f"dim(X)/dim(Y) = {dim_x}/{dim_y}")
     if D.dim != dim_x + dim_y:
         raise ValueError(
             f"datum dimension {D.dim} does not match dim(X) + dim(Y) = {dim_x + dim_y}"
         )
-    if not is_weil_type(D):
-        raise HypothesisError(HYP_WEIL_TYPE)
-
+    k = D.base
+    t, rem = divmod(dim_x, dim_y)
     label = extension_label
     hypotheses = (
-        Hypothesis(HYP_DEG_K, "checked", True),
-        Hypothesis(HYP_T_ODD, "checked", True),
+        Hypothesis(HYP_DEG_K, "checked", k.degree == 2 * dim_y),
+        Hypothesis(HYP_T_ODD, "checked", rem == 0 and t % 2 == 1),
         # by construction: the character takes values in D.base = k
         Hypothesis(HYP_VALUES_IN_K, "checked", True),
-        Hypothesis(HYP_WEIL_TYPE, "checked", True),
+        Hypothesis(HYP_WEIL_TYPE, "checked", is_weil_type(D)),
         # by construction: twist_e twists by exactly this character
         Hypothesis(HYP_QUADRATIC, "checked", True),
         Hypothesis(HYP_HOM_ZERO, "assumed", hom_xy_zero),
@@ -267,6 +240,5 @@ def twist_e(
         "t": t,
         "deg_k": k.degree,
         "extension_label": label,
-        "conclusions": {"phiB_equals_M": concluded},
     }
     return Conclusion(results, hypotheses, statements, concluded)

@@ -25,7 +25,6 @@ from cmtwist.inertia import isprime
 from cmtwist.residues import (
     _check_unit,
     _prime_divisors,
-    element_order,
     group_order,
     subgroup_generated,
     unit_group,
@@ -236,6 +235,11 @@ def power_walk_coset_order(m: int, H_elems: frozenset[int], x: int) -> int:
         y = (y * x) % m
         e += 1
     return e
+
+
+def element_order(m: int, x: int) -> int:
+    """Order of the unit residue x mod m, by walking its powers."""
+    return power_walk_coset_order(m, frozenset({1 % m}), _check_unit(m, x))
 
 
 def peeled_quotient_basis(m: int, H_elems: frozenset[int]) -> list[tuple[int, int]]:
@@ -608,6 +612,28 @@ def galois_vs_frobenius(p: int, i: int, trials: int = 12) -> bool:
     return all(
         _apply_sigma(p, i, a) == _pow(p, a, exponent) for a in elements
     )
+
+
+def unit_generator_check() -> dict:
+    """-1 - zeta reduces to -2 = 5 (mod 7), a generator of (Z/7)^x.
+
+    Also re-derives the unit identity 1 - x^2 = (x - 1)(-1 - x) by exact
+    polynomial multiplication, so the element really is a unit upstairs.
+    """
+    value = (-1 - 1) % 7
+    order = element_order(7, value)
+    # (x - 1) * (-1 - x) expanded in Z[x]
+    left = [-1, 1]          # x - 1
+    right = [-1, -1]        # -1 - x
+    prod = [0, 0, 0]
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            prod[i + j] += a * b
+    return {
+        "reduction_value_mod_7": value,
+        "reduction_order": order,
+        "unit_identity_holds": prod == [1, 0, -1],  # 1 - x^2
+    }
 
 
 # ---------------------------------------------------------------------------

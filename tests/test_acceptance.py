@@ -30,6 +30,7 @@ from helpers import (
     quotient_cosets,
     reflex_field,
     synthetic_weil_datum,
+    unit_generator_check,
 )
 
 
@@ -95,7 +96,7 @@ def test_criterion_4_reflex_conventions():
 def test_criterion_5_inertia_arithmetic_at_3():
     cert = kitself_certificate(3)
     checks = {c["name"]: c for c in cert.results["checks"]}
-    unit = cert.results["unit_generator"]
+    unit = unit_generator_check()
     ok = (
         cert.results["inertia_order"] == 56
         and gcd(3**6 - 1, 3**3 * 13) == 13
@@ -108,7 +109,8 @@ def test_criterion_5_inertia_arithmetic_at_3():
         and checks["elliptic_order"]["pass"]             # 7 does not divide 8
         and checks["elliptic_order"]["witness"] == "p^2 - 1 = 8"
         and unit["reduction_value_mod_7"] == 5
-        and unit["reduction_order"] == 6
+        and unit["reduction_order"] == 6                 # 5 generates (Z/7)^x
+        and unit["unit_identity_holds"]                  # (x - 1)(-1 - x) = 1 - x^2
         and cert.concluded
     )
     _report("criterion 5: inertia order 56, gcd 13, Frobenius (6,4,5), "

@@ -262,7 +262,7 @@ class TestExample42:
         cert = r["base_certificate"]
         assert cert["certificate_p"]["inertia_order"] == 56
         assert cert["certificate_q"]["inertia_order"] == 78624
-        assert r["twist"]["conclusions"] == {"phiB_equals_M": True}
+        assert "conclusions" not in r["twist"]       # it would repeat "concluded"
 
     def test_custom_primes(self):
         report = run_command("example-42", {"p": 17, "q": 31})
@@ -288,10 +288,21 @@ class TestMainExitCodes:
         assert "NOT CONCLUDED" in capsys.readouterr().out
 
     def test_hypothesis_failure_in_twist(self, tmp_path, capsys):
+        # a failed checked hypothesis gives a report, as a false flag does
         path = tmp_path / "job.json"
         path.write_text(json.dumps(example41_twist_job(2)))
         assert main(["twist-x", "--input", str(path)]) == 2
-        assert "n does not divide r" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-2:] == ["failed: n does not divide r", "NOT CONCLUDED"]
+        assert err == ""
+        assert main(["twist-x", "--input", str(path), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert {"name": "n does not divide r", "kind": "checked",
+                "holds": False} in doc["hypotheses"]
+        assert doc["statements"] == [] and doc["concluded"] is False
+        twist = doc["results"]["twist"]
+        assert (twist["n"], twist["r"]) == (2, 8)
+        assert set(twist["conclusions"].values()) == {None, False}
 
     def test_json_flag_and_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -428,12 +439,22 @@ class TestMainExitCodes:
                        f"got dim(X) = {dim_x}, dim(Y) = {dim_y}\n"), err
 
     def test_twist_e_positive_degree_mismatch_is_a_hypothesis_failure(self, tmp_path, capsys):
+        # the Jacobian and its conjugate, dim 6 = 3 + 3, but [k:Q] = 2 != 6
+        jacobians = [{"field": {"cyclotomic": 7}, "type": t} for t in ([1, 2, 3], [4, 5, 6])]
         path = tmp_path / "job.json"
-        path.write_text(json.dumps({**EXAMPLE_42_TWIST_E, "dim_x": 3, "dim_y": 2}))
+        path.write_text(json.dumps({**EXAMPLE_42_TWIST_E, "components": jacobians,
+                                    "dim_x": 3, "dim_y": 3}))
         assert main(["twist-e", "--input", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == ("hypothesis failure: hypothesis violated: [k:Q] = 2 dim(Y) "
-                       "([k:Q] = 2, dim(Y) = 2)\n"), err
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-2:] == ["failed: [k:Q] = 2 dim(Y)", "NOT CONCLUDED"]
+        assert err == ""
+        assert main(["twist-e", "--input", str(path), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert [h for h in doc["hypotheses"] if not h["holds"]] == [
+            {"name": "[k:Q] = 2 dim(Y)", "kind": "checked", "holds": False}]
+        assert doc["statements"] == []
+        twist = doc["results"]["twist"]
+        assert (twist["deg_k"], twist["dim_x"], twist["dim_y"]) == (2, 3, 3)
 
     def test_twist_x_reads_assume_before_the_character_checks(self, tmp_path, capsys):
         # order 4 is impossible over Q(sqrt -3), w = 6; a malformed assume
@@ -444,9 +465,10 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == "input error: assume.aut_valued: expected a boolean\n"
         path.write_text(json.dumps({**example41_twist_job(4), "assume": {"aut_valued": True}}))
         assert main(["twist-x", "--input", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "hypothesis failure: hypothesis violated: character with image mu_4(k) "
-            "impossible in this field (w(k) = 6 is not divisible by 4)\n")
+        out, err = capsys.readouterr()
+        # r = 8: the order 4 also divides r
+        assert "failed: c takes values in k^x; n does not divide r" in out.splitlines()
+        assert err == ""
 
     def test_trivial_character_order_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "job.json"

@@ -11,7 +11,6 @@ import cmtwist.residues as residues
 from cmtwist.residues import (
     _max_order_residue,
     _unit_generators,
-    element_order,
     group_order,
     invariant_factor_basis,
     invariant_factors,
@@ -27,6 +26,7 @@ from helpers import (
     coset_inv,
     coset_mul,
     coset_of,
+    element_order,
     full_scan_max_order_residue,
     gcd_scan_unit_group,
     pairwise_closure_witness,

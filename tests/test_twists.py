@@ -10,9 +10,14 @@ from cmtwist.fields import cyclotomic, quadratic, roots_of_unity_order
 from cmtwist.twists import (
     HYP_AUT_VALUED,
     HYP_CENTRAL,
+    HYP_DEG_K,
     HYP_HOM_ZERO,
+    HYP_N_NOT_DIVIDING_R,
+    HYP_R_EVEN,
+    HYP_T_ODD,
+    HYP_VALUES_IN_K,
+    HYP_WEIL_TYPE,
     Hypothesis,
-    HypothesisError,
     discond_groups,
     twist_e,
     twist_x,
@@ -22,15 +27,29 @@ from helpers import example41_type, synthetic_weil_datum
 
 LEADING_X = ("F = F(End(B))", "F != F_Phi(A) or F != F_Phi(B)")
 LEADING_E = ("F = F(End(B))", "F(End(A)) != F_Phi(A) or F(End(B)) != F_Phi(B)")
+# twist_x's degrees when the report does not conclude
+NO_DEGREES = {"m_over_phiB_divisor": None, "exact_m_over_phiB": None,
+              "phiB_over_F_exact": None, "phiB_equals_M": False}
 
 
 def datum_41():
     return weil_datum(quadratic(-3), [example41_type()])
 
 
-def datum_42():
+def datum_42(*elliptic):
+    """The Jacobian of y^7 = x(1 - x) over Q(sqrt -7), times the elliptic
+    factors of the given types (by default the balancing one)."""
     k = quadratic(-7)
-    return weil_datum(k, [validate_cm_type(cyclotomic(7), [1, 2, 3]), validate_cm_type(k, [3])])
+    return weil_datum(k, [validate_cm_type(cyclotomic(7), [1, 2, 3])]
+                      + [validate_cm_type(k, [e]) for e in elliptic or (3,)])
+
+
+def refuted(rep, *names):
+    """``names`` are exactly the false records of ``rep``, every one checked,
+    and every statement rests on one of them."""
+    assert [h.name for h in rep.hypotheses if not h.holds] == list(names)
+    assert all(h.kind == "checked" for h in rep.hypotheses if not h.holds)
+    assert rep.statements == () and not rep.concluded
 
 
 class TestMakeCharacter:
@@ -40,23 +59,26 @@ class TestMakeCharacter:
         assert twist_x(datum_41(), 3).results["n"] == 3
 
     def test_quadratic_always_possible(self):
-        # w(k) is even, so order 2 passes the character check; it then
-        # divides the even r, which twist_x refuses next
+        # w(k) is even, so order 2 takes values in k^x; it then divides
+        # the even r, the one record that fails
         for D in (datum_41(), datum_42(), synthetic_weil_datum(2, 2)[1],
                   synthetic_weil_datum(5, 4)[1]):
-            with pytest.raises(HypothesisError, match="n does not divide r"):
-                twist_x(D, 2)
+            rep = twist_x(D, 2)
+            refuted(rep, HYP_N_NOT_DIVIDING_R)
+            assert rep.results["r"] % 2 == 0
+            assert rep.results["conclusions"] == NO_DEGREES
 
     def test_cubic_impossible_over_sqrt_minus7(self):
         # w(Q(sqrt -7)) = 2, so no cubic values exist (3 does not divide r = 4)
-        with pytest.raises(HypothesisError, match="impossible in this field"):
-            twist_x(datum_42(), 3)
+        rep = twist_x(datum_42(), 3)
+        refuted(rep, HYP_VALUES_IN_K)
+        assert (rep.results["n"], rep.results["w_k"], rep.results["r"]) == (3, 2, 4)
+        assert rep.results["conclusions"] == NO_DEGREES
 
     def test_order_below_two_rejected(self):
         for n in (1, 0, -3):
-            with pytest.raises(ValueError, match="at least 2") as info:
+            with pytest.raises(ValueError, match="at least 2"):
                 twist_x(datum_41(), n)
-            assert not isinstance(info.value, HypothesisError)
 
     def test_order_divides_roots_of_unity(self):
         # n = 2 divides every even r: test_quadratic_always_possible has it
@@ -130,21 +152,35 @@ class TestTwistX:
         assert res["conclusions"]["phiB_over_F_exact"] == 5
 
     def test_n_dividing_r_rejected(self):
-        with pytest.raises(HypothesisError, match="n does not divide r"):
-            twist_x(datum_41(), 2)
+        rep = twist_x(datum_41(), 2)
+        refuted(rep, HYP_N_NOT_DIVIDING_R)
+        assert (rep.results["n"], rep.results["r"]) == (2, 8)
+        assert rep.results["conclusions"] == NO_DEGREES
 
     def test_odd_r_rejected(self):
         k = cyclotomic(12)
         D = weil_datum(k, [validate_cm_type(k, [1, 5])])  # single factor, r = 1
-        with pytest.raises(HypothesisError, match="r is even"):
-            twist_x(D, 4)
+        rep = twist_x(D, 4)
+        # n_sigma + n_sigma-bar = r for every sigma, so an odd r is never
+        # balanced: the Weil record fails with it
+        refuted(rep, HYP_R_EVEN, HYP_WEIL_TYPE)
+        assert rep.results["r"] == 1
+        assert rep.results["conclusions"] == NO_DEGREES
 
     def test_unbalanced_datum_rejected(self):
         k = cyclotomic(12)
         psi = validate_cm_type(k, [1, 5])
         lopsided = weil_datum(k, [psi, psi])  # doubles one half-system, r = 2
-        with pytest.raises(HypothesisError, match="Weil type"):
-            twist_x(lopsided, 4)
+        rep = twist_x(lopsided, 4)
+        refuted(rep, HYP_WEIL_TYPE)
+        assert rep.results["conclusions"] == NO_DEGREES
+
+    def test_checked_and_assumed_failures_add_up(self):
+        # a false flag on top of a failed check is one more false record
+        rep = twist_x(datum_42(), 3, aut_valued=False)
+        assert [h.name for h in rep.hypotheses if not h.holds] == [HYP_VALUES_IN_K,
+                                                                  HYP_AUT_VALUED]
+        assert rep.statements == () and rep.results["conclusions"] == NO_DEGREES
 
     def test_non_central_rejected(self):
         # an assumed flag never raises: it withholds every statement
@@ -196,18 +232,33 @@ class TestTwistE:
         D = datum_42()
         rep = twist_e(3, 1, D, extension_label="L_d")
         assert rep.results["t"] == 3 and rep.results["deg_k"] == 2
+        assert "conclusions" not in rep.results
         assert rep.concluded and all(h.holds for h in rep.hypotheses)
         assert rep.statements == LEADING_E + ("F_Phi(B) = L_d",)
 
     def test_even_ratio_rejected(self):
-        D = datum_42()
-        with pytest.raises(HypothesisError, match="odd positive integer"):
-            twist_e(2, 1, D)
+        # the Jacobian alone: dim 3 = 2 + 1, t = 2.  Once [k:Q] = 2 dim(Y),
+        # r = t + 1, so an even t is never balanced either
+        k = quadratic(-7)
+        D = weil_datum(k, [validate_cm_type(cyclotomic(7), [1, 2, 3])])
+        rep = twist_e(2, 1, D)
+        refuted(rep, HYP_T_ODD, HYP_WEIL_TYPE)
+        assert (rep.results["t"], rep.results["dim_x"], rep.results["dim_y"]) == (2, 2, 1)
 
     def test_degree_mismatch_rejected(self):
-        D = datum_42()
-        with pytest.raises(HypothesisError, match=r"2 dim\(Y\)"):
-            twist_e(3, 2, D)
+        # the Jacobian and its conjugate: dim 6 = 3 + 3, balanced, t = 1,
+        # but [k:Q] = 2 is not 2 dim(Y) = 6
+        k, K = quadratic(-7), cyclotomic(7)
+        D = weil_datum(k, [validate_cm_type(K, [1, 2, 3]), validate_cm_type(K, [4, 5, 6])])
+        rep = twist_e(3, 3, D)
+        refuted(rep, HYP_DEG_K)
+        assert (rep.results["deg_k"], rep.results["dim_y"]) == (2, 3)
+
+    def test_unbalanced_datum_rejected(self):
+        # the other elliptic type: n_sigma = (3, 1)
+        rep = twist_e(3, 1, datum_42(1))
+        refuted(rep, HYP_WEIL_TYPE)
+        assert rep.results["t"] == 3 and rep.results["deg_k"] == 2
 
     def test_synthetic_degree_six_base(self):
         # dim X = 9, dim Y = 3 over a sextic CM field, t = 3
@@ -226,6 +277,10 @@ class TestTwistE:
         D = weil_datum(k, [psi, psibar])  # dim 6, but X x Y should have dim 12
         with pytest.raises(ValueError, match="dimension"):
             twist_e(9, 3, D)
+        # the mismatch is refused before any hypothesis is weighed
+        for dim_x, dim_y in ((2, 1), (3, 2)):
+            with pytest.raises(ValueError, match="datum dimension 4"):
+                twist_e(dim_x, dim_y, datum_42())
 
     def test_hom_assumption_required(self):
         D = datum_42()
