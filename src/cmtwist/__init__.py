@@ -1,7 +1,7 @@
 """Exact arithmetic for abelian CM fields, CM-types, character twists,
 and connectedness-extension degree certificates."""
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .fields import (
     AbelianField,
@@ -18,7 +18,6 @@ from .fields import (
 from .cmtypes import (
     CMType,
     WeilDatum,
-    balance_product,
     is_weil_type,
     reflex,
     restriction_multiplicities,
@@ -43,7 +42,6 @@ __all__ = [
     "CMType",
     "Conclusion",
     "WeilDatum",
-    "balance_product",
     "base_certificate",
     "compositum",
     "cyclotomic",

@@ -4,8 +4,8 @@ One job per invocation.  Reports are deterministic: identical jobs emit
 byte-identical JSON (sorted keys, no timestamps).  Exit codes separate
 the three ways a run can end: 0 when every conclusion was reached, 2 when
 a hypothesis does not hold (a checked one failed, an assumed flag is
-false, or a certificate check failed), 1 for malformed input.  Exit 2
-always comes with a report that names what failed.
+false, or a certificate check failed), 1 for malformed input, a usage
+error included.  Exit 2 always comes with a report that names what failed.
 """
 
 from __future__ import annotations
@@ -14,21 +14,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import AbstractSet, Any, Callable, Optional
 
 from . import __version__
-from .cmtypes import (
-    CMType,
-    WeilDatum,
-    balance_product,
-    is_weil_type,
-    reflex,
-    validate_cm_type,
-    weil_datum,
-    weil_r,
-)
+from .cmtypes import CMType, WeilDatum, reflex, validate_cm_type, weil_datum, weil_r
 from .fields import (
     AbelianField,
     compositum,
@@ -53,6 +44,7 @@ from .twists import (
     HYP_PHI_BASE,
     Conclusion,
     Hypothesis,
+    conclude,
     discond_groups,
     twist_e,
     twist_x,
@@ -452,139 +444,113 @@ def _run_base_cert(payload: dict) -> Conclusion:
 
 
 # ---------------------------------------------------------------------------
-# Worked-example replays.
+# Worked-example replays: ordinary jobs checked against a table of paper claims.
 
-EXAMPLE_41_TUPLES = ((0, 0), (0, 1), (0, 4), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6))
+@dataclass(frozen=True)
+class _Example:
+    """A worked example: its jobs (command -> payload, whose keys the example's
+    payload overrides), the values read from their reports (result key ->
+    command, report attribute, keys), its claims (statement, result key,
+    expected value), its assumptions, and the paper's conclusions."""
 
-EXAMPLE_41_ASSUMED = (
-    "End(A) is the full ring of integers of K",
-    HYP_END_A,
-    HYP_PHI_BASE,
-    HYP_AUT_VALUED,
+    jobs: dict[str, dict]
+    reads: dict[str, tuple]
+    claims: tuple[tuple[str, str, Any], ...]
+    assumed: tuple[str, ...]
+    conclusions: tuple[str, ...]
+
+
+_K_41 = {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]}
+# 35^a 37^b (mod 51) for the paper's (a, b): 35 is conjugation, 37 has order 8
+_TYPE_41 = {"field": _K_41, "type": [1, 5, 13, 26, 28, 32, 37, 44]}
+
+EXAMPLE_41_ASSUMED = ("End(A) is the full ring of integers of K",
+                      HYP_END_A, HYP_PHI_BASE, HYP_AUT_VALUED)
+
+EXAMPLE_41 = _Example(
+    jobs={
+        "field": {"field": _K_41},
+        "cmtype": _TYPE_41,
+        "twist-x": {"base": {"quadratic": -3}, "components": [_TYPE_41], "character": {"order": 3}},
+    },
+    reads={
+        "invariant_factors": ("field", "results", "invariant_factors"),
+        "primitive": ("cmtype", "results", "primitive"),
+        "reflex_degree": ("cmtype", "results", "reflex_field", "degree"),
+        "n_sigma": ("twist-x", "results", "multiplicities"),
+        "weil_r": ("twist-x", "results", "weil_r"),
+        "phiB_over_F": ("twist-x", "results", "twist", "conclusions", "phiB_over_F_exact"),
+    },
+    claims=(
+        ("Gal(K/Q) = Z/2 x Z/8", "invariant_factors", [2, 8]),
+        ("Phi is primitive", "primitive", True),
+        # the reflex field is a subfield of K, so K when their degrees agree
+        ("the reflex field of Phi is K", "reflex_degree", 16),
+        ("n_sigma = 4 for both embeddings of k", "n_sigma",
+         [{"coset": [1], "n": 4}, {"coset": [2], "n": 4}]),
+        ("r = 8", "weil_r", 8),
+        ("[F_Phi(B):F] = 3", "phiB_over_F", 3),
+    ),
+    assumed=EXAMPLE_41_ASSUMED,
+    conclusions=("F_Phi(B) = M, [F_Phi(B):F] = 3",),
 )
 
-EXAMPLE_42_ASSUMED = (
-    CLASS_NUMBER_ASSUMPTION,
-    GOOD_REDUCTION_ASSUMPTION,
-    "Hom(J,E^(d)) = 0",
-    "endomorphism-field identities",
+_TYPE_J = {"field": {"cyclotomic": 7}, "type": [1, 2, 3]}
+
+EXAMPLE_42_ASSUMED = (CLASS_NUMBER_ASSUMPTION, GOOD_REDUCTION_ASSUMPTION,
+                      "Hom(J,E^(d)) = 0", "endomorphism-field identities")
+
+EXAMPLE_42 = _Example(
+    jobs={
+        "base-cert": {"p": 3, "q": 17},
+        "cmtype": _TYPE_J,
+        # J alone (r = 3, not of Weil type) does not conclude: only its n_sigma is read
+        "twist-x": {"base": {"quadratic": -7}, "components": [_TYPE_J], "character": {"order": 2}},
+        "twist-e": {"base": {"quadratic": -7},
+                    "components": [_TYPE_J, {"field": {"quadratic": -7}, "type": [3]}],
+                    "dim_x": 3, "dim_y": 1, "label": "L_d"},
+    },
+    reads={
+        "base_certificate": ("base-cert", "results", "certificate"),
+        "base_conclusion": ("base-cert", "results", "certificate", "conclusion"),
+        "reflex_degree_J": ("cmtype", "results", "reflex_field", "degree"),
+        "n_sigma_J": ("twist-x", "results", "multiplicities"),
+        "n_sigma_product": ("twist-e", "results", "multiplicities"),
+        "product_concluded": ("twist-e", "concluded"),
+    },
+    claims=(
+        ("the reflex CM-field of the CM-type of J is K", "reflex_degree_J", 6),
+        ("restriction multiplicities of J alone are (2, 1)", "n_sigma_J",
+         [{"coset": [1, 2, 4], "n": 2}, {"coset": [3, 5, 6], "n": 1}]),
+        ("appending the conjugate elliptic type balances them to (2, 2)", "n_sigma_product",
+         [{"coset": [1, 2, 4], "n": 2}, {"coset": [3, 5, 6], "n": 2}]),
+        ("the twist of E by d gives F_Phi(J x E^(d)) = L_d", "product_concluded", True),
+        ("the base certificate gives K_Phi(A) = K = Q_Phi(A)", "base_conclusion",
+         "K_Phi(A) = K = Q_Phi(A)"),
+    ),
+    assumed=EXAMPLE_42_ASSUMED,
+    conclusions=("K_Phi(A) = K", "Q_Phi(A^(d)) = L_d"),
 )
 
 
-def _example_hypotheses(records: tuple[Hypothesis, ...],
-                        assumed: tuple[str, ...]) -> tuple[Hypothesis, ...]:
-    """The checked records of the theorems an example runs, then the
-    example's own assumptions, which stand in for theirs."""
-    return tuple(h for h in records if h.kind == "checked") + tuple(
-        Hypothesis(name, "assumed", True) for name in assumed)
-
-
-def _example_41_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
-    """Coordinate basis splitting Gal(K/Q) along the two cyclotomic strands.
-
-    The order-2 generator is complex conjugation (acts only on the
-    quadratic strand); the order-8 generator acts only on the real strand
-    through the residue 3 mod 17.
-    """
-    m = K.conductor
-    def crt(r3: int, r17: int) -> int:
-        return next(x for x in range(1, m) if x % 3 == r3 and x % 17 == r17)
-    return ((crt(2, 1), 2), (crt(1, 3), 8))
-
-
-def _run_example_41(payload: dict) -> Conclusion:
-    k = quadratic(-3)
-    L = maximal_real_subfield(cyclotomic(17))
-    K = compositum(k, L)
-    factors = invariant_factors(K.conductor, K.fixed_group)
-    basis = _example_41_basis(K)
-    residues = [
-        _coordinate_residue(K.conductor, basis, list(coords), "type")
-        for coords in EXAMPLE_41_TUPLES
-    ]
-    T = validate_cm_type(K, residues)
-    datum = weil_datum(k, [T])
-    twist = twist_x(datum, 3)
-    degrees = twist.results["conclusions"]
-    stab, refl, _, _ = reflex(T)
-    primitive = stab == K.fixed_group
-    reflex_is_K = refl == K
-    results = {
-        "field_K": field_dict(K),
-        "field_k": field_dict(k),
-        "field_L": field_dict(L),
-        "invariant_factors": list(factors),
-        "coordinate_basis": _basis_list(basis),
-        "psi_coordinates": [list(t) for t in EXAMPLE_41_TUPLES],
-        "psi_residues": sorted(residues),
-        "primitive": primitive,
-        "reflex_field_is_K": reflex_is_K,
-        "n_sigma": _mults_list(k, datum.multiplicities),
-        "weil_type": is_weil_type(datum),
-        "weil_r": twist.results["r"],
-        "character": {"order": 3, "label": "M"},
-        "twist": twist.results,
-        "conclusion": f"F_Phi(B) = M, [F_Phi(B):F] = {degrees['phiB_over_F_exact']}",
-    }
-    statements = (
-        "Gal(K/Q) = Z/2 x Z/8",
-        "n_sigma = 4 for both embeddings of k",
-    ) + twist.statements
-    concluded = (
-        factors == (2, 8)
-        and primitive
-        and reflex_is_K
-        and set(datum.multiplicities.values()) == {4}
-        and degrees["phiB_equals_M"]
-    )
-    return Conclusion(results, _example_hypotheses(twist.hypotheses, EXAMPLE_41_ASSUMED),
-                      statements, concluded)
-
-
-def _run_example_42(payload: dict) -> Conclusion:
-    p = _require_int(payload.get("p", 3), "p")
-    q = _require_int(payload.get("q", 17), "q")
-    K = cyclotomic(7)
-    T = validate_cm_type(K, [1, 2, 3])
-    _, refl, refl_inv, refl_conj = reflex(T)
-    k = quadratic(-7)
-    datum_j = weil_datum(k, [T])
-    balancing = balance_product(datum_j)
-    if balancing is None:
-        raise AssertionError("the single-factor datum must balance")
-    datum = weil_datum(k, [T, balancing])
-    cert = base_certificate(p, q)
-    twist = twist_e(3, 1, datum, extension_label="L_d")
-    concluded = cert.concluded and twist.concluded
-    results = {
-        "field_K": field_dict(K),
-        "field_k": field_dict(k),
-        "jacobian_model": "y^7 = x(1-x)",
-        "elliptic_model": "y^2 + x*y = x^3 - x^2 - 2*x - 1",
-        "cm_type_J": _cmtype_list(T),
-        "reflex_field_is_K": refl == K,
-        "reflex_type_inverse": _cmtype_list(refl_inv),
-        "reflex_type_conjugate": _cmtype_list(refl_conj),
-        "n_sigma_J": _mults_list(k, datum_j.multiplicities),
-        "weil_type_J_alone": is_weil_type(datum_j),
-        "balancing_type": _cmtype_list(balancing),
-        "n_sigma_product": _mults_list(k, datum.multiplicities),
-        "weil_type_product": is_weil_type(datum),
-        "weil_r": weil_r(datum),
-        "base_certificate": cert.results,
-        "twist": twist.results,
-        "conclusions": (
-            ["K_Phi(A) = K", "Q_Phi(A^(d)) = L_d"] if concluded else []
-        ),
-    }
-    statements = (
-        "the reflex CM-field of the CM-type of J is K",
-        "restriction multiplicities of J alone are (2, 1)",
-        "appending the conjugate elliptic type balances them to (2, 2)",
-    ) + cert.statements + twist.statements
-    return Conclusion(results,
-                      _example_hypotheses(cert.hypotheses + twist.hypotheses, EXAMPLE_42_ASSUMED),
-                      statements, concluded)
+def _run_example(table: _Example, payload: dict) -> Conclusion:
+    """Run the example's jobs through :func:`run`, read its values from their
+    reports, and record each claim as a checked hypothesis."""
+    reports = {command: run(JobSpec(command, {k: payload.get(k, v) for k, v in job.items()}))
+               for command, job in table.jobs.items()}
+    results = {"jobs": list(reports)}
+    for key, (command, attribute, *path) in table.reads.items():
+        value = getattr(reports[command], attribute)
+        for step in path:
+            value = value[step]
+        results[key] = value
+    hypotheses = tuple(Hypothesis(statement, "checked", results[key] == expected)
+                       for statement, key, expected in table.claims)
+    hypotheses += tuple(Hypothesis(name, "assumed", True) for name in table.assumed)
+    every = [h.name for h in hypotheses]
+    statements, concluded = conclude(hypotheses, [(c, every) for c in table.conclusions])
+    results["conclusions"] = list(statements)
+    return Conclusion(results, hypotheses, statements, concluded)
 
 
 @dataclass(frozen=True)
@@ -607,8 +573,9 @@ _COMMANDS: dict[str, _Command] = {
     "discond": _Command(_run_discond, {"n", "d"}, flags=("n", "d")),
     "inertia": _Command(_run_inertia, {"p"}, flags=("p",)),
     "base-cert": _Command(_run_base_cert, {"p", "q"}, flags=("p", "q")),
-    "example-41": _Command(_run_example_41),
-    "example-42": _Command(_run_example_42, optional={"p", "q"}, flags=("p", "q")),
+    "example-41": _Command(partial(_run_example, EXAMPLE_41)),
+    "example-42": _Command(partial(_run_example, EXAMPLE_42), optional={"p", "q"},
+                           flags=("p", "q")),
 }
 
 
@@ -656,21 +623,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _payload_from_args(args: argparse.Namespace) -> dict:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            try:
-                document = json.load(fh)
-            except ValueError as exc:
-                # JSONDecodeError, UnicodeDecodeError and the int-to-str digit
-                # limit; a RecursionError (deep nesting) goes to main()
-                raise InputError(f"{args.input}: invalid JSON ({exc})") from exc
-        return _require_mapping(document, args.input)
-    payload = {}
-    for flag in _COMMANDS[args.command].flags:
-        value = getattr(args, flag)
-        if value is not None:
-            payload[flag] = value
-    return payload
+    flags = _COMMANDS[args.command].flags
+    payload = {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    if not args.input:
+        return payload
+    if payload:
+        given = ", ".join(f"--{flag}" for flag in payload)
+        raise InputError(f"{given} would be ignored: the payload comes from --input {args.input}")
+    with open(args.input, "r", encoding="utf-8") as fh:
+        try:
+            document = json.load(fh)
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError and the int-to-str digit
+            # limit; a RecursionError (deep nesting) goes to main()
+            raise InputError(f"{args.input}: invalid JSON ({exc})") from exc
+    return _require_mapping(document, args.input)
 
 
 def _summary_lines(report: Report) -> list[str]:
@@ -691,7 +658,10 @@ def _summary_lines(report: Report) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:       # 0 after --help or --version, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         report = run(validate_input({"command": args.command,
                                      "payload": _payload_from_args(args)}))

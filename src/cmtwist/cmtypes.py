@@ -7,7 +7,7 @@ are fiber counts of CM-types over the Galois group of a base CM field;
 the Weil condition is their invariance under conjugation.  A datum is
 checked and counted once: :func:`weil_datum` checks that each component
 contains the base, and ``WeilDatum.multiplicities`` counts on first use
-for :func:`is_weil_type`, :func:`balance_product` and the reports.
+for :func:`is_weil_type` and the reports.
 
 A Galois element is the least residue of its coset of the fixed group, as
 everywhere in :mod:`cmtwist.fields`: ``CMType.psi`` is a frozenset of
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .fields import (
     AbelianField,
@@ -190,23 +190,3 @@ def is_weil_type(D: WeilDatum) -> bool:
     counts = D.multiplicities
     m, rep = D.base.conductor, _coset_rep(D.base)
     return all(counts[s] == counts[rep[(m - 1) * s % m]] for s in counts)
-
-
-def balance_product(D: WeilDatum) -> Optional[CMType]:
-    """CM-type on the base field whose elliptic factor balances the datum.
-
-    The base must be imaginary quadratic (the new factor is an elliptic
-    curve with CM by it).  The factor {sigma} adds one to n_sigma alone,
-    so it balances the datum exactly when n_sigma + 1 = n_{sigma-bar}.
-    Returns that choice of the two CM-types, or None when no single
-    factor can balance.
-    """
-    k = D.base
-    if k.degree != 2:
-        raise ValueError("an elliptic factor requires an imaginary quadratic base")
-    counts = D.multiplicities
-    m, rep = k.conductor, _coset_rep(k)
-    for sigma in counts:
-        if counts[sigma] + 1 == counts[rep[(m - 1) * sigma % m]]:
-            return CMType(k, frozenset({sigma}))
-    return None

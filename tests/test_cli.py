@@ -22,12 +22,27 @@ from cmtwist.cli import (
     run,
     validate_input,
 )
+from cmtwist.cmtypes import weil_datum
 from cmtwist.fields import MAX_CONDUCTOR, compositum, cyclotomic, maximal_real_subfield, quadratic
-from helpers import cm_fields, dumps_oracle, example41_field, peeled_invariant_factor_basis
+from helpers import (
+    EXAMPLE41_TUPLES,
+    appended_balance_product,
+    cm_fields,
+    crt_residue_51,
+    dumps_oracle,
+    example41_field,
+    example41_residues,
+    peeled_invariant_factor_basis,
+)
 
 
 def run_command(command, payload=None):
     return run(JobSpec(command, payload or {}))
+
+
+def example_job(table, command):
+    """The report of one of a worked example's own jobs."""
+    return run_command(command, table.jobs[command])
 
 
 def example41_twist_job(order):
@@ -213,23 +228,39 @@ class TestExample41:
         report = run_command("example-41")
         r = report.results
         assert report.concluded
+        assert r["jobs"] == ["field", "cmtype", "twist-x"]
         assert r["invariant_factors"] == [2, 8]
-        assert r["primitive"] and r["reflex_field_is_K"]
+        assert r["primitive"] and r["reflex_degree"] == example41_field().degree
+        cmtype = example_job(cli.EXAMPLE_41, "cmtype").results
+        assert cmtype["reflex_field"] == cmtype["field"]            # the reflex field is K
         assert [e["n"] for e in r["n_sigma"]] == [4, 4]
         assert r["weil_r"] == 8
-        twist = r["twist"]
+        twist = example_job(cli.EXAMPLE_41, "twist-x").results["twist"]
         assert twist["t"] == 1 and twist["mu_bound"] == 1
         assert twist["conclusions"]["phiB_equals_M"] is True
-        assert twist["conclusions"]["phiB_over_F_exact"] == 3
-        assert r["conclusion"] == "F_Phi(B) = M, [F_Phi(B):F] = 3"
+        assert twist["conclusions"]["phiB_over_F_exact"] == r["phiB_over_F"] == 3
+        assert r["conclusions"] == ["F_Phi(B) = M, [F_Phi(B):F] = 3"]
 
     def test_coordinates_echoed_with_declared_basis(self):
-        r = run_command("example-41").results
-        assert r["coordinate_basis"] == [
-            {"generator": 35, "order": 2},
-            {"generator": 37, "order": 8},
-        ]
-        assert len(r["psi_residues"]) == 8
+        # the type is given by the residues of the paper's (a, b) tuples
+        # along 35 (order 2) and 37 (order 8)
+        psi = cli.EXAMPLE_41.jobs["cmtype"]["type"]
+        assert psi == sorted(example41_residues()) and len(psi) == 8
+        assert (crt_residue_51(2, 1), crt_residue_51(1, 3)) == (35, 37)
+        assert sorted(pow(35, a, 51) * pow(37, b, 51) % 51 for a, b in EXAMPLE41_TUPLES) == psi
+        fixed = example41_field().fixed_group
+        assert [n for n in range(1, 9) if pow(35, n, 51) in fixed] == [2, 4, 6, 8]
+        assert [n for n in range(1, 9) if pow(37, n, 51) in fixed] == [8]
+
+    def test_induced_type_fails_the_reflex_claims(self, monkeypatch, capsys):
+        # the type induced from Q(sqrt -3): every residue is 1 (mod 3)
+        induced = {**cli.EXAMPLE_41.jobs["cmtype"], "type": [1, 4, 7, 19, 22, 25, 28, 31]}
+        monkeypatch.setitem(cli.EXAMPLE_41.jobs, "cmtype", induced)
+        assert main(["example-41", "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert [h["name"] for h in doc["hypotheses"] if not h["holds"]] == [
+            "Phi is primitive", "the reflex field of Phi is K"]
+        assert doc["results"]["reflex_degree"] == 2 and doc["results"]["conclusions"] == []
 
 
 class TestExample42:
@@ -252,26 +283,78 @@ class TestExample42:
 
     def test_intermediate_values(self):
         r = run_command("example-42").results
-        assert r["reflex_type_inverse"] == [[1], [4], [5]]
-        assert r["reflex_type_conjugate"] == [[4], [5], [6]]
+        assert r["jobs"] == ["base-cert", "cmtype", "twist-x", "twist-e"]
+        cmtype = example_job(cli.EXAMPLE_42, "cmtype").results
+        assert cmtype["reflex_type_inverse"] == [[1], [4], [5]]
+        assert cmtype["reflex_type_conjugate"] == [[4], [5], [6]]
+        assert cmtype["reflex_field"] == cmtype["field"] and r["reflex_degree_J"] == 6
         assert [e["n"] for e in r["n_sigma_J"]] == [2, 1]
         assert [e["n"] for e in r["n_sigma_product"]] == [2, 2]
-        assert r["weil_type_J_alone"] is False
-        assert r["weil_type_product"] is True
-        assert r["weil_r"] == 4
+        weil = {"name": "(A, k, iota) is of Weil type", "kind": "checked"}
+        alone = example_job(cli.EXAMPLE_42, "twist-x")
+        product = example_job(cli.EXAMPLE_42, "twist-e")
+        assert {**weil, "holds": False} in [h.to_dict() for h in alone.hypotheses]
+        assert {**weil, "holds": True} in [h.to_dict() for h in product.hypotheses]
+        assert not alone.concluded and product.concluded and r["product_concluded"] is True
+        assert product.results["weil_r"] == 4
         cert = r["base_certificate"]
         assert cert["certificate_p"]["inertia_order"] == 56
         assert cert["certificate_q"]["inertia_order"] == 78624
-        assert "conclusions" not in r["twist"]       # it would repeat "concluded"
+        assert r["base_conclusion"] == cert["conclusion"] == "K_Phi(A) = K = Q_Phi(A)"
+        assert "conclusions" not in product.results["twist"]      # it would repeat "concluded"
+
+    def test_balancing_component_is_the_oracle_choice(self):
+        jobs = cli.EXAMPLE_42.jobs
+        J, elliptic = jobs["twist-e"]["components"]
+        assert J == jobs["cmtype"] and jobs["twist-x"]["components"] == [J]
+        k = parse_field_literal(jobs["twist-e"]["base"])
+        T, _ = cli.parse_cm_type(parse_field_literal(J["field"]), J["type"])
+        choice = appended_balance_product(weil_datum(k, [T]))
+        assert parse_field_literal(elliptic["field"]) == k
+        assert cli.parse_cm_type(k, elliptic["type"]) == (choice, None)
 
     def test_custom_primes(self):
         report = run_command("example-42", {"p": 17, "q": 31})
         assert report.concluded
+        assert report.results["base_certificate"]["certificate_q"]["p"] == 31
 
     def test_failing_prime_leaves_conclusions_empty(self):
         report = run_command("example-42", {"p": 3, "q": 2})
         assert not report.concluded
         assert report.results["conclusions"] == []
+
+    def test_broken_claim_is_named(self, monkeypatch, capsys):
+        product = cli.EXAMPLE_42.jobs["twist-e"]
+        J = product["components"][0]
+        monkeypatch.setitem(product, "components",
+                            [J, {"field": {"quadratic": -7}, "type": [1]}])
+        claim = "appending the conjugate elliptic type balances them to (2, 2)"
+        assert main(["example-42"]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("failed: ")]
+        assert len(failed) == 1 and claim in failed[0][len("failed: "):].split("; ")
+        assert main(["example-42", "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert {"name": claim, "kind": "checked", "holds": False} in doc["hypotheses"]
+        assert doc["concluded"] is False and doc["statements"] == []
+        assert doc["results"]["conclusions"] == []
+        assert [e["n"] for e in doc["results"]["n_sigma_product"]] == [3, 1]
+
+
+@pytest.mark.parametrize("command, table", [
+    ("example-41", cli.EXAMPLE_41),
+    ("example-42", cli.EXAMPLE_42),
+])
+def test_example_records_are_its_claims_then_its_assumptions(command, table):
+    report = run_command(command)
+    assert [h.to_dict() for h in report.hypotheses] == [
+        {"name": statement, "kind": "checked", "holds": True}
+        for statement, _, _ in table.claims
+    ] + [{"name": name, "kind": "assumed", "holds": True} for name in table.assumed]
+    # results hold the job list, the values read from the jobs and the conclusions
+    assert set(report.results) == {"jobs", "conclusions", *table.reads}
+    assert report.statements == table.conclusions
+    assert report.results["jobs"] == list(table.jobs)
 
 
 class TestMainExitCodes:
@@ -282,6 +365,35 @@ class TestMainExitCodes:
     def test_input_error(self, capsys):
         assert main(["inertia"]) == 1  # p missing entirely
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["example-41", "--p", "3"],
+        [],
+        ["inertia", "--p", "x"],
+        ["fields"],
+    ], ids=["unknown-flag", "no-command", "non-integer-flag", "unknown-command"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own code 2 would read as a hypothesis that does not hold
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: cmtwist") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["example-42", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
+    def test_input_with_payload_flags_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text('{"p": 5}')
+        assert main(["inertia", "--p", "3", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: --p would be ignored: the payload comes from --input {path}\n"
+        assert main(["base-cert", "--q", "3", "--p", "5", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: --p, --q would be ignored: ")
+        assert main(["inertia", "--input", str(path)]) == 2        # the file alone runs p = 5
 
     def test_hypothesis_failure_in_certificate(self, capsys):
         assert main(["base-cert", "--p", "3", "--q", "2"]) == 2
@@ -564,15 +676,21 @@ class TestHypothesisRecords:
 
     @pytest.mark.parametrize("command", ["base-cert", "example-42"])
     def test_failed_check_withholds_the_base_statements(self, command, capsys):
+        # example-42 names its claim on the base-cert job, not that job's records
+        failed = {
+            "base-cert": ["p and q are odd", "K' = K at q = 2"],
+            "example-42": ["the base certificate gives K_Phi(A) = K = Q_Phi(A)"],
+        }[command]
         argv = [command, "--p", "3", "--q", "2"]
         assert main(argv) == 2
         out = capsys.readouterr().out
-        assert "failed: p and q are odd; K' = K at q = 2" in out
+        assert "failed: " + "; ".join(failed) in out.splitlines()
         assert main(argv + ["--json"]) == 2
         doc = json.loads(capsys.readouterr().out)
         for statement in BASE_CERT_STATEMENTS:
             assert statement not in out and statement not in doc["statements"]
-        assert {"name": "p and q are odd", "kind": "checked", "holds": False} in doc["hypotheses"]
+        assert [h["name"] for h in doc["hypotheses"] if not h["holds"]] == failed
+        assert {"name": failed[0], "kind": "checked", "holds": False} in doc["hypotheses"]
 
     def test_summary_names_failed_hypotheses(self, tmp_path, capsys):
         payload = {**example41_twist_job(3), "assume": {

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cmtwist.cmtypes import (
     WeilDatum,
-    balance_product,
     is_weil_type,
     reflex,
     restriction_multiplicities,
@@ -281,48 +280,31 @@ class TestWeilDatum:
 
 
 class TestBalanceProduct:
+    """One elliptic factor with CM by the quadratic base, appended to a datum."""
+
     def test_balances_jacobian(self):
         D = weil_datum(SQRT_M7, [jacobian_type()])
-        choice = balance_product(D)
+        choice = appended_balance_product(D)
         assert choice is not None
         assert choice.sorted_psi() == ((3, 5, 6),)
+        assert is_weil_type(weil_datum(SQRT_M7, [jacobian_type(), choice]))
 
     def test_impossible_when_gap_exceeds_one(self):
         # fibers (3, 0): no single elliptic factor can close the gap
         D = weil_datum(SQRT_M7, [validate_cm_type(K7, [1, 2, 4])])
-        assert balance_product(D) is None
-
-    def test_requires_quadratic_base(self):
-        K15 = cyclotomic(15)
-        D = weil_datum(K15, [canonical_cm_type(K15)])
-        with pytest.raises(ValueError, match="imaginary quadratic"):
-            balance_product(D)
+        assert appended_balance_product(D) is None
+        for label in (1, 3):
+            E = validate_cm_type(SQRT_M7, [label])
+            assert not is_weil_type(weil_datum(SQRT_M7, D.components + (E,)))
 
     def test_balanced_stays_balanced_only_by_symmetry(self):
         # already-balanced data cannot absorb one more factor
         elliptic = validate_cm_type(SQRT_M7, [3])
         D = weil_datum(SQRT_M7, [jacobian_type(), elliptic])
-        assert balance_product(D) is None
-
-    def test_matches_appending_each_candidate(self):
-        # the fiber-count rule against appending each CM-type of the base
-        # and testing the longer datum, over every imaginary quadratic
-        # subfield of the corpus, with one and two components
-        seen, outcomes = set(), set()
-        for K in cm_fields(40, 8):
-            types = all_cm_types(K)
-            for k in subgroup_lattice_subfields(K):
-                if k.degree != 2 or not is_cm(k):
-                    continue
-                seen.add(k)
-                for T in types:
-                    for comps in ([T], [T, types[0]]):
-                        D = weil_datum(k, comps)
-                        choice = balance_product(D)
-                        assert choice == appended_balance_product(D), (k, comps)
-                        outcomes.add(choice and min(choice.psi) == min(galois_group(k)))
-        assert len(seen) == 14
-        assert outcomes == {None, True, False}  # either type, or none, balances
+        assert is_weil_type(D) and appended_balance_product(D) is None
+        for label in (1, 3):
+            E = validate_cm_type(SQRT_M7, [label])
+            assert not is_weil_type(weil_datum(SQRT_M7, D.components + (E,)))
 
 
 # ---------------------------------------------------------------------------

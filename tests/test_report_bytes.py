@@ -263,13 +263,13 @@ def rationals_jobs() -> list[tuple[str, dict]]:
 
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
-    "commands": ("b56fd9341073950289eedd017e9c54635280fcaa180bbdc6f9a81237938caafe",
+    "commands": ("0cec6cf03d886e98b9c2350fb4fcbb818396e970c49bda4ae9224468110b544a",
                  {0: 15, 1: 5, 2: 6}),
-    "cmtype": ("ff55a92fbcfa07361c0cfe970ab3b84d7424e9f1fd6ce6a1f0f2e93834063857",
+    "cmtype": ("86359240744b1c84a7ee39f6cff07ca83664edee08de0d6bc68169730d0b76db",
                {0: 295, 1: 9}),
-    "twists": ("cf49ebd9be3fbb942286ac9f4f48f34745970d461acb63460342ac785d0dd42f",
+    "twists": ("59a4842d3c41ab563b8a99851673c00aae84e1c9df3941ea6476fc20a1cafee9",
                {0: 90, 2: 326}),
-    "rationals": ("53e090cd6ef0c6a843be7dce8e40f76587411d87fb7b0d935d919250af3e0fdc",
+    "rationals": ("a1ba77e8504e2368e50eb3067666acd1b5a6287718302c8d7198e27a5e7d5161",
                   {0: 10, 1: 3}),
 }
 
