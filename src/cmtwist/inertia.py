@@ -139,10 +139,6 @@ def _require_prime(p: int) -> None:
 # ---------------------------------------------------------------------------
 # Certificates.
 
-def _check(name: str, statement: str, holds: bool, witness: str) -> dict:
-    return {"name": name, "statement": statement, "pass": holds, "witness": witness}
-
-
 CLASS_NUMBER_ASSUMPTION = "class number 1"
 GOOD_REDUCTION_ASSUMPTION = "good reduction outside 7"
 
@@ -150,79 +146,48 @@ GOOD_REDUCTION_ASSUMPTION = "good reduction outside 7"
 def kitself_certificate(p: int) -> Conclusion:
     """Run every inertia check at p; conclude K' = K only if all pass.
 
-    p is proved prime once, here.  Each check is computed where it is
-    recorded and only records its outcome: a failed check never raises.
-    The inertia, gcd and Frobenius checks run only when p = 3 (mod 7),
-    and then they always pass: q = p^2 + p + 1 divides p^3 - 1 = (p - 1) q,
-    p^6 - 1 is prime to p, and p^3, p^4, p^5 mod 7 depend on p mod 7 alone.
+    p is proved prime once, here.  Each check is a checked hypothesis named
+    by its statement, and its witness (the arithmetic at p) is a statement
+    resting on that check alone: a failed check withholds its witness and
+    the conclusion, and never raises.  The inertia, gcd and Frobenius
+    checks run only when p = 3 (mod 7), and then they always pass:
+    q = p^2 + p + 1 divides p^3 - 1 = (p - 1) q, p^6 - 1 is prime to p,
+    and p^3, p^4, p^5 mod 7 depend on p mod 7 alone.
 
     >>> kitself_certificate(3).results["conclusion"]
     "K' = K"
-    >>> kitself_certificate(2).concluded
-    False
+    >>> kitself_certificate(2).statements
+    ('p^2 - 1 = 3',)
     """
     _require_prime(p)
     if p == 7:
-        raise ValueError("p must differ from 7")
-    checks: list[dict] = []
-
+        raise ValueError("must differ from 7")
+    q = p * p + p + 1
     congruent = p % 7 == 3
-    checks.append(_check(
-        "congruence_check",
-        "p = 3 (mod 7)",
-        congruent,
-        f"{p} = {p % 7} (mod 7)",
-    ))
-
+    # (statement, whether it holds, witness)
+    checks = [("p = 3 (mod 7)", congruent, f"{p} = {p % 7} (mod 7)")]
     order_val: Optional[int] = None
     if congruent:
-        big, q = p**6 - 1, p * p + p + 1
+        big = p**6 - 1
         order_val, rem = divmod(big, q)
-        checks.append(_check(
-            "inertia_order",
-            "#(I_p) = (p^6 - 1)/(p^2 + p + 1)",
-            rem == 0,
-            f"({p}^6 - 1)/{q} = {order_val}",
-        ))
         g = gcd(big, p**3 * q)
-        checks.append(_check(
-            "gcd_check",
-            "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1",
-            g == q,
-            f"gcd({big}, {p**3 * q}) = {g}",
-        ))
         frob = (pow(p, 3, 7), pow(p, 4, 7), pow(p, 5, 7))
-        checks.append(_check(
-            "frobenius_exponents",
-            "p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)",
-            frob == (6, 4, 5),
-            f"(p^3, p^4, p^5) = {frob} (mod 7)",
-        ))
-
-    checks.append(_check(
-        "seven_nondivisibility",
-        "7 does not divide p^2 + p + 1",
-        (p * p + p + 1) % 7 != 0,
-        f"p^2 + p + 1 = {p * p + p + 1}",
-    ))
-
-    checks.append(_check(
-        "elliptic_order",
-        "7 does not divide p^2 - 1",
-        (p * p - 1) % 7 != 0,
-        f"p^2 - 1 = {p * p - 1}",
-    ))
-
-    concluded = all(c["pass"] for c in checks)
-    results = {
-        "p": p,
-        "inertia_order": order_val,
-        "checks": checks,
-        "conclusion": "K' = K" if concluded else None,
-    }
-    # the one assumption; each checked fact is an entry of ``checks``
-    return Conclusion(results, (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),),
-                      tuple(c["statement"] for c in checks if c["pass"]), concluded)
+        checks += [
+            ("#(I_p) = (p^6 - 1)/(p^2 + p + 1)", rem == 0, f"({p}^6 - 1)/{q} = {order_val}"),
+            ("gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1", g == q,
+             f"gcd({big}, {p**3 * q}) = {g}"),
+            ("p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)", frob == (6, 4, 5),
+             f"(p^3, p^4, p^5) = {frob} (mod 7)"),
+        ]
+    checks += [
+        ("7 does not divide p^2 + p + 1", q % 7 != 0, f"p^2 + p + 1 = {q}"),
+        ("7 does not divide p^2 - 1", (p * p - 1) % 7 != 0, f"p^2 - 1 = {p * p - 1}"),
+    ]
+    hypotheses = tuple(Hypothesis(name, "checked", holds) for name, holds, _ in checks)
+    hypotheses += (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),)
+    statements, concluded = conclude(hypotheses, [(w, [name]) for name, _, w in checks])
+    results = {"p": p, "inertia_order": order_val, "conclusion": "K' = K" if concluded else None}
+    return Conclusion(results, hypotheses, statements, concluded)
 
 
 def base_certificate(p: int, q: int) -> Conclusion:
@@ -230,7 +195,9 @@ def base_certificate(p: int, q: int) -> Conclusion:
 
     The odd-prime check and the two per-prime certificates are checked
     hypotheses, and every statement rests on all of them and on both
-    assumptions, so a failed check withholds them all.
+    assumptions, so a failed check withholds them all.  A prime that
+    :func:`kitself_certificate` refuses raises its ``ValueError`` prefixed
+    with the argument's name, ``p`` or ``q``.
 
     >>> base_certificate(3, 17).results["conclusion"]
     'K_Phi(A) = K = Q_Phi(A)'
@@ -239,8 +206,13 @@ def base_certificate(p: int, q: int) -> Conclusion:
     """
     if p == q:
         raise ValueError("the two primes must be distinct")
-    cert_p = kitself_certificate(p)
-    cert_q = kitself_certificate(q)
+    certs = []
+    for key, prime in (("p", p), ("q", q)):
+        try:
+            certs.append(kitself_certificate(prime))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    cert_p, cert_q = certs
     hypotheses = (
         Hypothesis("p and q are odd", "checked", p % 2 == 1 and q % 2 == 1),
         Hypothesis(f"K' = K at p = {p}", "checked", cert_p.concluded),

@@ -46,7 +46,7 @@ class Hypothesis:
 class Conclusion:
     """What a theorem forces: ``results`` is its section of the report,
     ``statements`` what it states under ``hypotheses``, and ``concluded``
-    is true only when every hypothesis holds and every check passed."""
+    is true only when every hypothesis holds."""
 
     results: dict
     hypotheses: tuple[Hypothesis, ...]
@@ -97,7 +97,10 @@ def discond_groups(n: int, d: int) -> dict:
     >>> discond_groups(6, 2)['gal_phiB_over_F']
     'Z/3'
     """
-    if n < 1 or d < 1 or n % d != 0:
+    for key, value in (("n", n), ("d", d)):
+        if value < 1:
+            raise ValueError(f"{key} = {value} must be positive")
+    if n % d != 0:
         raise ValueError(f"d = {d} must divide n = {n}")
     return {"n": n, "d": d, "gal_phiB_over_F": f"Z/{n // d}", "gal_M_over_phiB": f"Z/{d}"}
 

@@ -95,19 +95,21 @@ def test_criterion_4_reflex_conventions():
 
 def test_criterion_5_inertia_arithmetic_at_3():
     cert = kitself_certificate(3)
-    checks = {c["name"]: c for c in cert.results["checks"]}
+    # each check is a checked record named by its statement; its witness
+    # is a statement that stands only when that record holds
+    checks = {h.name: h.holds for h in cert.hypotheses if h.kind == "checked"}
     unit = unit_generator_check()
     ok = (
         cert.results["inertia_order"] == 56
         and gcd(3**6 - 1, 3**3 * 13) == 13
-        and checks["gcd_check"]["pass"]
-        and checks["gcd_check"]["witness"] == "gcd(728, 351) = 13"
-        and checks["frobenius_exponents"]["pass"]
-        and checks["frobenius_exponents"]["witness"] == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
-        and checks["seven_nondivisibility"]["pass"]      # 7 does not divide 13
-        and checks["seven_nondivisibility"]["witness"] == "p^2 + p + 1 = 13"
-        and checks["elliptic_order"]["pass"]             # 7 does not divide 8
-        and checks["elliptic_order"]["witness"] == "p^2 - 1 = 8"
+        and checks["gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1"]
+        and "gcd(728, 351) = 13" in cert.statements
+        and checks["p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)"]
+        and "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)" in cert.statements
+        and checks["7 does not divide p^2 + p + 1"]      # 7 does not divide 13
+        and "p^2 + p + 1 = 13" in cert.statements
+        and checks["7 does not divide p^2 - 1"]          # 7 does not divide 8
+        and "p^2 - 1 = 8" in cert.statements
         and unit["reduction_value_mod_7"] == 5
         and unit["reduction_order"] == 6                 # 5 generates (Z/7)^x
         and unit["unit_identity_holds"]                  # (x - 1)(-1 - x) = 1 - x^2

@@ -252,6 +252,14 @@ class TestExample41:
         assert [n for n in range(1, 9) if pow(35, n, 51) in fixed] == [2, 4, 6, 8]
         assert [n for n in range(1, 9) if pow(37, n, 51) in fixed] == [8]
 
+    def test_states_every_assumption_of_its_twist_job(self):
+        # the example concludes over its twist-x job, so it names each
+        # assumption that job takes on trust
+        names = [h.name for h in run_command("example-41").hypotheses]
+        twist = example_job(cli.EXAMPLE_41, "twist-x")
+        assumed = [h.name for h in twist.hypotheses if h.kind == "assumed"]
+        assert len(assumed) == 4 and all(name in names for name in assumed)
+
     def test_induced_type_fails_the_reflex_claims(self, monkeypatch, capsys):
         # the type induced from Q(sqrt -3): every residue is 1 (mod 3)
         induced = {**cli.EXAMPLE_41.jobs["cmtype"], "type": [1, 4, 7, 19, 22, 25, 28, 31]}
@@ -394,6 +402,25 @@ class TestMainExitCodes:
         assert main(["base-cert", "--q", "3", "--p", "5", "--input", str(path)]) == 1
         assert capsys.readouterr().err.startswith("input error: --p, --q would be ignored: ")
         assert main(["inertia", "--input", str(path)]) == 2        # the file alone runs p = 5
+
+    @pytest.mark.parametrize("argv, message", [
+        (["base-cert", "--p", "3", "--q", "7"], "payload: q: must differ from 7"),
+        (["example-42", "--q", "7"], "payload: q: must differ from 7"),
+        (["base-cert", "--p", "3", "--q", "15"], "payload: q: 15 is not prime"),
+        (["base-cert", "--p", "15", "--q", "7"], "payload: p: 15 is not prime"),
+        (["base-cert", "--p", "3", "--q", "3"], "payload: the two primes must be distinct"),
+        (["inertia", "--p", "15"], "p: 15 is not prime"),
+        (["inertia", "--p", "7"], "p: must differ from 7"),
+        (["discond", "--n", "-6", "--d", "-3"], "payload: n = -6 must be positive"),
+        (["discond", "--n", "6", "--d", "0"], "payload: d = 0 must be positive"),
+        (["discond", "--n", "6", "--d", "4"], "payload: d = 4 must divide n = 6"),
+    ], ids=["base-cert-q-7", "example-42-q-7", "base-cert-q-15", "base-cert-p-15",
+            "base-cert-p-equals-q", "inertia-15", "inertia-7", "discond-negative",
+            "discond-d-0", "discond-d-4"])
+    def test_exit_1_message_names_the_offending_key(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {message}\n"
 
     def test_hypothesis_failure_in_certificate(self, capsys):
         assert main(["base-cert", "--p", "3", "--q", "2"]) == 2
@@ -714,8 +741,9 @@ class TestHypothesisRecords:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-3:] == ["assumed: class number 1", "failed: " + failed, "NOT CONCLUDED"]
         assert main(["inertia", "--p", str(p), "--json"]) == 2
-        checks = json.loads(capsys.readouterr().out)["results"]["certificate"]["checks"]
-        assert "; ".join(c["statement"] for c in checks if not c["pass"]) == failed
+        records = json.loads(capsys.readouterr().out)["hypotheses"]
+        assert "; ".join(h["name"] for h in records if not h["holds"]) == failed
+        assert all(h["kind"] == "checked" for h in records if not h["holds"])
 
 
 def test_cli_import_does_not_load_sympy():

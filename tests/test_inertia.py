@@ -94,11 +94,11 @@ class TestResidueOrders:
         assert element_order(7, 5) == 6
 
     def test_congruence_predicate(self):
-        assert check(kitself_certificate(3), "congruence_check")["pass"]
-        assert check(kitself_certificate(17), "congruence_check")["pass"]
-        assert not check(kitself_certificate(2), "congruence_check")["pass"]
+        assert holds(kitself_certificate(3), CONGRUENCE) is True
+        assert holds(kitself_certificate(17), CONGRUENCE) is True
+        assert holds(kitself_certificate(2), CONGRUENCE) is False
         # inert but the wrong residue
-        assert not check(kitself_certificate(5), "congruence_check")["pass"]
+        assert holds(kitself_certificate(5), CONGRUENCE) is False
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="differ from 7"):
@@ -107,9 +107,20 @@ class TestResidueOrders:
             kitself_certificate(15)
 
 
-def check(cert, name):
-    """The check called ``name`` in a certificate, or None."""
-    return next((c for c in cert.results["checks"] if c["name"] == name), None)
+# the certificate's checks, each a checked record named by its statement
+CONGRUENCE = "p = 3 (mod 7)"
+INERTIA_ORDER = "#(I_p) = (p^6 - 1)/(p^2 + p + 1)"
+GCD = "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1"
+FROBENIUS = "p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)"
+SEVEN = "7 does not divide p^2 + p + 1"
+ELLIPTIC = "7 does not divide p^2 - 1"
+
+
+def holds(cert, name):
+    """Whether the checked record ``name`` of a certificate holds, or None
+    when the certificate has no such record."""
+    return next((h.holds for h in cert.hypotheses
+                 if h.name == name and h.kind == "checked"), None)
 
 
 class TestInertiaOrder:
@@ -124,8 +135,8 @@ class TestInertiaOrder:
     def test_wrong_residue_rejected(self):
         # p = 5 is inert but not 3 (mod 7): no inertia order, no verdict
         cert = kitself_certificate(5)
-        assert cert.results["inertia_order"] is None and check(cert, "gcd_check") is None
-        assert check(cert, "inertia_order") is None and cert.results["conclusion"] is None
+        assert cert.results["inertia_order"] is None and holds(cert, GCD) is None
+        assert holds(cert, INERTIA_ORDER) is None and cert.results["conclusion"] is None
 
     def test_identities_up_to_ten_thousand(self):
         primes = [p for p in primerange(3, 10_000) if p % 7 == 3]
@@ -136,19 +147,20 @@ class TestInertiaOrder:
             assert gcd(p**6 - 1, p**3 * q) == q
             cert = kitself_certificate(p)
             assert cert.results["inertia_order"] * q == p**6 - 1
-            assert check(cert, "inertia_order")["pass"] and check(cert, "gcd_check")["pass"]
-            assert check(cert, "gcd_check")["witness"] == f"gcd({p**6 - 1}, {p**3 * q}) = {q}"
+            assert holds(cert, INERTIA_ORDER) is True and holds(cert, GCD) is True
+            assert f"gcd({p**6 - 1}, {p**3 * q}) = {q}" in cert.statements
 
 
 class TestFrobeniusExponents:
     def test_examples(self):
         for p in (3, 17):
-            frob = check(kitself_certificate(p), "frobenius_exponents")
-            assert frob["pass"] and frob["witness"] == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
+            cert = kitself_certificate(p)
+            assert holds(cert, FROBENIUS) is True
+            assert "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)" in cert.statements
 
     def test_wrong_residue_rejected(self):
         cert = kitself_certificate(2)
-        assert check(cert, "frobenius_exponents") is None and not cert.concluded
+        assert holds(cert, FROBENIUS) is None and not cert.concluded
 
     def test_exponent_sum_identity(self):
         # p^3 + p^4 + p^5 = p^3 (1 + p + p^2) as polynomials
@@ -161,18 +173,18 @@ class TestSevenDivisibility:
         # (7 | p^2 + p + 1, 7 | p^2 - 1) at p = 3, 2, 13
         for p, divides in ((3, (False, False)), (2, (True, False)), (13, (False, True))):
             cert = kitself_certificate(p)
-            assert (not check(cert, "seven_nondivisibility")["pass"],
-                    not check(cert, "elliptic_order")["pass"]) == divides
+            assert (holds(cert, SEVEN) is False, holds(cert, ELLIPTIC) is False) == divides
 
     def test_residue_classification(self):
         for p in primerange(3, 500):
             if p == 7:
                 continue
             cert = kitself_certificate(p)
-            assert check(cert, "seven_nondivisibility")["pass"] == (p % 7 not in (2, 4))
-            assert check(cert, "elliptic_order")["pass"] == (p % 7 not in (1, 6))
-            assert check(cert, "seven_nondivisibility")["witness"] == f"p^2 + p + 1 = {p * p + p + 1}"
-            assert check(cert, "elliptic_order")["witness"] == f"p^2 - 1 = {p * p - 1}"
+            assert holds(cert, SEVEN) is (p % 7 not in (2, 4))
+            assert holds(cert, ELLIPTIC) is (p % 7 not in (1, 6))
+            # a witness is stated exactly when its check holds
+            assert (f"p^2 + p + 1 = {p * p + p + 1}" in cert.statements) is holds(cert, SEVEN)
+            assert (f"p^2 - 1 = {p * p - 1}" in cert.statements) is holds(cert, ELLIPTIC)
 
 
 class TestUnitGenerator:
@@ -222,7 +234,7 @@ class TestFiniteField:
             factors = Poly(phi, x, domain=GF(p)).factor_list()[1]
             irreducible = len(factors) == 1 and factors[0][0].degree() == 6
             assert irreducible == (element_order(7, p % 7) == 6), p
-            if check(kitself_certificate(p), "congruence_check")["pass"]:
+            if holds(kitself_certificate(p), CONGRUENCE):
                 assert irreducible, p
 
 
@@ -256,10 +268,15 @@ class TestCertificates:
         assert cert.concluded
         assert cert.results["conclusion"] == "K' = K"
         assert cert.results["inertia_order"] == 56
-        assert check(cert, "frobenius_exponents")["witness"] == "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)"
-        assert check(cert, "elliptic_order")["witness"] == "p^2 - 1 = 8"
-        assert Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True) in cert.hypotheses
-        assert all(h.holds for h in cert.hypotheses)
+        assert holds(cert, FROBENIUS) is True and holds(cert, ELLIPTIC) is True
+        assert cert.statements == (
+            "3 = 3 (mod 7)", "(3^6 - 1)/13 = 56", "gcd(728, 351) = 13",
+            "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)", "p^2 + p + 1 = 13", "p^2 - 1 = 8")
+        assert cert.hypotheses == tuple(
+            Hypothesis(name, "checked", True)
+            for name in (CONGRUENCE, INERTIA_ORDER, GCD, FROBENIUS, SEVEN, ELLIPTIC)
+        ) + (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),)
+        assert set(cert.results) == {"p", "inertia_order", "conclusion"}
 
     def test_kitself_at_17(self):
         cert = kitself_certificate(17)
@@ -270,8 +287,10 @@ class TestCertificates:
         cert = kitself_certificate(2)
         assert not cert.concluded
         assert cert.results["conclusion"] is None
-        failed = {c["name"] for c in cert.results["checks"] if not c["pass"]}
-        assert "congruence_check" in failed
+        failed = [h.name for h in cert.hypotheses if not h.holds]
+        assert failed == [CONGRUENCE, SEVEN]
+        # only the holding check's witness is stated
+        assert cert.statements == ("p^2 - 1 = 3",)
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -298,8 +317,11 @@ class TestCertificates:
         cert = base_certificate(3, 2)
         assert not cert.concluded
         assert cert.results["conclusion"] is None
-        congruence_q = cert.results["certificate_q"]["checks"][0]
-        assert congruence_q["name"] == "congruence_check" and not congruence_q["pass"]
+        # the record names the prime whose certificate failed, and that
+        # certificate (run alone) names the check
+        assert cert.results["certificate_q"] == kitself_certificate(2).results
+        assert cert.results["certificate_q"]["conclusion"] is None
+        assert holds(kitself_certificate(2), CONGRUENCE) is False
         assert {h.name for h in cert.hypotheses if not h.holds} == {
             "p and q are odd", "K' = K at q = 2"}
         # every statement rests on the failed checks
