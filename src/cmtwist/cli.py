@@ -85,46 +85,71 @@ class Report:
         """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
 
         CPython's C encoder serves ``json.dumps`` only without ``indent``, so
-        :func:`_emit` writes the indented form itself.
+        :func:`_emit` writes the indented form itself, into one list of
+        pieces that is joined once.
         """
-        return _emit(self.to_document(), "\n") + "\n"
+        out: list[str] = []
+        _emit(self.to_document(), 0, out)
+        out.append("\n")
+        return "".join(out)
 
 
-def _emit(obj: Any, newline: str) -> str:
-    """JSON text of a report value, ``newline`` being "\\n" plus its indent.
+class _Newlines(dict):
+    def __missing__(self, depth: int) -> str:
+        self[depth] = text = "\n" + "  " * depth
+        return text
+
+
+_NEWLINES = _Newlines()     # "\n" plus the indent of each depth, made on first use
+
+
+def _emit(obj: Any, depth: int, out: list[str]) -> None:
+    """Append the JSON text of a report value at nesting ``depth`` to ``out``.
 
     Accepts dict (``str`` keys, emitted sorted), list, tuple, str, int, bool
     and None, and raises ``TypeError`` on anything else.  Strings and keys go
     through the C ``encode_basestring_ascii`` that ``json.dumps`` uses, which
-    itself refuses a key that is not a ``str``.  Loops, not comprehensions,
-    so each nesting level costs one frame, as in ``json``.
+    itself refuses a key that is not a ``str``.  A container writes its items
+    of exactly type str, int, bool or None in its own loop and recurses for
+    the rest, one frame per nesting level as in ``json``; subclasses of these
+    types take the ``isinstance`` checks.
     """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = []
-        for x in obj:
-            items.append(_emit(x, inner))
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    append = out.append
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            items.append(encode_basestring_ascii(k) + ": " + _emit(obj[k], inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        keyed, head, close = True, "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        keyed, head, close = False, "[", "]"
+    elif isinstance(obj, str):
+        return append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        return append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        return append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return append(head + close)
+    inner = _NEWLINES[depth + 1]
+    head += inner
+    comma = "," + inner
+    for x in sorted(obj) if keyed else obj:
+        if keyed:
+            head += encode_basestring_ascii(x) + ": "
+            x = obj[x]
+        t = type(x)
+        if t is str:
+            append(head + encode_basestring_ascii(x))
+        elif t is int:
+            append(head + int.__repr__(x))
+        elif t is bool:
+            append(head + ("true" if x else "false"))
+        elif x is None:
+            append(head + "null")
+        else:
+            append(head)
+            _emit(x, depth + 1, out)
+        head = comma
+    append(_NEWLINES[depth] + close)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +276,14 @@ def declared_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
     return tuple(basis)
 
 
+@lru_cache(maxsize=None)
+def _declared_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
+    """:func:`declared_basis`, built once per field.  The public function is
+    looked up at call time and stays uncached, so each miss calls whatever
+    ``declared_basis`` is bound to then."""
+    return declared_basis(K)
+
+
 def parse_cm_type(K: AbelianField, labels: Any, where: str = "type") -> tuple[CMType, Optional[tuple]]:
     """CM-type from residue labels or coordinate tuples.
 
@@ -263,7 +296,7 @@ def parse_cm_type(K: AbelianField, labels: Any, where: str = "type") -> tuple[CM
     basis = None
     residues = []
     if uses_coords:
-        basis = declared_basis(K)
+        basis = _declared_basis(K)
         for i, e in enumerate(labels):
             if not isinstance(e, list):
                 raise InputError(f"{where}[{i}]: mixing residues and coordinates")
@@ -332,7 +365,7 @@ def field_dict(K: AbelianField) -> dict:
 
 
 def _cmtype_list(T: CMType) -> list[list[int]]:
-    return [list(t) for t in T.sorted_psi()]
+    return [coset(T.field, g) for g in sorted(T.psi)]
 
 
 def _mults_list(k: AbelianField, counts: dict[int, int]) -> list[dict]:

@@ -48,10 +48,6 @@ class CMType:
     field: AbelianField
     psi: frozenset[int]
 
-    def sorted_psi(self) -> tuple[tuple[int, ...], ...]:
-        """The cosets of psi as ascending residue tuples, by least residue."""
-        return tuple(tuple(coset(self.field, g)) for g in sorted(self.psi))
-
     def __repr__(self) -> str:
         reps = ",".join(str(g) for g in sorted(self.psi))
         return f"CMType({self.field!r}, reps=[{reps}])"
@@ -63,8 +59,9 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
     Elements of ``psi`` may be any unit residues mod m.
 
     >>> from .fields import cyclotomic
-    >>> validate_cm_type(cyclotomic(7), [1, 2, 3]).sorted_psi()
-    ((1,), (2,), (3,))
+    >>> T = validate_cm_type(cyclotomic(7), [1, 2, 3])
+    >>> [coset(T.field, g) for g in sorted(T.psi)]
+    [[1], [2], [3]]
     """
     if not is_cm(K):
         raise ValueError(f"{K!r} is not a CM field")
@@ -108,8 +105,10 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
 
     >>> from .fields import cyclotomic
     >>> stab, refl, inv, conj = reflex(validate_cm_type(cyclotomic(7), [1, 2, 4]))
-    >>> sorted(stab), refl.degree, inv.sorted_psi(), conj.sorted_psi()
-    ([1, 2, 4], 2, ((1, 2, 4),), ((3, 5, 6),))
+    >>> sorted(stab), refl.degree
+    ([1, 2, 4], 2)
+    >>> [coset(refl, g) for g in inv.psi], [coset(refl, g) for g in conj.psi]
+    ([[1, 2, 4]], [[3, 5, 6]])
     """
     m = T.field.conductor
     stab = stabilizer(T)

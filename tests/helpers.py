@@ -13,6 +13,7 @@ from cmtwist.cmtypes import CMType, WeilDatum, stabilizer, validate_cm_type, wei
 from cmtwist.fields import (
     AbelianField,
     compositum,
+    coset,
     cyclotomic,
     field_from,
     galois_group,
@@ -507,6 +508,11 @@ def appended_balance_product(D: WeilDatum):
         if coset_mul_is_weil_type(D.base, D.components + (candidate,)):
             return candidate
     return None
+
+
+def sorted_cosets(T: CMType) -> tuple[tuple[int, ...], ...]:
+    """The cosets of psi as ascending residue tuples, by least residue."""
+    return tuple(tuple(coset(T.field, g)) for g in sorted(T.psi))
 
 
 def induced_cm_type(K: AbelianField, T_small: CMType) -> CMType:

@@ -147,12 +147,35 @@ class TestFieldLiteralCache:
         # keyed by the literal, not by the path it was found at
         assert cli._compositum_field.cache_info().hits == comp.hits + 2
 
+    def test_repeated_coordinate_job_is_a_basis_cache_hit(self, monkeypatch):
+        payload = {"field": {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]},
+                   "type": [list(t) for t in EXAMPLE41_TUPLES]}
+        built = []
+
+        def counted(K):
+            built.append(K)
+            return declared_basis(K)
+
+        # the cache calls the public name as bound at call time, so a
+        # wrapper put there sees each miss
+        monkeypatch.setattr(cli, "declared_basis", counted)
+        cli._declared_basis.cache_clear()
+        first = run_command("cmtype", payload)
+        before = cli._declared_basis.cache_info()
+        second = run_command("cmtype", payload)
+        assert built == [example41_field()]
+        assert cli._declared_basis.cache_info().hits == before.hits + 1
+        assert second.to_json() == first.to_json()
+        assert first.results["coordinate_basis"] == [{"generator": g, "order": d}
+                                                     for g, d in declared_basis(example41_field())]
+
     def test_caches_stay_private(self):
-        # perfbench pins the set of public lru_caches; the literal caches are cli's own
+        # perfbench pins the set of public lru_caches; the literal caches and
+        # the declared-basis cache are cli's own
         cached = {name for name, obj in vars(cli).items()
                   if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == cli.__name__}
-        assert cached == {"_leaf_field", "_compositum_field"}
-        for constructor in (cyclotomic, quadratic, compositum):
+        assert cached == {"_leaf_field", "_compositum_field", "_declared_basis"}
+        for constructor in (cyclotomic, quadratic, compositum, declared_basis):
             assert not isinstance(constructor, functools._lru_cache_wrapper)
 
 

@@ -47,6 +47,7 @@ from helpers import (
     least,
     quotient_cosets,
     reflex_field,
+    sorted_cosets,
     subgroup,
     subgroup_lattice_subfields,
 )
@@ -70,7 +71,7 @@ class TestValidation:
 
     def test_paper_42_half_system(self):
         T = jacobian_type()
-        assert T.sorted_psi() == ((1,), (2,), (3,))
+        assert sorted_cosets(T) == ((1,), (2,), (3,))
 
     def test_full_pair_rejected(self):
         with pytest.raises(ValueError, match="half-system"):
@@ -161,8 +162,8 @@ class TestReflexType:
         assert pow(2, -1, 7) == 4 and pow(3, -1, 7) == 5
         _, refl, inv, conj = reflex(T)
         assert refl == reflex_field(T) == T.field
-        assert inv.sorted_psi() == ((1,), (4,), (5,))
-        assert conj.sorted_psi() == ((4,), (5,), (6,))
+        assert sorted_cosets(inv) == ((1,), (4,), (5,))
+        assert sorted_cosets(conj) == ((4,), (5,), (6,))
 
     def test_quadratic_reflex(self):
         T = validate_cm_type(SQRT_M7, [1])
@@ -286,7 +287,7 @@ class TestBalanceProduct:
         D = weil_datum(SQRT_M7, [jacobian_type()])
         choice = appended_balance_product(D)
         assert choice is not None
-        assert choice.sorted_psi() == ((3, 5, 6),)
+        assert sorted_cosets(choice) == ((3, 5, 6),)
         assert is_weil_type(weil_datum(SQRT_M7, [jacobian_type(), choice]))
 
     def test_impossible_when_gap_exceeds_one(self):

@@ -3,8 +3,9 @@
 The emitter must write exactly ``json.dumps(doc, sort_keys=True, indent=2)
 + "\\n"``.  The pinned digests of ``tests/test_report_bytes.py`` hold it to
 that form on the fixed corpora; here it is compared with the oracle on
-drawn documents and on a field job nested about as deep as ``json.load``
-accepts.
+drawn documents, on bools and subclasses of the accepted types nested in
+containers, on a list nested 300 deep and on a field job nested about as
+deep as ``json.load`` accepts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,9 @@ from helpers import dumps_oracle
 
 
 def emit(doc) -> str:
-    return _emit(doc, "\n") + "\n"
+    out: list[str] = []
+    _emit(doc, 0, out)
+    return "".join(out) + "\n"
 
 
 text = st.text(st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
@@ -54,6 +58,57 @@ def test_drawn_documents_match_the_oracle(doc):
     assert emit(doc) == dumps_oracle(doc)
 
 
+class Order(IntEnum):
+    TWO = 2
+    ONE = 1
+
+
+class Degree(int):
+    def __repr__(self) -> str:
+        return f"Degree({int(self)})"
+
+    __str__ = __repr__
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, Order.TWO, Order.ONE, Degree(7), Label("sigma"), Label("")])
+def test_subclass_and_bool_values_match_the_oracle(value):
+    # the emitter writes exact str and int items in the container's loop; a
+    # bool or a subclass must still print as json.dumps prints it
+    doc = {"list": [value, [value], (value, 0)], "tuple": (value,), "dict": {"a": value, "b": {"c": value}},
+           "top": value}
+    text = emit(doc)
+    assert text == dumps_oracle(doc)
+    if isinstance(value, bool):
+        assert f'"a": {str(value).lower()}' in text
+    elif isinstance(value, int):
+        assert f'"a": {int.__repr__(value)}' in text
+    for nested in (value, [value], (value,), {"k": value}):
+        assert emit(nested) == dumps_oracle(nested)
+
+
+def test_container_subclasses_match_the_oracle():
+    class Row(list):
+        pass
+
+    class Record(dict):
+        pass
+
+    doc = Record(b=Row([1, Record(a=Row())]), a=[Row([True, None])])
+    assert emit(doc) == dumps_oracle(doc)
+
+
+def test_deeper_than_the_indent_table():
+    # built in process, so json.load's depth limit does not apply
+    doc: list = [1]
+    for i in range(300):
+        doc = [i, doc, {"depth": i}] if i % 2 else [doc]
+    assert emit(doc) == dumps_oracle(doc)
+
+
 @pytest.mark.parametrize("doc", [
     {1, 2},
     1.5,
@@ -62,6 +117,14 @@ def test_drawn_documents_match_the_oracle(doc):
     {("a",): "tuple key"},
     [{"ok": [0, {"nested": 0.0}]}],
     {"ok": {"nested": frozenset()}},
+    # each kind nested as a list item and as a dict value, where the
+    # container's own loop meets it
+    [0, "a", [1.5]],
+    {"a": 1, "b": 1.5},
+    [0, "a", [{1, 2}]],
+    {"a": 1, "b": {1, 2}},
+    [0, "a", [b"bytes"]],
+    {"a": 1, "b": b"bytes"},
 ])
 def test_unsupported_values_raise_type_error(doc):
     with pytest.raises(TypeError):
