@@ -43,8 +43,9 @@ from .residues import (
 
 # Largest conductor any constructor accepts.  A full `field` job on
 # cyclotomic(999983), the largest prime conductor inside it, takes about
-# 0.04 s in process (0.1 s as a cold `cmtwist field` process), and one on
-# cyclotomic(100003) about 0.004 s (2-vCPU host, Python 3.11).
+# 0.0005 s in process, on cyclotomic(720720) 0.025 s and on
+# quadratic(-249999) 0.07 s (0.08, 0.11 and 0.15 s as cold `cmtwist field`
+# processes; 2-vCPU host, Python 3.11).
 MAX_CONDUCTOR = 10**6
 
 
@@ -126,30 +127,6 @@ def cyclotomic(m: int) -> AbelianField:
     return field_from(m, frozenset({1 % m}))
 
 
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of n >= 1, by trial division.
-
-    >>> factorint(360)
-    {2: 3, 3: 2, 5: 1}
-    >>> factorint(1)
-    {}
-    """
-    if n < 1:
-        raise ValueError(f"can only factor a positive integer, got {n}")
-    factors = {}
-    for p in _prime_divisors(n):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        factors[p] = e
-    return factors
-
-
-def is_squarefree(d: int) -> bool:
-    return all(e == 1 for e in factorint(abs(d)).values())
-
-
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a/n) for arbitrary integers, n != 0."""
     if n == 0:
@@ -206,7 +183,7 @@ def quadratic(d: int) -> AbelianField:
     disc = d if d % 4 == 1 else 4 * d
     m = abs(disc)
     _check_conductor(m)
-    if not is_squarefree(d):
+    if any(d % (p * p) == 0 for p in _prime_divisors(abs(d))):
         raise ValueError(f"{d} is not squarefree")
     kernel_gens, minus = [], []
     for g in _unit_generators(m):

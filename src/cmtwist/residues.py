@@ -3,7 +3,9 @@
 Everything at desk scale: a subgroup is the frozenset of its residues,
 read against the modulus m that the caller already holds, and invariant
 factors come from peeling maximal-order elements.  No matrix
-Smith-form machinery.  The unit group itself comes from a sieve: a byte
+Smith-form machinery.  The order of (Z/m)^x is phi(m), counted from the
+primes of m; the group is listed only where a table is really walked (the
+coset table and Galois group in :mod:`cmtwist.fields`), by a sieve: a byte
 mask over [0, m) with the multiples of each prime divisor of m cleared by
 slice assignment, so no residue is tested in Python.  A subgroup is
 generated by coset extension, <S, g> = S u gS u g^2 S u ..., so building
@@ -61,9 +63,15 @@ def unit_group(m: int) -> tuple[int, ...]:
     return tuple(compress(range(m), mask))
 
 
+@lru_cache(maxsize=None)
 def group_order(m: int) -> int:
-    """Order of (Z/m)^x."""
-    return len(unit_group(m))
+    """Order phi(m) of (Z/m)^x, from the primes dividing m."""
+    if m < 1:
+        raise ValueError(f"modulus must be a positive integer, got {m}")
+    n = m
+    for p in _prime_divisors(m):
+        n -= n // p
+    return n
 
 
 def _check_unit(m: int, x: int) -> int:
@@ -172,9 +180,8 @@ def _max_order_residue(m: int, H: frozenset[int]) -> tuple[int, int]:
 
     exponent = lcm(*(order(g) for g in _unit_generators(m)))
     best_x, best_e = 1, 1
-    for x in unit_group(m):
-        e = order(x)
-        if e > best_e:
+    for x in range(m):
+        if gcd(x, m) == 1 and (e := order(x)) > best_e:
             best_x, best_e = x, e
             if e == exponent:
                 break

@@ -9,6 +9,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
 
+import sympy
+
 from cmtwist.cmtypes import CMType, WeilDatum, stabilizer, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
@@ -134,6 +136,11 @@ def subgroups_two_generated(m: int) -> set[frozenset[int]]:
 def gcd_scan_unit_group(m: int) -> tuple[int, ...]:
     """Units mod m, by a gcd test on every residue in [0, m)."""
     return tuple(x for x in range(m) if gcd(x, m) == 1)
+
+
+def is_squarefree(d: int) -> bool:
+    """Is d != 0 squarefree, by sympy's factorization of |d|."""
+    return all(e == 1 for e in sympy.factorint(abs(d)).values())
 
 
 def kronecker_scan_quadratic_kernel(d: int) -> frozenset[int]:

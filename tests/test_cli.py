@@ -179,6 +179,38 @@ class TestFieldLiteralCache:
             assert not isinstance(constructor, functools._lru_cache_wrapper)
 
 
+def test_field_jobs_never_list_the_unit_group(monkeypatch):
+    # a field job counts (Z/m)^x from the primes of m; only the coset table
+    # and the Galois group walk the listed group, and no field job reads them
+    literals = [
+        {"cyclotomic": 999983}, {"cyclotomic": 720720}, {"cyclotomic": 51},
+        {"real_subfield_of": 999983}, {"real_subfield_of": 51},
+        {"quadratic": -7}, {"quadratic": 5}, {"quadratic": 12},
+        {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]},
+        {"compositum": [{"quadratic": -1}, {"cyclotomic": 249989}]},
+    ]
+
+    def outcome(literal):
+        try:
+            return run_command("field", {"field": literal}).to_json()
+        except InputError as refused:
+            return str(refused)
+
+    expected = [outcome(f) for f in literals]
+
+    def listed(m):
+        raise AssertionError(f"unit_group({m}) was listed")
+
+    for module in (cmtwist.residues, cmtwist.fields):
+        monkeypatch.setattr(module, "unit_group", listed)
+    # rebuild every field and kernel result, not read them from a cache
+    for module in (cli, cmtwist.fields, cmtwist.residues):
+        for obj in vars(module).values():
+            if isinstance(obj, functools._lru_cache_wrapper):
+                obj.cache_clear()
+    assert [outcome(f) for f in literals] == expected
+
+
 class TestDeclaredBasis:
     def test_conjugation_is_the_order_two_generator(self):
         K = example41_field()

@@ -10,11 +10,9 @@ from cmtwist.fields import (
     compositum,
     coset,
     cyclotomic,
-    factorint,
     field_from,
     galois_group,
     is_cm,
-    is_squarefree,
     is_subfield,
     is_totally_real,
     kronecker_symbol,
@@ -25,6 +23,7 @@ from cmtwist.fields import (
 from cmtwist import fields
 from cmtwist.cmtypes import reflex
 from cmtwist.residues import (
+    _prime_divisors,
     _unit_generators,
     invariant_factors,
     subgroup_generated,
@@ -37,6 +36,7 @@ from helpers import (
     conjugation_set,
     coset_of,
     example41_field,
+    is_squarefree,
     kronecker_scan_quadratic_kernel,
     least,
     lift_compositum,
@@ -348,13 +348,29 @@ def test_large_quadratic_conductor():
     assert roots_of_unity_order(K) == 2
 
 
-def test_factorint_and_squarefree_match_sympy_below_ten_to_the_five():
+def test_prime_divisors_and_squarefree_refusal_match_sympy_below_ten_to_the_five(monkeypatch):
+    # quadratic refuses a non-squarefree d right after the conductor budget;
+    # a d that passes reaches _unit_generators, patched here to raise, so
+    # each refusal is shown to come before any kernel work
+    class Reached(Exception):
+        pass
+
+    def reached(m):
+        raise Reached
+
+    monkeypatch.setattr(fields, "_unit_generators", reached)
     for n in range(1, 10**5):
-        expected = sympy.factorint(n)
-        assert factorint(n) == expected, n
-        assert is_squarefree(n) == is_squarefree(-n) == all(e == 1 for e in expected.values()), n
-    with pytest.raises(ValueError):
-        factorint(0)
+        # one factorization per n: its keys are sympy.primefactors(n)
+        factors = sympy.factorint(n)
+        assert _prime_divisors(n) == sorted(factors), n
+        squarefree = all(e == 1 for e in factors.values())
+        for d in (n, -n) if n > 1 else (-1,):
+            try:
+                quadratic(d)
+            except Reached:
+                assert squarefree, d
+            except ValueError as refused:
+                assert not squarefree and str(refused) == f"{d} is not squarefree", d
 
 
 class TestConductorBudget:

@@ -88,6 +88,18 @@ class TestUnitGroup:
         assert set(map(gcd, units, repeat(m))) == {1}
 
 
+class TestGroupOrder:
+    def test_counts_the_gcd_scan(self):
+        # phi(m) from the primes of m, held to the units listed one gcd at a time
+        for m in [*range(1, 10**4), 10007, 100003, 999983, 720720]:
+            assert group_order(m) == len(gcd_scan_unit_group(m)), m
+
+    def test_non_positive_modulus_rejected(self):
+        for m in (0, -3):
+            with pytest.raises(ValueError, match=f"^modulus must be a positive integer, got {m}$"):
+                group_order(m)
+
+
 class TestSubgroups:
     def test_generated_examples(self):
         assert subgroup_generated(7, [2]) == frozenset({1, 2, 4})
