@@ -127,6 +127,26 @@ def cyclotomic(m: int) -> AbelianField:
     return field_from(m, frozenset({1 % m}))
 
 
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, by trial division.
+
+    >>> factorint(360)
+    {2: 3, 3: 2, 5: 1}
+    >>> factorint(1)
+    {}
+    """
+    if n < 1:
+        raise ValueError(f"can only factor a positive integer, got {n}")
+    factors = {}
+    for p in _prime_divisors(n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors[p] = e
+    return factors
+
+
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a/n) for arbitrary integers, n != 0."""
     if n == 0:
@@ -183,7 +203,7 @@ def quadratic(d: int) -> AbelianField:
     disc = d if d % 4 == 1 else 4 * d
     m = abs(disc)
     _check_conductor(m)
-    if any(d % (p * p) == 0 for p in _prime_divisors(abs(d))):
+    if any(e > 1 for e in factorint(abs(d)).values()):
         raise ValueError(f"{d} is not squarefree")
     kernel_gens, minus = [], []
     for g in _unit_generators(m):

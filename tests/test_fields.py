@@ -10,6 +10,7 @@ from cmtwist.fields import (
     compositum,
     coset,
     cyclotomic,
+    factorint,
     field_from,
     galois_group,
     is_cm,
@@ -348,7 +349,7 @@ def test_large_quadratic_conductor():
     assert roots_of_unity_order(K) == 2
 
 
-def test_prime_divisors_and_squarefree_refusal_match_sympy_below_ten_to_the_five(monkeypatch):
+def test_factorint_and_squarefree_match_sympy_below_ten_to_the_five(monkeypatch):
     # quadratic refuses a non-squarefree d right after the conductor budget;
     # a d that passes reaches _unit_generators, patched here to raise, so
     # each refusal is shown to come before any kernel work
@@ -360,9 +361,8 @@ def test_prime_divisors_and_squarefree_refusal_match_sympy_below_ten_to_the_five
 
     monkeypatch.setattr(fields, "_unit_generators", reached)
     for n in range(1, 10**5):
-        # one factorization per n: its keys are sympy.primefactors(n)
         factors = sympy.factorint(n)
-        assert _prime_divisors(n) == sorted(factors), n
+        assert factorint(n) == factors and _prime_divisors(n) == sorted(factors), n
         squarefree = all(e == 1 for e in factors.values())
         for d in (n, -n) if n > 1 else (-1,):
             try:
@@ -371,6 +371,8 @@ def test_prime_divisors_and_squarefree_refusal_match_sympy_below_ten_to_the_five
                 assert squarefree, d
             except ValueError as refused:
                 assert not squarefree and str(refused) == f"{d} is not squarefree", d
+    with pytest.raises(ValueError, match="^can only factor a positive integer, got 0$"):
+        factorint(0)
 
 
 class TestConductorBudget:

@@ -44,8 +44,9 @@ class TestUnitGroup:
         assert unit_group(7) == (1, 2, 3, 4, 5, 6)
 
     def test_size_matches_totient(self):
-        for m in range(1, 120):
-            assert group_order(m) == int(totient(m))
+        # phi(m) from the primes of m, held to sympy's totient
+        for m in [*range(1, 10**4), 10007, 100003, 999983, 720720]:
+            assert group_order(m) == int(totient(m)), m
         assert len(unit_group(51)) == 32
 
     def test_trivial_modulus(self):
@@ -89,11 +90,6 @@ class TestUnitGroup:
 
 
 class TestGroupOrder:
-    def test_counts_the_gcd_scan(self):
-        # phi(m) from the primes of m, held to the units listed one gcd at a time
-        for m in [*range(1, 10**4), 10007, 100003, 999983, 720720]:
-            assert group_order(m) == len(gcd_scan_unit_group(m)), m
-
     def test_non_positive_modulus_rejected(self):
         for m in (0, -3):
             with pytest.raises(ValueError, match=f"^modulus must be a positive integer, got {m}$"):
