@@ -572,7 +572,7 @@ def _run_example(table: _Example, payload: dict) -> Conclusion:
     reports, and record each claim as a checked hypothesis."""
     reports = {command: run(JobSpec(command, {k: payload.get(k, v) for k, v in job.items()}))
                for command, job in table.jobs.items()}
-    results = {"jobs": list(reports)}
+    results = {}
     for key, (command, attribute, *path) in table.reads.items():
         value = getattr(reports[command], attribute)
         for step in path:

@@ -109,14 +109,18 @@ class TestConstructors:
         for d in range(-1500, 1501):
             disc = d if d % 4 == 1 else 4 * d
             if d not in (0, 1) and abs(disc) <= 1500 and is_squarefree(d):
-                assert quadratic(d).fixed_group == kronecker_scan_quadratic_kernel(d), d
+                K = quadratic(d)
+                assert K.fixed_group == kronecker_scan_quadratic_kernel(d), d
+                assert K.conductor == abs(disc) and K.degree == 2, d
 
     # d = 1 mod 4 has disc = d, any other d has |disc| = 4|d|
     @given(st.integers(-10**4, 10**4).map(lambda d: d if d % 4 == 1 else d // 4))
     @settings(max_examples=40, deadline=None)
     def test_quadratic_kernel_matches_kronecker_scan_at_larger_discriminants(self, d):
         assume(d not in (0, 1) and is_squarefree(d))
-        assert quadratic(d).fixed_group == kronecker_scan_quadratic_kernel(d)
+        K = quadratic(d)
+        assert K.fixed_group == kronecker_scan_quadratic_kernel(d)
+        assert K.conductor == abs(d if d % 4 == 1 else 4 * d) and K.degree == 2
 
     def test_quadratic_evaluates_the_character_on_generators_only(self, monkeypatch):
         calls = []

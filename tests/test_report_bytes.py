@@ -264,13 +264,13 @@ def rationals_jobs() -> list[tuple[str, dict]]:
 
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
-    "commands": ("426c2098716cbade30e123f60cc2f78d0be0e37f8904a7588af10a6902715af5",
+    "commands": ("504f5af8191026160612842077e761aca4505acee7985460518ce7534c92cc54",
                  {0: 15, 1: 5, 2: 6}),
-    "cmtype": ("4b3eb48d712ab1429be1d74fc62be39851efb54b6b3932c29c41675eec76b05e",
+    "cmtype": ("93e52b761198330f4a7be2da8baec101c1cc6af9436c4d3a869927cdd65260df",
                {0: 295, 1: 9}),
-    "twists": ("94380cf727af6b8c58b49d806eb9f972855fe971448a4de8530e7409ec731b88",
+    "twists": ("aa9210d26f593fe627d3974a251c2d54c669fc887e75a8ad6cb6f8b53ce469d4",
                {0: 90, 2: 326}),
-    "rationals": ("9833b63ed31da92531ed43d9132eacf77fccbd1ab7b3a6d92897d81922448348",
+    "rationals": ("4485f23d3f403f61bfee7a506f6aa160ff2ab54d265c5118a87f24685e6f9b42",
                   {0: 10, 1: 3}),
 }
 

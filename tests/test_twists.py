@@ -44,6 +44,30 @@ def datum_42(*elliptic):
                       + [validate_cm_type(k, [e]) for e in elliptic or (3,)])
 
 
+def jacobian_alone():
+    """The Jacobian of datum_42 without an elliptic factor: dim 3, r = 3."""
+    return weil_datum(quadratic(-7), [validate_cm_type(cyclotomic(7), [1, 2, 3])])
+
+
+def conjugate_jacobians():
+    """The Jacobian and its conjugate: dim 6, balanced."""
+    k, K = quadratic(-7), cyclotomic(7)
+    return weil_datum(k, [validate_cm_type(K, [1, 2, 3]), validate_cm_type(K, [4, 5, 6])])
+
+
+def odd_r_datum():
+    """A single factor over Q(zeta_12): r = 1."""
+    k = cyclotomic(12)
+    return weil_datum(k, [validate_cm_type(k, [1, 5])])
+
+
+def lopsided_datum():
+    """One half-system of Q(zeta_12) twice: r = 2, not balanced."""
+    k = cyclotomic(12)
+    psi = validate_cm_type(k, [1, 5])
+    return weil_datum(k, [psi, psi])
+
+
 def refuted(rep, *names):
     """``names`` are exactly the false records of ``rep``, every one checked,
     and every statement rests on one of them."""
@@ -158,9 +182,7 @@ class TestTwistX:
         assert rep.results["conclusions"] == NO_DEGREES
 
     def test_odd_r_rejected(self):
-        k = cyclotomic(12)
-        D = weil_datum(k, [validate_cm_type(k, [1, 5])])  # single factor, r = 1
-        rep = twist_x(D, 4)
+        rep = twist_x(odd_r_datum(), 4)
         # n_sigma + n_sigma-bar = r for every sigma, so an odd r is never
         # balanced: the Weil record fails with it
         refuted(rep, HYP_R_EVEN, HYP_WEIL_TYPE)
@@ -168,10 +190,7 @@ class TestTwistX:
         assert rep.results["conclusions"] == NO_DEGREES
 
     def test_unbalanced_datum_rejected(self):
-        k = cyclotomic(12)
-        psi = validate_cm_type(k, [1, 5])
-        lopsided = weil_datum(k, [psi, psi])  # doubles one half-system, r = 2
-        rep = twist_x(lopsided, 4)
+        rep = twist_x(lopsided_datum(), 4)
         refuted(rep, HYP_WEIL_TYPE)
         assert rep.results["conclusions"] == NO_DEGREES
 
@@ -239,18 +258,14 @@ class TestTwistE:
     def test_even_ratio_rejected(self):
         # the Jacobian alone: dim 3 = 2 + 1, t = 2.  Once [k:Q] = 2 dim(Y),
         # r = t + 1, so an even t is never balanced either
-        k = quadratic(-7)
-        D = weil_datum(k, [validate_cm_type(cyclotomic(7), [1, 2, 3])])
-        rep = twist_e(2, 1, D)
+        rep = twist_e(2, 1, jacobian_alone())
         refuted(rep, HYP_T_ODD, HYP_WEIL_TYPE)
         assert (rep.results["t"], rep.results["dim_x"], rep.results["dim_y"]) == (2, 2, 1)
 
     def test_degree_mismatch_rejected(self):
         # the Jacobian and its conjugate: dim 6 = 3 + 3, balanced, t = 1,
         # but [k:Q] = 2 is not 2 dim(Y) = 6
-        k, K = quadratic(-7), cyclotomic(7)
-        D = weil_datum(k, [validate_cm_type(K, [1, 2, 3]), validate_cm_type(K, [4, 5, 6])])
-        rep = twist_e(3, 3, D)
+        rep = twist_e(3, 3, conjugate_jacobians())
         refuted(rep, HYP_DEG_K)
         assert (rep.results["deg_k"], rep.results["dim_y"]) == (2, 3)
 
@@ -292,6 +307,29 @@ class TestTwistE:
         D = datum_42()
         rep = twist_e(3, 1, D, phi_base_equal=False)
         assert rep.statements == LEADING_E and not rep.concluded
+
+
+# (theorem, checked record) -> arguments under which the record is false
+FALSIFIERS = {
+    (twist_x, HYP_VALUES_IN_K): lambda: (datum_42(), 3),
+    (twist_x, HYP_R_EVEN): lambda: (odd_r_datum(), 4),
+    (twist_x, HYP_N_NOT_DIVIDING_R): lambda: (datum_41(), 2),
+    (twist_x, HYP_WEIL_TYPE): lambda: (lopsided_datum(), 4),
+    (twist_e, HYP_DEG_K): lambda: (3, 3, conjugate_jacobians()),
+    (twist_e, HYP_T_ODD): lambda: (2, 1, jacobian_alone()),
+    (twist_e, HYP_WEIL_TYPE): lambda: (3, 1, datum_42(1)),
+}
+
+
+def test_every_checked_record_can_fail():
+    # a checked record is a predicate, never a fact that holds by construction
+    emitted = {(theorem, h.name)
+               for theorem, rep in ((twist_x, twist_x(datum_41(), 3)),
+                                    (twist_e, twist_e(3, 1, datum_42())))
+               for h in rep.hypotheses if h.kind == "checked"}
+    assert set(FALSIFIERS) == emitted
+    for (theorem, name), args in FALSIFIERS.items():
+        assert Hypothesis(name, "checked", False) in theorem(*args()).hypotheses, name
 
 
 class TestReportInvariants:
