@@ -103,6 +103,14 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
     the second the conjugate half-system.  The stabilizer is a subgroup,
     so :func:`~cmtwist.fields.field_from` takes it as it is.
 
+    Both are CM-types by construction.  With G = Gal(K/Q), c complex
+    conjugation and S the stabilizer, psi is a union of cosets of S, and c
+    is not in S, because c psi is the complement of psi.  So the images of
+    psi and c psi halve G/S, and the image of c, not 1, swaps them: the
+    reflex field is CM and the image of c psi is a half-system.  Inversion
+    permutes the cosets of S and commutes with c, so the image of psi^-1
+    is a half-system too.
+
     >>> from .fields import cyclotomic
     >>> stab, refl, inv, conj = reflex(validate_cm_type(cyclotomic(7), [1, 2, 4]))
     >>> sorted(stab), refl.degree
@@ -114,9 +122,9 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
     stab = stabilizer(T)
     refl = field_from(m, stab)
     m_r, rep_r = refl.conductor, _coset_rep(refl)
-    inverse = (rep_r[pow(c, -1, m) % m_r] for c in T.psi)
-    conjugate = (rep_r[(m - 1) * c % m_r] for c in T.psi)
-    return stab, refl, validate_cm_type(refl, inverse), validate_cm_type(refl, conjugate)
+    inverse = frozenset(rep_r[pow(c, -1, m) % m_r] for c in T.psi)
+    conjugate = frozenset(rep_r[(m - 1) * c % m_r] for c in T.psi)
+    return stab, refl, CMType(refl, inverse), CMType(refl, conjugate)
 
 
 # ---------------------------------------------------------------------------

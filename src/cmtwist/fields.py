@@ -147,28 +147,10 @@ def factorint(n: int) -> dict[int, int]:
     return factors
 
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a/n) for arbitrary integers, n != 0."""
-    if n == 0:
-        return 1 if abs(a) == 1 else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    # strip the even part of n; (a/2) is 0 for even a, +-1 via a mod 8
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos:
-        if a % 2 == 0:
-            return 0
-        if twos % 2 == 1 and a % 8 in (3, 5):
-            sign = -sign
-    # Jacobi symbol for odd positive n, by binary reciprocity
+def jacobi_symbol(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for any integer a and odd n > 0, by binary reciprocity."""
     a %= n
-    result = sign
+    result = 1
     while a:
         while a % 2 == 0:
             a //= 2
@@ -196,7 +178,9 @@ def quadratic(d: int) -> AbelianField:
     For squarefree d other than 0 and 1, disc is a fundamental discriminant
     and chi is primitive of order 2 mod m: its kernel has index 2 and holds
     the units 1 mod m2 for no proper m2 | m, so the field has degree 2 and
-    conductor m, and some generator lies in ``minus``.
+    conductor m, and some generator lies in ``minus``.  On positive n,
+    chi(n) is the Kronecker symbol (disc/n): periodic mod m, and the Jacobi
+    symbol at odd n.  A generator g is even only for odd m, when g + m is odd.
 
     >>> sorted(quadratic(-7).fixed_group)
     [1, 2, 4]
@@ -212,7 +196,7 @@ def quadratic(d: int) -> AbelianField:
         raise ValueError(f"{d} is not squarefree")
     kernel_gens, minus = [], []
     for g in _unit_generators(m):
-        (kernel_gens if kronecker_symbol(disc, g) == 1 else minus).append(g)
+        (kernel_gens if jacobi_symbol(disc, g if g % 2 else g + m) == 1 else minus).append(g)
     kernel_gens += [g * g % m for g in minus]
     kernel_gens += [minus[0] * g % m for g in minus[1:]]
     return field_from(m, subgroup_generated(m, kernel_gens))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Optional
 
-from .fields import kronecker_symbol
+from .fields import jacobi_symbol
 from .twists import Conclusion, Hypothesis, conclude
 
 
@@ -73,16 +73,16 @@ def _strong_probable_prime(n: int, bases) -> bool:
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test with Selfridge's parameters, for odd n > 47.
 
-    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
-    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
-    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A ladder carries
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A ladder carries
     (V_k, V_(k+1), Q^k) along the bits of d; U_d = 0 is read off as
     2 V_(d+1) - V_d = D U_d = 0, since D is a unit mod n.
     """
     if isqrt(n) ** 2 == n:
         return False        # no D has (D/n) = -1
     D = 5
-    while (j := kronecker_symbol(D, n)) != -1:
+    while (j := jacobi_symbol(D, n)) != -1:
         if j == 0:
             return False    # 1 < gcd(D, n) <= |D| < n
         D = -D - 2 if D > 0 else -D + 2

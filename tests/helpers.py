@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import sympy
 
@@ -20,7 +20,6 @@ from cmtwist.fields import (
     field_from,
     galois_group,
     is_cm,
-    kronecker_symbol,
     maximal_real_subfield,
     quadratic,
 )
@@ -143,10 +142,25 @@ def is_squarefree(d: int) -> bool:
     return all(e == 1 for e in sympy.factorint(abs(d)).values())
 
 
+@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sympy.factorint(n).items())
+
+
 def kronecker_scan_quadratic_kernel(d: int) -> frozenset[int]:
-    """Kernel of the Kronecker character of Q(sqrt(d)), by evaluating it on every unit."""
+    """Kernel of the Kronecker character a -> (disc/a) of Q(sqrt(d)), from its
+    definition on every unit a: multiplicative in a, Euler's criterion at an
+    odd prime p, and (disc/2) = 1 for disc = +-1 mod 8, -1 for disc = +-3 mod 8."""
     disc = d if d % 4 == 1 else 4 * d
-    return frozenset(a for a in unit_group(abs(disc)) if kronecker_symbol(disc, a) == 1)
+
+    @lru_cache(maxsize=None)
+    def at_prime(p: int) -> int:
+        if p == 2:
+            return 1 if disc % 8 in (1, 7) else -1
+        return 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+
+    return frozenset(a for a in unit_group(abs(disc))
+                     if prod(at_prime(p) ** e for p, e in _prime_powers(a)) == 1)
 
 
 def _lift(field: AbelianField, M: int) -> frozenset[int]:

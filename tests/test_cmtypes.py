@@ -174,6 +174,7 @@ class TestReflexType:
         assert conj.psi == {least(conjugation_set(SQRT_M7))}
 
     def test_reflex_always_validates(self):
+        # reflex builds both types unchecked; its docstring proves they are CM-types
         for K in cm_fields(26, 6):
             for T in all_cm_types(K):
                 _, refl, *types = reflex(T)
@@ -181,6 +182,7 @@ class TestReflexType:
                 for r in types:
                     assert r.field == refl
                     assert len(r.psi) == refl.degree // 2
+                    assert validate_cm_type(refl, r.psi) == r
 
 
 class TestMultiplicities:

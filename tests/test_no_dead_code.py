@@ -12,6 +12,10 @@ properties, anywhere in the package outside the definition's own body.
 Imports, ``__all__`` strings, docstrings and doctests, and annotations
 (never evaluated under ``from __future__ import annotations``) do not
 count.  Dunder names are exempt.
+
+The same walk finds no ``assert`` statement and no ``AssertionError`` in
+the package: a check there is a predicate that can fail, or its docstring
+proves that it cannot.
 """
 
 import ast
@@ -100,3 +104,15 @@ def test_the_walk_sees_every_module():
 def test_every_definition_has_a_reader_in_src():
     unused = unused_definitions()
     assert not unused, "nothing in src/cmtwist reads: " + ", ".join(unused)
+
+
+def test_src_holds_no_assert_and_no_assertion_error():
+    # a check in src either can fail on some input, as its own predicate,
+    # or is proved in a docstring; it never sits behind an AssertionError
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "assert or AssertionError in src/cmtwist: " + ", ".join(found)
