@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
-from typing import AbstractSet, Any, Callable, Optional
+from typing import AbstractSet, Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .cmtypes import CMType, WeilDatum, reflex, validate_cm_type, weil_datum, weil_r
@@ -55,19 +54,19 @@ class InputError(ValueError):
     """Malformed job document; message carries the offending field path."""
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     payload: dict
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
+    """A job's command and payload, then its :class:`Conclusion`'s fields in order."""
+
     command: str
     payload: dict
     results: dict
-    statements: tuple[str, ...]
     hypotheses: tuple[Hypothesis, ...]
+    statements: tuple[str, ...]
     concluded: bool
 
     def to_document(self) -> dict:
@@ -76,7 +75,7 @@ class Report:
             "payload": self.payload,
             "results": self.results,
             "statements": list(self.statements),
-            "hypotheses": [h.to_dict() for h in self.hypotheses],
+            "hypotheses": [h._asdict() for h in self.hypotheses],
             "concluded": self.concluded,
             "version": __version__,
         }
@@ -424,7 +423,7 @@ _TWIST_E_ASSUME = {"hom_xy_zero", "end_fields_equal", "phi_base_equal"}
 
 def _twist_report(datum: WeilDatum, twist: Conclusion) -> Conclusion:
     """A twist theorem's conclusion, its section nested under ``twist``."""
-    return replace(twist, results={
+    return twist._replace(results={
         "base": field_dict(datum.base),
         "multiplicities": _mults_list(datum.base, datum.multiplicities),
         "weil_r": weil_r(datum),
@@ -469,19 +468,18 @@ def _run_inertia(payload: dict) -> Conclusion:
         cert = kitself_certificate(p)
     except ValueError as exc:
         raise InputError(f"p: {exc}") from exc
-    return replace(cert, results={"certificate": cert.results})
+    return cert._replace(results={"certificate": cert.results})
 
 
 def _run_base_cert(payload: dict) -> Conclusion:
     cert = base_certificate(_require_int(payload["p"], "p"), _require_int(payload["q"], "q"))
-    return replace(cert, results={"certificate": cert.results})
+    return cert._replace(results={"certificate": cert.results})
 
 
 # ---------------------------------------------------------------------------
 # Worked-example replays: ordinary jobs checked against a table of paper claims.
 
-@dataclass(frozen=True)
-class _Example:
+class _Example(NamedTuple):
     """A worked example: its jobs (command -> payload, whose keys the example's
     payload overrides), the values read from their reports (result key ->
     command, report attribute, keys), its claims (statement, result key,
@@ -587,8 +585,7 @@ def _run_example(table: _Example, payload: dict) -> Conclusion:
     return Conclusion(results, hypotheses, statements, concluded)
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """A command's handler, its required and optional payload keys, and its
     integer command-line flags, which are copied into the payload."""
 
@@ -631,7 +628,7 @@ def run(job: JobSpec) -> Report:
         raise InputError(f"payload: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{job.command}: nested too deeply ({exc})") from exc
-    return Report(job.command, job.payload, c.results, c.statements, c.hypotheses, c.concluded)
+    return Report(job.command, job.payload, *c)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ with Galois elements, so a CM-type is a set of Galois elements containing
 exactly one of each conjugate pair.  Restriction multiplicities n_sigma
 are fiber counts of CM-types over the Galois group of a base CM field;
 the Weil condition is their invariance under conjugation.  A datum is
-checked and counted once: :func:`weil_datum` checks that each component
-contains the base, and ``WeilDatum.multiplicities`` counts on first use
-for :func:`is_weil_type` and the reports.
+checked and counted once, when :func:`weil_datum` builds it: it checks
+that each component contains the base and stores the counts
+``WeilDatum.multiplicities`` that :func:`is_weil_type` and the reports read.
 
 A Galois element is the least residue of its coset of the fixed group, as
 everywhere in :mod:`cmtwist.fields`: ``CMType.psi`` is a frozenset of
@@ -25,9 +25,7 @@ reflex field and both reflex types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .fields import (
     AbelianField,
@@ -41,9 +39,8 @@ from .fields import (
 from .residues import _check_unit
 
 
-@dataclass(frozen=True)
-class CMType:
-    """A CM field together with a half-system of its Galois group."""
+class CMType(NamedTuple):
+    """A CM field with a half-system of its Galois group; equal only to a CM-type."""
 
     field: AbelianField
     psi: frozenset[int]
@@ -51,6 +48,14 @@ class CMType:
     def __repr__(self) -> str:
         reps = ",".join(str(g) for g in sorted(self.psi))
         return f"CMType({self.field!r}, reps=[{reps}])"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is CMType and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
@@ -130,20 +135,17 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
 # ---------------------------------------------------------------------------
 # Weil-type data: a base CM field k acting on a product of CM factors.
 
-@dataclass(frozen=True)
-class WeilDatum:
-    """Base CM field k with CM factors (K_i, psi_i), each K_i containing k."""
+class WeilDatum(NamedTuple):
+    """Base CM field k with CM factors (K_i, psi_i), each K_i containing k,
+    and the fiber counts n_sigma of :func:`restriction_multiplicities`."""
 
     base: AbelianField
     components: tuple[CMType, ...]
+    multiplicities: dict[int, int]
 
     @property
     def dim(self) -> int:
         return sum(T.field.degree for T in self.components) // 2
-
-    @cached_property
-    def multiplicities(self) -> dict[int, int]:
-        return restriction_multiplicities(self.base, self.components)
 
 
 def weil_datum(base: AbelianField, components: Iterable[CMType]) -> WeilDatum:
@@ -155,7 +157,7 @@ def weil_datum(base: AbelianField, components: Iterable[CMType]) -> WeilDatum:
     for T in comps:
         if not is_subfield(base, T.field):
             raise ValueError(f"base is not a subfield of component {T.field!r}")
-    return WeilDatum(base, comps)
+    return WeilDatum(base, comps, restriction_multiplicities(base, comps))
 
 
 def weil_r(D: WeilDatum) -> int:

@@ -27,10 +27,9 @@ unbounded conductor from a job document would otherwise run without end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .residues import (
     _prime_divisors,
@@ -56,13 +55,13 @@ def _check_conductor(m: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AbelianField:
+class AbelianField(NamedTuple):
     """Fixed field of ``fixed_group`` inside the ``conductor``-th cyclotomic field.
 
     Instances are always conductor-normalized, so equality is structural.
-    Build them with :func:`cyclotomic`, :func:`quadratic`, :func:`field_from`,
-    or the lattice operations below.
+    A field equals only a field, never a plain tuple, since fields are
+    ``lru_cache`` keys.  Build them with :func:`cyclotomic`,
+    :func:`quadratic`, :func:`field_from`, or the lattice operations below.
     """
 
     conductor: int
@@ -77,18 +76,13 @@ class AbelianField:
         h = ",".join(str(x) for x in sorted(self.fixed_group) if x)
         return f"AbelianField(conductor={self.conductor}, fixed={{{h}}})"
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is AbelianField and tuple.__eq__(self, other)
 
-def _divisors(m: int) -> list[int]:
-    """Divisors of m, ascending, by trial division up to sqrt(m)."""
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d * d != m:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def field_from(m: int, H: Iterable[int]) -> AbelianField:
@@ -96,9 +90,16 @@ def field_from(m: int, H: Iterable[int]) -> AbelianField:
 
     H is trusted to be closed, as everywhere in :mod:`cmtwist.residues`;
     only the conductor budget and 1 in H are checked, and H is stored as
-    a frozenset.  The conductor is the least m2 | m whose reduction
-    kernel, the units 1 + k*m2 of (Z/m)^x, lies in H (m itself does, as
-    1 is in H).  The image of H mod m2 is the image of a subgroup.
+    a frozenset.  The conductor is the least d | m whose reduction kernel
+    ker(m -> d), the units 1 + k*d of (Z/m)^x, lies in H.  The set S of
+    such d is closed under multiples, whose kernels are smaller, and under
+    gcd: by CRT, ker(m -> gcd(a, b)) = ker(m -> a) * ker(m -> b), a product
+    inside H when both factors are.  So S is the set of multiples of the
+    conductor f that divide m.  Starting from m2 = m (in S, as 1 is in H),
+    the loop divides m2 by each prime p of m while m2/p stays in S; that
+    stops exactly when p divides m2 as often as it divides f, and later
+    primes leave the power of p alone, so it ends at f.  The image of H
+    mod f is the image of a subgroup.
 
     >>> field_from(21, frozenset({1, 8})) == cyclotomic(7)
     True
@@ -107,8 +108,10 @@ def field_from(m: int, H: Iterable[int]) -> AbelianField:
     H = frozenset(H)
     if 1 % m not in H:
         raise ValueError(f"a subgroup of (Z/{m})^x must contain {1 % m}")
-    m2 = next(m2 for m2 in _divisors(m)
-              if all(x in H for x in range(1, m, m2) if gcd(x, m) == 1))
+    m2 = m
+    for p in _prime_divisors(m):
+        while m2 % p == 0 and all(x in H for x in range(1, m, m2 // p) if gcd(x, m) == 1):
+            m2 //= p
     if m2 == m:
         return AbelianField(m, H)
     return AbelianField(m2, frozenset(x % m2 for x in H))

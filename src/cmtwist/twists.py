@@ -21,16 +21,14 @@ honest conditional.  Every theorem returns one :class:`Conclusion`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cmtypes import WeilDatum, is_weil_type, weil_r
 from .fields import roots_of_unity_order
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     """A named hypothesis of a theorem: ``kind`` is "checked" when the
     program computes whether it holds, "assumed" when the caller asserts it."""
 
@@ -38,12 +36,8 @@ class Hypothesis:
     kind: str
     holds: bool
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "holds": self.holds}
 
-
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(NamedTuple):
     """What a theorem forces: ``results`` is its section of the report,
     ``statements`` what it states under ``hypotheses``, and ``concluded``
     is true only when every hypothesis holds."""

@@ -163,6 +163,27 @@ def kronecker_scan_quadratic_kernel(d: int) -> frozenset[int]:
                      if prod(at_prime(p) ** e for p, e in _prime_powers(a)) == 1)
 
 
+def _divisors(m: int) -> list[int]:
+    """Divisors of m, ascending, by trial division up to sqrt(m)."""
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d * d != m:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
+
+
+def divisor_scan_field(m: int, H: frozenset[int]) -> AbelianField:
+    """Fixed field of a subgroup H of (Z/m)^x, at the least d | m whose
+    reduction kernel, the units 1 + k*d of (Z/m)^x, lies in H."""
+    d = next(d for d in _divisors(m)
+             if all(x in H for x in range(1, m, d) if gcd(x, m) == 1))
+    return AbelianField(d, frozenset(x % d for x in H))
+
+
 def _lift(field: AbelianField, M: int) -> frozenset[int]:
     """Fixed group of the field viewed inside (Z/M)^x, by scanning every unit mod M."""
     m = field.conductor

@@ -354,8 +354,8 @@ class TestExample42:
         weil = {"name": "(A, k, iota) is of Weil type", "kind": "checked"}
         alone = example_job(cli.EXAMPLE_42, "twist-x")
         product = example_job(cli.EXAMPLE_42, "twist-e")
-        assert {**weil, "holds": False} in [h.to_dict() for h in alone.hypotheses]
-        assert {**weil, "holds": True} in [h.to_dict() for h in product.hypotheses]
+        assert {**weil, "holds": False} in [h._asdict() for h in alone.hypotheses]
+        assert {**weil, "holds": True} in [h._asdict() for h in product.hypotheses]
         assert not alone.concluded and product.concluded and r["product_concluded"] is True
         assert product.results["weil_r"] == 4
         cert = r["base_certificate"]
@@ -408,7 +408,7 @@ class TestExample42:
 ])
 def test_example_records_are_its_claims_then_its_assumptions(command, table):
     report = run_command(command)
-    assert [h.to_dict() for h in report.hypotheses] == [
+    assert [h._asdict() for h in report.hypotheses] == [
         {"name": statement, "kind": "checked", "holds": True}
         for statement, _, _ in table.claims
     ] + [{"name": name, "kind": "assumed", "holds": True} for name in table.assumed]
@@ -798,13 +798,24 @@ class TestHypothesisRecords:
         assert all(h["kind"] == "checked" for h in records if not h["holds"])
 
 
-def test_cli_import_does_not_load_sympy():
+def _loaded_by_cli_import(*names: str) -> list[str]:
+    """Which of ``names`` a fresh interpreter holds after ``import cmtwist.cli``."""
     src = str(Path(cmtwist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, cmtwist.cli; print('sympy' in sys.modules)"
+    code = f"import sys, cmtwist.cli; print(*sorted(set({names!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_cli_import_does_not_load_sympy():
+    assert _loaded_by_cli_import("sympy") == []
+
+
+def test_cli_import_does_not_load_the_dataclasses_chain():
+    # a cold command is almost all start-up, and dataclasses alone pulls in
+    # inspect, ast, dis and tokenize
+    assert _loaded_by_cli_import("dataclasses", "inspect", "ast", "dis", "tokenize") == []
 
 
 def test_pyproject_version_is_the_package_version(capsys):

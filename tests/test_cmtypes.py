@@ -100,6 +100,18 @@ class TestValidation:
                 assert psi | conj_psi == set(quotient_cosets(K.conductor, K.fixed_group))
 
 
+def test_cm_type_hashable_and_comparable():
+    # CM-types are lru_cache keys too: equal only to a CM-type, hashed alike, immutable
+    T = validate_cm_type(K7, [1, 2, 3])
+    again = validate_cm_type(field_from(21, [1, 8]), [1, 2, 3])
+    assert again == T and again is not T and hash(again) == hash(T)
+    assert len({T, again, validate_cm_type(K7, [1, 2, 4])}) == 2
+    assert T != (K7, frozenset({1, 2, 3}))
+    assert not T == (K7, frozenset({1, 2, 3}))
+    with pytest.raises(AttributeError):
+        T.psi = frozenset()
+
+
 class TestStabilizerAndReflex:
     def test_paper_41_primitive(self):
         T = example41_type()
@@ -261,7 +273,7 @@ class TestWeilDatum:
         # of [k:Q]), so the datum is put together by hand
         assert weil_r(weil_datum(SQRT_M7, [jacobian_type()])) == 3
         with pytest.raises(ValueError, match="not a positive integer"):
-            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),)))
+            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),), {}))
 
     def test_base_must_be_subfield(self):
         with pytest.raises(ValueError, match="not a subfield"):

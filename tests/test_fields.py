@@ -36,6 +36,7 @@ from helpers import (
     cm_fields,
     conjugation_set,
     coset_of,
+    divisor_scan_field,
     example41_field,
     is_squarefree,
     kronecker_scan_quadratic_kernel,
@@ -404,6 +405,22 @@ class TestConductorBudget:
 def test_field_hashable_and_comparable():
     seen = {cyclotomic(7), quadratic(-7), cyclotomic(14)}
     assert len(seen) == 2
+    # fields are lru_cache keys: equal only to a field, hashed alike, immutable
+    assert cyclotomic(7) != (7, frozenset({1}))
+    assert not cyclotomic(7) == (7, frozenset({1}))
+    assert field_from(21, [1, 8]) is not cyclotomic(7)
+    assert hash(field_from(21, [1, 8])) == hash(cyclotomic(7))
+    with pytest.raises(AttributeError):
+        cyclotomic(7).conductor = 14
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_field_from_strips_primes_to_the_least_divisor_conductor(data):
+    m = data.draw(st.integers(1, 3000), label="m")
+    gens = data.draw(st.lists(st.sampled_from(unit_group(m)), max_size=3), label="gens")
+    H = subgroup_generated(m, gens)
+    assert field_from(m, H) == divisor_scan_field(m, H)
 
 
 def test_field_from_checks_the_identity_and_stores_a_frozenset():
