@@ -21,6 +21,7 @@ from . import __version__
 from .cmtypes import CMType, WeilDatum, reflex, validate_cm_type, weil_datum, weil_r
 from .fields import (
     AbelianField,
+    _galois_basis,
     compositum,
     coset,
     cyclotomic,
@@ -36,7 +37,7 @@ from .inertia import (
     base_certificate,
     kitself_certificate,
 )
-from .residues import invariant_factor_basis, invariant_factors, is_quotient_basis
+from .residues import _socle_lines, invariant_factors
 from .twists import (
     HYP_AUT_VALUED,
     HYP_CENTRAL,
@@ -258,29 +259,23 @@ def _coordinate_residue(m: int, basis, coords, where: str) -> int:
 def declared_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
     """Invariant-factor basis of Gal(K/Q) used for coordinate input.
 
-    For CM fields the order-2 generator is swapped to complex conjugation
-    whenever that still gives a direct-sum basis, so half-systems written
-    coordinate-wise keep conjugation as a plain coordinate flip.
+    For CM fields complex conjugation c = m - 1 replaces the first order-2
+    generator g_i that it can, so half-systems written coordinate-wise
+    keep conjugation as a plain coordinate flip.  It can exactly when c is
+    outside N = <H, g_j : j != i>: the g_j are a basis of N/H, of index 2
+    in G/H, and c has order 2, so then <N, c> = G and the swapped box is a
+    basis, and otherwise it spans only N/H.  Being of order 2, c lies in N
+    exactly when it is one of the products ``_socle_lines`` gives for the
+    2-socle of N/H; x is c mod H when x c = m - x lies in H.
     """
-    basis = list(invariant_factor_basis(K.conductor, K.fixed_group))
-    c_rep = K.conductor - 1
-    if is_cm(K) and all(g != c_rep for g, _ in basis):
+    m, H = K.conductor, K.fixed_group
+    basis = _galois_basis(K)
+    if is_cm(K):
         for i, (_, d) in enumerate(basis):
-            if d == 2:
-                candidate = list(basis)
-                candidate[i] = (c_rep, 2)
-                if is_quotient_basis(K.conductor, K.fixed_group, candidate):
-                    basis = candidate
-                    break
-    return tuple(basis)
-
-
-@lru_cache(maxsize=None)
-def _declared_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
-    """:func:`declared_basis`, built once per field.  The public function is
-    looked up at call time and stays uncached, so each miss calls whatever
-    ``declared_basis`` is bound to then."""
-    return declared_basis(K)
+            rest = basis[:i] + basis[i + 1:]
+            if d == 2 and all(m - x not in H for x in _socle_lines(m, 2, rest)):
+                return basis[:i] + ((m - 1, 2),) + basis[i + 1:]
+    return basis
 
 
 def parse_cm_type(K: AbelianField, labels: Any, where: str = "type") -> tuple[CMType, Optional[tuple]]:
@@ -295,7 +290,7 @@ def parse_cm_type(K: AbelianField, labels: Any, where: str = "type") -> tuple[CM
     basis = None
     residues = []
     if uses_coords:
-        basis = _declared_basis(K)
+        basis = declared_basis(K)
         for i, e in enumerate(labels):
             if not isinstance(e, list):
                 raise InputError(f"{where}[{i}]: mixing residues and coordinates")

@@ -15,8 +15,8 @@ ints and the multiplicity keys are ints.  Products, conjugates and
 restrictions are single lookups in the field's table ``rep`` of least
 residues (``fields._coset_rep``): g*c is ``rep[g * c % m]``, the conjugate
 of c is ``rep[(m - 1) * c % m]``, and c restricts to the subfield k as
-``rep_k[c % m_k]``.  So the stabilizer of psi costs |psi|^2 lookups.
-Elements become residue lists only in reports and error messages.
+``rep_k[c % m_k]``.  Elements become residue lists only in reports and
+error messages.
 
 A type fixes its reflex field, the fixed field of its stabilizer, so
 :func:`reflex` takes the type alone and returns the stabilizer, the
@@ -30,13 +30,14 @@ from typing import Iterable, NamedTuple
 from .fields import (
     AbelianField,
     _coset_rep,
+    _galois_basis,
     coset,
     field_from,
     galois_group,
     is_cm,
     is_subfield,
 )
-from .residues import _check_unit
+from .residues import _adjoin, _check_unit, _prime_divisors, _socle_lines, invariant_factor_basis
 
 
 class CMType(NamedTuple):
@@ -86,18 +87,33 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
 def stabilizer(T: CMType) -> frozenset[int]:
     """Stabilizer {g : g psi = psi}, returned as its preimage in (Z/m)^x.
 
-    The preimage is the union of the stabilizing cosets, a subgroup
-    containing the fixed group of the field.  A g with g psi = psi carries
-    an element c0 of psi into psi, so only the |psi| candidates
-    g = c c0^-1 (c in psi) are tested; g psi <= psi suffices because both
-    sets have |psi| elements.
+    The preimage Stab is a subgroup of G = (Z/m)^x over the fixed group H,
+    and g lies in it when g psi <= psi, both sets having |psi| elements.
+    The search grows S = H inside Stab: it tests one element per line of
+    each p-socle of G/S (:func:`~cmtwist.residues._socle_lines`) and
+    adjoins the first that stabilizes psi.  When none does, Stab = S: else
+    Stab/S has an element of prime order p (Cauchy), so it meets the
+    p-socle of G/S in a nonzero subspace, and the tested element of a line
+    in it would have passed.  An element that passes lies outside S, so S
+    at least doubles: at most log2 |Stab/H| rounds, each testing
+    sum_p (p^(r_p) - 1)/(p - 1) elements (r_p the p-rank of G/S) with
+    |psi| lookups at most.  The primes p are those of the exponent d_r of
+    G/S, above 1 as conjugation is never in Stab.  The first round reads
+    the field's own basis.
     """
     K = T.field
     m, rep, psi = K.conductor, _coset_rep(K), T.psi
-    c0_inv = pow(next(iter(psi)), -1, m)
-    stab = [g for g in (rep[c * c0_inv % m] for c in psi)
-            if all(rep[g * c % m] in psi for c in psi)]
-    return frozenset(g * h % m for g in stab for h in K.fixed_group)
+    S, basis = K.fixed_group, _galois_basis(K)
+    while True:
+        x = next((x for p in _prime_divisors(basis[-1][1])
+                  for x in _socle_lines(m, p, basis)
+                  if all(rep[x * c % m] in psi for c in psi)), None)
+        if x is None:
+            return S
+        grown = set(S)
+        _adjoin(m, grown, x)
+        S = frozenset(grown)
+        basis = invariant_factor_basis(m, S)
 
 
 def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:

@@ -16,14 +16,14 @@ then cyclic and that coset alone is its basis, so the full group <x, H> is
 never built.
 
 A peeled basis ((g_1, d_1), ..., (g_r, d_r)) is a basis by construction
-(:func:`invariant_factor_basis` has the proof); a declared one is tested by
-:func:`is_quotient_basis`, by orders and the socle rather than by listing
-the quotient: the d_i multiply to |G/H|, each g_i^(d_i) lies in H, and
-for each prime p one representative of every line of the p-socle
-(spanned by the g_i^(d_i/p)) lies outside H.  The test costs
-sum_p (p^(r_p) - 1)/(p - 1) products, where r_p is the p-rank of G/H,
-and never grows with |G| or |G/H|; its docstring has the proof.  The
-brute-force versions of these kernels live in the test suite as oracles.
+(:func:`invariant_factor_basis` has the proof).  Subgroup questions are
+answered from its socle rather than by listing G/H: a nontrivial subgroup
+of G/H holds an element of some prime order p, and :func:`_socle_lines`
+meets each line of elements of order p once, in (p^(r_p) - 1)/(p - 1)
+products for p-rank r_p.  The CM-type stabilizer and the declared basis
+of the CLI are found this way, at a cost that never grows with |G| or
+|G/H|.  The brute-force versions of these kernels live in the test suite
+as oracles.
 
 Group elements are plain residues (ints in [0, m) coprime to the
 modulus), and a subgroup H is a ``frozenset`` of them.  No type marks a
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, product
-from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from math import gcd, lcm
+from typing import Iterable, Iterator
 
 
 @lru_cache(maxsize=None)
@@ -219,58 +219,22 @@ def _quotient_basis(m: int, H: frozenset[int]) -> list[tuple[int, int]]:
     return [(x, e)] + adjusted
 
 
-def _socle_lines(m: int, p: int, ys: Sequence[int]) -> Iterator[int]:
-    """One residue per line of the F_p-span of ``ys``: prod y_i^(a_i) mod m.
+def _socle_lines(m: int, p: int, basis) -> Iterator[int]:
+    """One residue per line of the p-socle of G/H, from a basis of G/H.
 
-    The exponent vectors a in F_p^r are normalized, their first nonzero
-    coordinate being 1, so each of the (p^r - 1)/(p - 1) lines through the
-    origin is met once, and memory stays O(r) whatever their number.
+    An element of order p of Z/d_1 + ... + Z/d_r has coordinates a_i d_i/p
+    with a in F_p^r, a_i = 0 where p does not divide d_i, so those of G/H
+    are the nonzero products of y_i^(a_i), y_i = g_i^(d_i/p).  Normalizing
+    a (its first nonzero coordinate is 1) meets each line once, and memory
+    stays O(r) whatever their number.
     """
+    ys = [pow(g, d // p, m) for g, d in basis if d % p == 0]
     for k, y in enumerate(ys):
         for tail in product(range(p), repeat=len(ys) - k - 1):
             x = y
             for z, a in zip(ys[k + 1:], tail):
                 x = x * pow(z, a, m) % m
             yield x
-
-
-def is_quotient_basis(m: int, H: frozenset[int], basis) -> bool:
-    """Is a -> prod g_i^(a_i) H a bijection from Z/d_1 + ... + Z/d_r onto G/H?
-
-    Here G = (Z/m)^x and ``basis`` = ((g_1, d_1), ..., (g_r, d_r)); when it
-    holds, each g_i has order exactly d_i in G/H.  The certificate:
-
-    (a) d_1 * ... * d_r = |G/H|;
-    (b) g_i^(d_i) lies in H for each i, so the map is a well-defined
-        homomorphism from the direct sum;
-    (c) for each prime p dividing |G/H|, with y_i = g_i^(d_i/p) for the i
-        such that p | d_i, each normalized product prod y_i^(c_i) (one per
-        line of F_p^(r_p), r_p = #{i : p | d_i}) lies outside H.
-
-    Proof that (a)-(c) give a bijection: if the kernel were nontrivial it
-    would contain an element of prime order p (Cauchy).  An element of
-    order p of the direct sum has coordinates a_i = c_i d_i/p with c_i in
-    F_p, zero where p does not divide d_i, so it maps to prod y_i^(c_i) H.
-    The kernel is a subgroup, so a unit multiple of c (the normalized
-    vector of its line) also lies in it, against (c).  An injective map
-    between sets of equal size (a) is a bijection.  Conversely a bijection
-    with g_i of order d_i satisfies (a)-(c).  So the cost is r powers for
-    (b) and sum_p (p^(r_p) - 1)/(p - 1) products for (c) (one per prime
-    when G/H is cyclic), never a walk over G or G/H (Cohen, GTM 138, 2.4).
-    """
-    basis = tuple(basis)
-    n = group_order(m) // len(H)
-    if any(d < 1 for _, d in basis) or prod(d for _, d in basis) != n:
-        return False
-    for g, _ in basis:
-        _check_unit(m, g)
-    if any(pow(g, d, m) not in H for g, d in basis):
-        return False
-    return not any(
-        x in H
-        for p in _prime_divisors(n)
-        for x in _socle_lines(m, p, [pow(g, d // p, m) for g, d in basis if d % p == 0])
-    )
 
 
 def invariant_factor_basis(m: int, H: frozenset[int]) -> tuple[tuple[int, int], ...]:

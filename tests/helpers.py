@@ -14,6 +14,7 @@ import sympy
 from cmtwist.cmtypes import CMType, WeilDatum, stabilizer, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
+    _coset_rep,
     compositum,
     coset,
     cyclotomic,
@@ -28,6 +29,7 @@ from cmtwist.residues import (
     _check_unit,
     _prime_divisors,
     group_order,
+    invariant_factor_basis,
     subgroup_generated,
     unit_group,
 )
@@ -325,6 +327,20 @@ def box_and_orders_is_basis(m: int, H: frozenset[int], basis) -> bool:
     return len(cosets) == len(box) == len(quotient_cosets(m, H))
 
 
+def swap_loop_declared_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
+    """The declared basis by trial: the invariant-factor basis with complex
+    conjugation put in place of the first order-2 generator for which the
+    box of coset products still lists the quotient."""
+    m, H = K.conductor, K.fixed_group
+    basis = list(invariant_factor_basis(m, H))
+    if is_cm(K) and all(g != m - 1 for g, _ in basis):
+        for i, (_, d) in enumerate(basis):
+            candidate = basis[:i] + [(m - 1, 2)] + basis[i + 1:]
+            if d == 2 and box_and_orders_is_basis(m, H, candidate):
+                return tuple(candidate)
+    return tuple(basis)
+
+
 def peeled_invariant_factor_basis(m: int, H: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """The oracle basis in ``invariant_factor_basis`` order (d_1 | d_2 | ...)."""
     return tuple(reversed(peeled_quotient_basis(m, H)))
@@ -382,6 +398,18 @@ def reflex_field(T: CMType) -> AbelianField:
 def is_primitive(T: CMType) -> bool:
     """Does only the identity stabilize psi?  The report's ``primitive``."""
     return stabilizer(T) == T.field.fixed_group
+
+
+def scan_stabilizer(T: CMType) -> frozenset[int]:
+    """Stabilizer preimage by the candidate scan: a g with g psi = psi carries
+    an element c0 of psi into psi, so each of the |psi| candidates
+    g = c c0^-1 is tested against all of psi, |psi|^2 lookups in all."""
+    K = T.field
+    m, rep, psi = K.conductor, _coset_rep(K), T.psi
+    c0_inv = pow(next(iter(psi)), -1, m)
+    stab = [g for g in (rep[c * c0_inv % m] for c in psi)
+            if all(rep[g * c % m] in psi for c in psi)]
+    return frozenset(g * h % m for g in stab for h in K.fixed_group)
 
 
 def brute_stabilizer_subgroup(T: CMType) -> frozenset[int]:

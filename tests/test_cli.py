@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cmtwist
 import cmtwist.cli as cli
@@ -23,7 +25,16 @@ from cmtwist.cli import (
     validate_input,
 )
 from cmtwist.cmtypes import weil_datum
-from cmtwist.fields import MAX_CONDUCTOR, compositum, cyclotomic, maximal_real_subfield, quadratic
+from cmtwist.fields import (
+    MAX_CONDUCTOR,
+    _galois_basis,
+    compositum,
+    cyclotomic,
+    field_from,
+    maximal_real_subfield,
+    quadratic,
+)
+from cmtwist.residues import invariant_factor_basis, invariant_factors, subgroup_generated, unit_group
 from helpers import (
     EXAMPLE41_TUPLES,
     appended_balance_product,
@@ -33,6 +44,7 @@ from helpers import (
     example41_field,
     example41_residues,
     peeled_invariant_factor_basis,
+    swap_loop_declared_basis,
 )
 
 
@@ -150,31 +162,33 @@ class TestFieldLiteralCache:
     def test_repeated_coordinate_job_is_a_basis_cache_hit(self, monkeypatch):
         payload = {"field": {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]},
                    "type": [list(t) for t in EXAMPLE41_TUPLES]}
-        built = []
+        peeled = []
 
-        def counted(K):
-            built.append(K)
-            return declared_basis(K)
+        def counted(m, H):
+            peeled.append((m, H))
+            return invariant_factor_basis(m, H)
 
-        # the cache calls the public name as bound at call time, so a
-        # wrapper put there sees each miss
-        monkeypatch.setattr(cli, "declared_basis", counted)
-        cli._declared_basis.cache_clear()
+        # the declared basis and the stabilizer's first round both read the
+        # field's basis, peeled once per field
+        monkeypatch.setattr(cmtwist.fields, "invariant_factor_basis", counted)
+        _galois_basis.cache_clear()
         first = run_command("cmtype", payload)
-        before = cli._declared_basis.cache_info()
+        before = _galois_basis.cache_info()
         second = run_command("cmtype", payload)
-        assert built == [example41_field()]
-        assert cli._declared_basis.cache_info().hits == before.hits + 1
+        K = example41_field()
+        assert peeled == [(K.conductor, K.fixed_group)]
+        assert _galois_basis.cache_info().hits == before.hits + 2
         assert second.to_json() == first.to_json()
         assert first.results["coordinate_basis"] == [{"generator": g, "order": d}
-                                                     for g, d in declared_basis(example41_field())]
+                                                     for g, d in declared_basis(K)]
 
     def test_caches_stay_private(self):
-        # perfbench pins the set of public lru_caches; the literal caches and
-        # the declared-basis cache are cli's own
+        # perfbench pins the set of public lru_caches; the literal caches are
+        # cli's own, and the field's basis is cached under a private name
         cached = {name for name, obj in vars(cli).items()
                   if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == cli.__name__}
-        assert cached == {"_leaf_field", "_compositum_field", "_declared_basis"}
+        assert cached == {"_leaf_field", "_compositum_field"}
+        assert isinstance(_galois_basis, functools._lru_cache_wrapper)
         for constructor in (cyclotomic, quadratic, compositum, declared_basis):
             assert not isinstance(constructor, functools._lru_cache_wrapper)
 
@@ -226,9 +240,26 @@ class TestDeclaredBasis:
         # the declared basis feeds the byte-stable coordinate_basis report
         corpus = cm_fields(40, 8)
         fast = [declared_basis(K) for K in corpus]
-        monkeypatch.setattr("cmtwist.cli.invariant_factor_basis",
-                            peeled_invariant_factor_basis)
+        monkeypatch.setattr("cmtwist.cli._galois_basis",
+                            lambda K: peeled_invariant_factor_basis(K.conductor, K.fixed_group))
         assert fast == [declared_basis(K) for K in corpus]
+
+    def test_matches_the_swap_loop_on_cm_fields(self):
+        corpus = cm_fields(200, 64)
+        swapped = [K for K in corpus if declared_basis(K) != _galois_basis(K)]
+        assert len(corpus) > 1000 and len(swapped) > 500
+        for K in corpus:
+            assert declared_basis(K) == swap_loop_declared_basis(K), K
+
+    @given(st.sampled_from([4620, 10920]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_swap_loop_where_the_two_rank_is_large(self, m, data):
+        # (Z/4620)^x has 2-rank 5 and (Z/10920)^x 2-rank 6
+        units = unit_group(m)
+        H = subgroup_generated(m, data.draw(st.lists(st.sampled_from(units), max_size=2)))
+        assume(m - 1 not in H and sum(d % 2 == 0 for d in invariant_factors(m, H)) >= 4)
+        K = field_from(m, H)
+        assert declared_basis(K) == swap_loop_declared_basis(K), K
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 from functools import lru_cache
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,7 @@ from helpers import (
     least,
     quotient_cosets,
     reflex_field,
+    scan_stabilizer,
     sorted_cosets,
     subgroup,
     subgroup_lattice_subfields,
@@ -154,6 +156,45 @@ class TestStabilizerAndReflex:
                 assert stabilizer(T) == brute
                 assert reflex_field(T) == field_from(K.conductor, brute)
                 assert is_primitive(T) == (brute == K.fixed_group)
+
+
+def quadratic_residue_type(p, swapped=False):
+    """The squares mod a prime p = 3 mod 4, a CM-type of Q(zeta_p) since -1 is
+    not a square; ``swapped`` trades the least square for its conjugate."""
+    psi = sorted({x * x % p for x in range(1, p)})
+    if swapped:
+        psi[0] = p - psi[0]
+    return validate_cm_type(cyclotomic(p), psi)
+
+
+class TestStabilizerOnPrimeCyclotomicFields:
+    @pytest.mark.parametrize("p", [1019, 2003, 10007])
+    def test_squares_give_the_index_two_subgroup_and_a_swap_gives_one(self, p):
+        T = quadratic_residue_type(p)
+        # the fixed group is {1}, so the squares are the index-2 subgroup itself
+        assert len(T.psi) == (p - 1) // 2 and stabilizer(T) == T.psi
+        assert stabilizer(quadratic_residue_type(p, swapped=True)) == frozenset({1})
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_and_near_invariant_types_match_the_scan(self, data):
+        # pick one of each conjugate pair of cosets of the subgroup S of odd
+        # order t (t = 1 draws a random type), then perhaps trade one element
+        # for its conjugate
+        p = data.draw(st.sampled_from(list(sympy.primerange(3, 2000))))
+        n, g = p - 1, sympy.primitive_root(p)
+        t = data.draw(st.sampled_from([t for t in sympy.divisors(n) if t % 2]))
+        half = n // t // 2  # the cosets g^j S and g^(j + half) S are conjugate
+        sides = data.draw(st.lists(st.booleans(), min_size=half, max_size=half))
+        psi = [pow(g, k, p) for k in range(n) if (k % (2 * half) >= half) == sides[k % half]]
+        swapped = data.draw(st.booleans())
+        if swapped:
+            i = data.draw(st.integers(0, len(psi) - 1))
+            psi[i] = p - psi[i]
+        T = validate_cm_type(cyclotomic(p), psi)
+        stab = stabilizer(T)
+        assert stab == scan_stabilizer(T), (p, t)
+        assert swapped or pow(g, n // t, p) in stab, (p, t)
 
 
 def test_stabilizer_fields_match_the_checked_path():
