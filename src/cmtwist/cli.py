@@ -37,7 +37,7 @@ from .inertia import (
     base_certificate,
     kitself_certificate,
 )
-from .residues import _socle_lines, invariant_factors
+from .residues import _socle_lines
 from .twists import (
     HYP_AUT_VALUED,
     HYP_CENTRAL,
@@ -375,10 +375,10 @@ def _basis_list(basis) -> list[dict]:
 
 def _run_field(payload: dict) -> Conclusion:
     K = parse_field_literal(payload["field"])
-    factors = invariant_factors(K.conductor, K.fixed_group)
+    factors = [d for _, d in _galois_basis(K)]
     results = {
         "field": field_dict(K),
-        "invariant_factors": list(factors),
+        "invariant_factors": factors,
     }
     kind = "CM" if is_cm(K) else "totally real"
     statements = (

@@ -110,9 +110,7 @@ def stabilizer(T: CMType) -> frozenset[int]:
                   if all(rep[x * c % m] in psi for c in psi)), None)
         if x is None:
             return S
-        grown = set(S)
-        _adjoin(m, grown, x)
-        S = frozenset(grown)
+        S = _adjoin(m, S, x)
         basis = invariant_factor_basis(m, S)
 
 

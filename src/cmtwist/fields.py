@@ -295,8 +295,9 @@ def galois_group(K: AbelianField) -> tuple[int, ...]:
 # Cached under a private name, as perfbench pins the public cached functions.
 @lru_cache(maxsize=None)
 def _galois_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
-    """Invariant-factor basis of Gal(K/Q), peeled once per field: the
-    stabilizer search and the declared basis both start from it."""
+    """Invariant-factor basis of Gal(K/Q), peeled once per field: the field
+    report reads its orders, and the stabilizer search and the declared
+    basis start from it."""
     return invariant_factor_basis(K.conductor, K.fixed_group)
 
 

@@ -16,14 +16,16 @@ then cyclic and that coset alone is its basis, so the full group <x, H> is
 never built.
 
 A peeled basis ((g_1, d_1), ..., (g_r, d_r)) is a basis by construction
-(:func:`invariant_factor_basis` has the proof).  Subgroup questions are
-answered from its socle rather than by listing G/H: a nontrivial subgroup
-of G/H holds an element of some prime order p, and :func:`_socle_lines`
-meets each line of elements of order p once, in (p^(r_p) - 1)/(p - 1)
-products for p-rank r_p.  The CM-type stabilizer and the declared basis
-of the CLI are found this way, at a cost that never grows with |G| or
-|G/H|.  The brute-force versions of these kernels live in the test suite
-as oracles.
+(:func:`invariant_factor_basis` has the proof).  A field's basis is peeled
+once (``fields._galois_basis``) and serves every question about it: its
+orders are the invariant factors of the field report, and subgroup
+questions are answered from its socle rather than by listing G/H.  A
+nontrivial subgroup of G/H holds an element of some prime order p, and
+:func:`_socle_lines` meets each line of elements of order p once, in
+(p^(r_p) - 1)/(p - 1) products for p-rank r_p.  The CM-type stabilizer and
+the declared basis of the CLI are found this way, at a cost that never
+grows with |G| or |G/H|.  The brute-force versions of these kernels live
+in the test suite as oracles.
 
 Group elements are plain residues (ints in [0, m) coprime to the
 modulus), and a subgroup H is a ``frozenset`` of them.  No type marks a
@@ -86,18 +88,17 @@ def _check_unit(m: int, x: int) -> int:
     return x
 
 
-def _adjoin(m: int, group: set[int], g: int) -> None:
-    """Grow the subgroup ``group`` to <group, g> in place by coset extension.
+def _adjoin(m: int, S: frozenset[int], g: int) -> frozenset[int]:
+    """The subgroup <S, g>, by coset extension, as a new frozenset.
 
     <S, g> is the union of the cosets g^i S for i below the first power of
-    g that lies in S.
+    g that lies in S.  ``S`` itself is left as it is.
     """
     powers, p = [], g
-    while p not in group:
+    while p not in S:
         powers.append(p)
         p = p * g % m
-    base = tuple(group)
-    group.update(s * p % m for p in powers for s in base)
+    return S.union(s * p % m for p in powers for s in S)
 
 
 def subgroup_generated(m: int, gens: Iterable[int]) -> frozenset[int]:
@@ -112,11 +113,11 @@ def subgroup_generated(m: int, gens: Iterable[int]) -> frozenset[int]:
     """
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    group = {1 % m}
+    group = frozenset({1 % m})
     for g in gens:
         if _check_unit(m, g) not in group:
-            _adjoin(m, group, g)
-    return frozenset(group)
+            group = _adjoin(m, group, g)
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +195,6 @@ def _max_order_residue(m: int, H: frozenset[int]) -> tuple[int, int]:
     return best_x, best_e
 
 
-def _quotient_basis(m: int, H: frozenset[int]) -> list[tuple[int, int]]:
-    """Basis [(residue, order), ...] of (Z/m)^x / H, orders non-increasing."""
-    n = group_order(m) // len(H)
-    if n == 1:
-        return []
-    x, e = _max_order_residue(m, H)
-    if e == n:
-        return [(x, e)]
-    bigger = set(H)
-    _adjoin(m, bigger, x)
-    rest = _quotient_basis(m, frozenset(bigger))
-    x_inv = pow(x, -1, m)
-    adjusted = []
-    for y, ey in rest:
-        # y^ey lands in <x, H>; write it as x^c mod H, then cancel x^(c/ey)
-        # so the lift keeps order exactly ey (invariant_factor_basis proves
-        # that ey divides c).
-        t, c = pow(y, ey, m), 0
-        while t not in H:
-            t = (t * x_inv) % m
-            c += 1
-        adjusted.append(((y * pow(x_inv, c // ey, m)) % m, ey))
-    return [(x, e)] + adjusted
-
-
 def _socle_lines(m: int, p: int, basis) -> Iterator[int]:
     """One residue per line of the p-socle of G/H, from a basis of G/H.
 
@@ -242,6 +218,8 @@ def invariant_factor_basis(m: int, H: frozenset[int]) -> tuple[tuple[int, int], 
 
     Returns ((g_1, d_1), ..., (g_r, d_r)) with d_1 | d_2 | ... | d_r and the
     map (a_1, ..., a_r) -> prod g_i^{a_i} * H a bijection onto the quotient.
+    The chain is built in ascending order: the basis of G/<x, H> comes
+    first, lifted, and x, of maximal order, goes last.
 
     Proof, by induction on |G/H|, G = (Z/m)^x: let x have maximal order e
     in G/H, the exponent of G/H.  For each (y, e_y) of the basis mod
@@ -255,18 +233,22 @@ def invariant_factor_basis(m: int, H: frozenset[int]) -> tuple[tuple[int, int], 
 
     >>> invariant_factor_basis(8, frozenset({1}))
     ((5, 2), (3, 2))
+    >>> invariant_factor_basis(51, subgroup_generated(51, [16]))
+    ((47, 2), (5, 8))
     """
-    return tuple(reversed(_quotient_basis(m, H)))
-
-
-def invariant_factors(m: int, H: frozenset[int]) -> tuple[int, ...]:
-    """Canonical divisibility chain d_1 | d_2 | ... for (Z/m)^x / H.
-
-    >>> invariant_factors(51, subgroup_generated(51, [16]))
-    (2, 8)
-    >>> invariant_factors(7, frozenset({1}))
-    (6,)
-    >>> invariant_factors(8, frozenset({1}))
-    (2, 2)
-    """
-    return tuple(d for _, d in invariant_factor_basis(m, H))
+    n = group_order(m) // len(H)
+    if n == 1:
+        return ()
+    x, e = _max_order_residue(m, H)
+    if e == n:
+        return ((x, e),)
+    x_inv = pow(x, -1, m)
+    lifted = []
+    for y, ey in invariant_factor_basis(m, _adjoin(m, H, x)):
+        # y^ey lands in <x, H>; write it as x^c mod H, then cancel x^(c/ey)
+        t, c = pow(y, ey, m), 0
+        while t not in H:
+            t = t * x_inv % m
+            c += 1
+        lifted.append((y * pow(x_inv, c // ey, m) % m, ey))
+    return (*lifted, (x, e))

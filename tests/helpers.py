@@ -341,6 +341,11 @@ def swap_loop_declared_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
     return tuple(basis)
 
 
+def orders(basis) -> tuple[int, ...]:
+    """The orders d_1 | d_2 | ... of a basis ((g_1, d_1), ...)."""
+    return tuple(d for _, d in basis)
+
+
 def peeled_invariant_factor_basis(m: int, H: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """The oracle basis in ``invariant_factor_basis`` order (d_1 | d_2 | ...)."""
     return tuple(reversed(peeled_quotient_basis(m, H)))

@@ -15,7 +15,6 @@ from cmtwist.cmtypes import (
 )
 from cmtwist.fields import cyclotomic, field_from, quadratic
 from cmtwist.inertia import base_certificate, kitself_certificate
-from cmtwist.residues import invariant_factors, subgroup_generated
 from cmtwist.twists import twist_x
 from helpers import (
     all_cm_types,
@@ -41,9 +40,12 @@ def _report(name: str, ok: bool) -> None:
 
 
 def test_criterion_1_group_structure():
-    factors = invariant_factors(51, subgroup_generated(51, [16]))
+    # the field job on the example-4.1 literal, as a user runs it
+    field = {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]}
+    report = run(JobSpec("field", {"field": field}))
     _report("criterion 1: Gal(K/Q) of the conductor-51 field is Z/2 x Z/8",
-            factors == (2, 8))
+            report.results["invariant_factors"] == [2, 8]
+            and "Gal = Z/2 x Z/8" in report.statements)
 
 
 def test_criterion_2_cm_type():

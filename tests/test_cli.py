@@ -34,7 +34,7 @@ from cmtwist.fields import (
     maximal_real_subfield,
     quadratic,
 )
-from cmtwist.residues import invariant_factor_basis, invariant_factors, subgroup_generated, unit_group
+from cmtwist.residues import invariant_factor_basis, subgroup_generated, unit_group
 from helpers import (
     EXAMPLE41_TUPLES,
     appended_balance_product,
@@ -43,6 +43,7 @@ from helpers import (
     dumps_oracle,
     example41_field,
     example41_residues,
+    orders,
     peeled_invariant_factor_basis,
     swap_loop_declared_basis,
 )
@@ -168,8 +169,8 @@ class TestFieldLiteralCache:
             peeled.append((m, H))
             return invariant_factor_basis(m, H)
 
-        # the declared basis and the stabilizer's first round both read the
-        # field's basis, peeled once per field
+        # the declared basis, the stabilizer's first round and the field
+        # report all read the field's basis, peeled once per field
         monkeypatch.setattr(cmtwist.fields, "invariant_factor_basis", counted)
         _galois_basis.cache_clear()
         first = run_command("cmtype", payload)
@@ -181,6 +182,11 @@ class TestFieldLiteralCache:
         assert second.to_json() == first.to_json()
         assert first.results["coordinate_basis"] == [{"generator": g, "order": d}
                                                      for g, d in declared_basis(K)]
+        hits = _galois_basis.cache_info().hits
+        field = run_command("field", {"field": payload["field"]})
+        assert peeled == [(K.conductor, K.fixed_group)]
+        assert _galois_basis.cache_info().hits == hits + 1
+        assert field.results["invariant_factors"] == list(orders(_galois_basis(K))) == [2, 8]
 
     def test_caches_stay_private(self):
         # perfbench pins the set of public lru_caches; the literal caches are
@@ -257,7 +263,7 @@ class TestDeclaredBasis:
         # (Z/4620)^x has 2-rank 5 and (Z/10920)^x 2-rank 6
         units = unit_group(m)
         H = subgroup_generated(m, data.draw(st.lists(st.sampled_from(units), max_size=2)))
-        assume(m - 1 not in H and sum(d % 2 == 0 for d in invariant_factors(m, H)) >= 4)
+        assume(m - 1 not in H and sum(d % 2 == 0 for d in orders(invariant_factor_basis(m, H))) >= 4)
         K = field_from(m, H)
         assert declared_basis(K) == swap_loop_declared_basis(K), K
 

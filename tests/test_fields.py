@@ -26,7 +26,7 @@ from cmtwist.cmtypes import reflex
 from cmtwist.residues import (
     _prime_divisors,
     _unit_generators,
-    invariant_factors,
+    invariant_factor_basis,
     subgroup_generated,
     unit_group,
 )
@@ -43,6 +43,7 @@ from helpers import (
     least,
     lift_compositum,
     lift_is_subfield,
+    orders,
     quotient_cosets,
     subgroup,
     subgroup_lattice_subfields,
@@ -352,7 +353,7 @@ class TestRootsOfUnity:
 def test_large_quadratic_conductor():
     K = quadratic(-99991)
     assert (K.conductor, K.degree) == (99991, 2)
-    assert invariant_factors(K.conductor, K.fixed_group) == (2,)
+    assert orders(invariant_factor_basis(K.conductor, K.fixed_group)) == (2,)
     assert roots_of_unity_order(K) == 2
 
 
