@@ -70,27 +70,31 @@ class Report(NamedTuple):
     statements: tuple[str, ...]
     concluded: bool
 
-    def to_document(self) -> dict:
-        return {
-            "command": self.command,
-            "payload": self.payload,
-            "results": self.results,
-            "statements": list(self.statements),
-            "hypotheses": [h._asdict() for h in self.hypotheses],
-            "concluded": self.concluded,
-            "version": __version__,
-        }
-
     def to_json(self) -> str:
-        """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+        """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+        where doc holds the six fields, each hypothesis as a record
+        ``{name, kind, holds}``, and "version".
 
-        CPython's C encoder serves ``json.dumps`` only without ``indent``, so
-        :func:`_emit` writes the indented form itself, into one list of
-        pieces that is joined once.
+        The seven keys and the records have a fixed schema, so they are
+        written here in sorted order, strings through the C encoder's
+        ``encode_basestring_ascii``.  CPython's C encoder serves
+        ``json.dumps`` only without ``indent``, so :func:`_emit` writes the
+        free-form payload and results.  The pieces are joined once.
         """
-        out: list[str] = []
-        _emit(self.to_document(), 0, out)
-        out.append("\n")
+        records = ",\n    ".join(
+            f'{{\n      "holds": {"true" if h.holds else "false"},\n      "kind": '
+            f'{encode_basestring_ascii(h.kind)},\n      "name": {encode_basestring_ascii(h.name)}\n    }}'
+            for h in self.hypotheses)
+        statements = ",\n    ".join(map(encode_basestring_ascii, self.statements))
+        out = ['{\n  "command": ', encode_basestring_ascii(self.command),
+               ',\n  "concluded": ', "true" if self.concluded else "false",
+               ',\n  "hypotheses": ', f"[\n    {records}\n  ]" if self.hypotheses else "[]",
+               ',\n  "payload": ']
+        _emit(self.payload, 1, out)
+        out.append(',\n  "results": ')
+        _emit(self.results, 1, out)
+        out += [',\n  "statements": ', f"[\n    {statements}\n  ]" if self.statements else "[]",
+                ',\n  "version": ', encode_basestring_ascii(__version__), "\n}\n"]
         return "".join(out)
 
 

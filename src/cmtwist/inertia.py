@@ -75,9 +75,22 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
     D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
     P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when
-    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A ladder carries
-    (V_k, V_(k+1), Q^k) along the bits of d; U_d = 0 is read off as
-    2 V_(d+1) - V_d = D U_d = 0, since D is a unit mod n.
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+
+    The test runs on a chain with Q = 1.  Q is a unit mod n: a prime l
+    dividing Q and n is odd and at most |Q| < |D|, so the earlier candidate
+    +-l (+-9 when l = 3) has symbol 0 and has already rejected n.  Let
+    P' = Q^-1 - 2 and W_j = V_j(P', 1), whose roots are a^2/Q and b^2/Q for
+    the roots a, b of x^2 - x + Q, so that V_2j = Q^j W_j.  With
+    h = (d + 1)/2, a + b = 1 and ab = Q,
+
+        D U_d = (a - b)(a^d - b^d) = V_2h - Q V_(2h-2) = Q^h (W_h - W_(h-1)),
+        V_d = (a + b)(a^d + b^d) = V_2h + Q V_(2h-2) = Q^h (W_h + W_(h-1)),
+        V_(d 2^r) = Q^(d 2^(r-1)) W_(d 2^(r-1))  for r >= 1.
+
+    D and Q are units mod n, so the test reads W alone: a ladder carries
+    (W_k, W_(k+1)) to k = h - 1, then W_d = W_h W_(h-1) - P' and
+    W_2j = W_j^2 - 2.
     """
     if isqrt(n) ** 2 == n:
         return False        # no D has (D/n) = -1
@@ -87,26 +100,22 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False    # 1 < gcd(D, n) <= |D| < n
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
+    P1 = (pow(Q, -1, n) - 2) % n               # P'
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d = (n + 1) >> s
-    v, w, qk = 1, (1 - 2 * Q) % n, Q % n      # k = 1
-    for bit in bin(d)[3:]:
+    w, w1 = 2, P1                              # k = 0
+    for bit in bin(d >> 1)[2:]:
         if bit == "1":                         # k -> 2k + 1
-            qk1 = qk * Q
-            v = (v * w - qk) % n
-            w = (w * w - 2 * qk1) % n
-            qk = qk * qk1 % n
+            w, w1 = (w * w1 - P1) % n, (w1 * w1 - 2) % n
         else:                                  # k -> 2k
-            w = (v * w - qk) % n
-            v = (v * v - 2 * qk) % n
-            qk = qk * qk % n
-    if v == 0 or (2 * w - v) % n == 0:
+            w, w1 = (w * w - 2) % n, (w * w1 - P1) % n
+    if w1 == w or w1 + w == n:
         return True
+    w = (w * w1 - P1) % n                      # W_d
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
-        if v == 0:
+        if w == 0:
             return True
-        qk = qk * qk % n
+        w = (w * w - 2) % n
     return False
 
 

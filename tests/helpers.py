@@ -11,6 +11,7 @@ from math import gcd, lcm, prod
 
 import sympy
 
+import cmtwist
 from cmtwist.cmtypes import CMType, WeilDatum, stabilizer, validate_cm_type, weil_datum
 from cmtwist.fields import (
     AbelianField,
@@ -719,6 +720,19 @@ def unit_generator_check() -> dict:
 
 # ---------------------------------------------------------------------------
 # Report serialization.
+
+def report_document(report) -> dict:
+    """The document a report's JSON encodes, its fields in the report's schema."""
+    return {
+        "command": report.command,
+        "payload": report.payload,
+        "results": report.results,
+        "statements": list(report.statements),
+        "hypotheses": [h._asdict() for h in report.hypotheses],
+        "concluded": report.concluded,
+        "version": cmtwist.__version__,
+    }
+
 
 def dumps_oracle(doc) -> str:
     """Report text as ``json.dumps`` writes it, the form ``Report.to_json``

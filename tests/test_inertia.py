@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympy import GF, Poly, Symbol, expand, primerange
 
 import cmtwist.inertia
+from cmtwist.fields import jacobi_symbol
 from cmtwist.inertia import (
     CLASS_NUMBER_ASSUMPTION,
     GOOD_REDUCTION_ASSUMPTION,
@@ -29,7 +30,8 @@ STRONG_PSEUDOPRIMES = (
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745,
               825265, 321197185, 5394826801, 232250619601, 9746347772161)
 # Composites passing the strong Lucas test with Selfridge's parameters.
-STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+                             75077, 97439)
 
 
 class TestIsPrime:
@@ -59,6 +61,29 @@ class TestIsPrime:
         for n in STRONG_LUCAS_PSEUDOPRIMES + (1093**2, 3511**2, (2**61 - 1) ** 2):
             assert (cmtwist.inertia._strong_lucas_probable_prime(n)
                     == sympy.ntheory.primetest.is_strong_lucas_prp(n)), n
+
+    def test_lucas_half_on_every_odd_n_below_20000(self):
+        lucas = cmtwist.inertia._strong_lucas_probable_prime
+        assert [n for n in range(49, 20000, 2)
+                if lucas(n) != sympy.ntheory.primetest.is_strong_lucas_prp(n)] == []
+
+    def test_lucas_half_where_selfridge_q_shares_a_factor_with_n(self):
+        # Q = (1 - D)/4 for the first D with (D/n) = -1.  The half runs on a
+        # chain that needs Q to be a unit, so it must reject every such n, as
+        # the chain with Q itself does.  (The scan only picks n; sympy judges.)
+        def selfridge_q(n):
+            D = 5
+            while jacobi_symbol(D, n) != -1:
+                D = -D - 2 if D > 0 else -D + 2
+            return (1 - D) // 4
+
+        # above the range every odd n is compared in
+        shared = [n for n in range(20001, 50000, 2) if isqrt(n) ** 2 != n and gcd(selfridge_q(n), n) > 1]
+        assert len(shared) > 1000
+        for n in shared:
+            assert not sympy.isprime(n)
+            assert not cmtwist.inertia._strong_lucas_probable_prime(n)
+            assert not sympy.ntheory.primetest.is_strong_lucas_prp(n)
 
     @given(st.integers(min_value=0, max_value=2**128))
     @settings(max_examples=1500, deadline=None)

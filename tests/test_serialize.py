@@ -3,9 +3,9 @@
 The emitter must write exactly ``json.dumps(doc, sort_keys=True, indent=2)
 + "\\n"``.  The pinned digests of ``tests/test_report_bytes.py`` hold it to
 that form on the fixed corpora; here it is compared with the oracle on
-drawn documents, on bools and subclasses of the accepted types nested in
-containers, on a list nested 300 deep and on a field job nested about as
-deep as ``json.load`` accepts.
+drawn documents and drawn reports, on bools and subclasses of the accepted
+types nested in containers, on a list nested 300 deep and on a field job
+nested about as deep as ``json.load`` accepts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 import cmtwist
 from cmtwist.cli import Report, _emit, run, validate_input
-from helpers import dumps_oracle
+from cmtwist.twists import Hypothesis
+from helpers import dumps_oracle, report_document
 
 
 def emit(doc) -> str:
@@ -56,6 +57,29 @@ documents = st.recursive(
 @given(documents)
 def test_drawn_documents_match_the_oracle(doc):
     assert emit(doc) == dumps_oracle(doc)
+
+
+# payload and results go through _emit, which the documents above exercise
+# in depth; small ones keep the draw cheap
+sections = st.recursive(leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
+                        max_leaves=6)
+hypotheses = st.builds(Hypothesis, text, st.sampled_from(["checked", "assumed"]) | text, st.booleans())
+reports = st.builds(
+    Report,
+    text,
+    sections,
+    sections,
+    st.lists(hypotheses, max_size=3).map(tuple),
+    st.lists(text, max_size=3).map(tuple),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reports)
+def test_drawn_reports_match_the_oracle(report):
+    # to_json writes the fixed keys, the records and the statements itself
+    assert report.to_json() == dumps_oracle(report_document(report))
 
 
 class Order(IntEnum):
@@ -150,7 +174,7 @@ def test_deep_compositum_job_matches_the_oracle(tmp_path):
     try:
         payload = json.loads(path.read_text())
         report = run(validate_input({"command": "field", "payload": payload}))
-        expected = dumps_oracle(report.to_document())
+        expected = dumps_oracle(report_document(report))
     finally:
         sys.setrecursionlimit(limit)
     assert out.stdout == expected
