@@ -4,9 +4,9 @@ For a prime p = 3 (mod 7) the connectedness-base argument needs a handful
 of exact facts: the inertia subgroup at p inside the p-division field has
 order (p^6 - 1)/(p^2 + p + 1); the Frobenius powers p^3, p^4, p^5 realize
 the Galois elements of exponents 6, 4, 5; and neither p^2 + p + 1 nor
-p^2 - 1 is divisible by 7.  Everything here is verified by direct integer
-arithmetic and packaged into certificates whose conclusion is only
-emitted when every check passes.
+p^2 - 1 is divisible by 7.  All of them follow from the congruence, so a
+certificate checks the congruence alone, states the arithmetic at p as
+witnesses resting on it, and concludes exactly when it holds.
 
 Primality is decided here too, with the standard library only: trial
 division by the primes below 50, then Miller-Rabin with a base set proven
@@ -140,11 +140,6 @@ def isprime(n: int) -> bool:
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
-def _require_prime(p: int) -> None:
-    if not isprime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 # ---------------------------------------------------------------------------
 # Certificates.
 
@@ -153,58 +148,54 @@ GOOD_REDUCTION_ASSUMPTION = "good reduction outside 7"
 
 
 def kitself_certificate(p: int) -> Conclusion:
-    """Run every inertia check at p; conclude K' = K only if all pass.
+    """Check p = 3 (mod 7) at a prime p other than 7; conclude K' = K if it holds.
 
-    p is proved prime once, here.  Each check is a checked hypothesis named
-    by its statement, and its witness (the arithmetic at p) is a statement
-    resting on that check alone: a failed check withholds its witness and
-    the conclusion, and never raises.  The inertia, gcd and Frobenius
-    checks run only when p = 3 (mod 7), and then they always pass:
-    q = p^2 + p + 1 divides p^3 - 1 = (p - 1) q, p^6 - 1 is prime to p,
-    and p^3, p^4, p^5 mod 7 depend on p mod 7 alone.
+    p is proved prime once, here.  The congruence is the one checked
+    record.  When it holds, the arithmetic at p is stated as witnesses
+    resting on it: they are statements and not checks because the
+    congruence proves each of them.  For every p, q = p^2 + p + 1 divides
+    p^3 - 1 = (p - 1) q, so #(I_p) = (p^6 - 1)/q is an integer, and p^6 - 1
+    is prime to p, so gcd(p^6 - 1, p^3 q) = q.  The residues mod 7 of p^3,
+    p^4, p^5, p^2 + p + 1 and p^2 - 1 depend on p mod 7 alone; at 3 they
+    are 6, 4, 5, 6 and 1, so 7 divides neither of the last two.
 
     >>> kitself_certificate(3).results["conclusion"]
     "K' = K"
     >>> kitself_certificate(2).statements
-    ('p^2 - 1 = 3',)
+    ()
     """
-    _require_prime(p)
+    if not isprime(p):
+        raise ValueError(f"{p} is not prime")
     if p == 7:
         raise ValueError("must differ from 7")
-    q = p * p + p + 1
-    congruent = p % 7 == 3
-    # (statement, whether it holds, witness)
-    checks = [("p = 3 (mod 7)", congruent, f"{p} = {p % 7} (mod 7)")]
-    order_val: Optional[int] = None
-    if congruent:
+    congruence = Hypothesis("p = 3 (mod 7)", "checked", p % 7 == 3)
+    hypotheses = (congruence, Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True))
+    order: Optional[int] = None
+    witnesses = []
+    if congruence.holds:
+        q = p * p + p + 1
         big = p**6 - 1
-        order_val, rem = divmod(big, q)
-        g = gcd(big, p**3 * q)
+        order = big // q
         frob = (pow(p, 3, 7), pow(p, 4, 7), pow(p, 5, 7))
-        checks += [
-            ("#(I_p) = (p^6 - 1)/(p^2 + p + 1)", rem == 0, f"({p}^6 - 1)/{q} = {order_val}"),
-            ("gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1", g == q,
-             f"gcd({big}, {p**3 * q}) = {g}"),
-            ("p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)", frob == (6, 4, 5),
-             f"(p^3, p^4, p^5) = {frob} (mod 7)"),
+        witnesses = [
+            f"{p} = {p % 7} (mod 7)",
+            f"({p}^6 - 1)/{q} = {order}",
+            f"gcd({big}, {p**3 * q}) = {gcd(big, p**3 * q)}",
+            f"(p^3, p^4, p^5) = {frob} (mod 7)",
+            f"p^2 + p + 1 = {q}",
+            f"p^2 - 1 = {p * p - 1}",
         ]
-    checks += [
-        ("7 does not divide p^2 + p + 1", q % 7 != 0, f"p^2 + p + 1 = {q}"),
-        ("7 does not divide p^2 - 1", (p * p - 1) % 7 != 0, f"p^2 - 1 = {p * p - 1}"),
-    ]
-    hypotheses = tuple(Hypothesis(name, "checked", holds) for name, holds, _ in checks)
-    hypotheses += (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),)
-    statements, concluded = conclude(hypotheses, [(w, [name]) for name, _, w in checks])
-    results = {"p": p, "inertia_order": order_val, "conclusion": "K' = K" if concluded else None}
+    statements, concluded = conclude(hypotheses, [(w, [congruence.name]) for w in witnesses])
+    results = {"p": p, "inertia_order": order, "conclusion": "K' = K" if concluded else None}
     return Conclusion(results, hypotheses, statements, concluded)
 
 
 def base_certificate(p: int, q: int) -> Conclusion:
     """Certify K_Phi(A) = K from inertia certificates at two distinct primes.
 
-    The odd-prime check and the two per-prime certificates are checked
-    hypotheses, and every statement rests on all of them and on both
-    assumptions, so a failed check withholds them all.  A prime that
+    The two per-prime certificates are checked hypotheses, and every
+    statement rests on both of them and on both assumptions, so a failed
+    certificate withholds them all.  A prime that
     :func:`kitself_certificate` refuses raises its ``ValueError`` prefixed
     with the argument's name, ``p`` or ``q``.
 
@@ -223,7 +214,6 @@ def base_certificate(p: int, q: int) -> Conclusion:
             raise ValueError(f"{key}: {exc}") from exc
     cert_p, cert_q = certs
     hypotheses = (
-        Hypothesis("p and q are odd", "checked", p % 2 == 1 and q % 2 == 1),
         Hypothesis(f"K' = K at p = {p}", "checked", cert_p.concluded),
         Hypothesis(f"K' = K at q = {q}", "checked", cert_q.concluded),
         Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),

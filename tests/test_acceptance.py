@@ -98,21 +98,20 @@ def test_criterion_4_reflex_conventions():
 
 def test_criterion_5_inertia_arithmetic_at_3():
     cert = kitself_certificate(3)
-    # each check is a checked record named by its statement; its witness
-    # is a statement that stands only when that record holds
+    # the congruence is the one checked record, and the arithmetic at 3 is
+    # stated as witnesses that stand only when it holds
     checks = {h.name: h.holds for h in cert.hypotheses if h.kind == "checked"}
     unit = unit_generator_check()
     ok = (
-        cert.results["inertia_order"] == 56
+        checks == {"p = 3 (mod 7)": True}
+        and cert.results["inertia_order"] == 56
+        and "(3^6 - 1)/13 = 56" in cert.statements
         and gcd(3**6 - 1, 3**3 * 13) == 13
-        and checks["gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1"]
         and "gcd(728, 351) = 13" in cert.statements
-        and checks["p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)"]
+        and (pow(3, 3, 7), pow(3, 4, 7), pow(3, 5, 7)) == (6, 4, 5)
         and "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)" in cert.statements
-        and checks["7 does not divide p^2 + p + 1"]      # 7 does not divide 13
-        and "p^2 + p + 1 = 13" in cert.statements
-        and checks["7 does not divide p^2 - 1"]          # 7 does not divide 8
-        and "p^2 - 1 = 8" in cert.statements
+        and 13 % 7 != 0 and "p^2 + p + 1 = 13" in cert.statements
+        and 8 % 7 != 0 and "p^2 - 1 = 8" in cert.statements
         and unit["reduction_value_mod_7"] == 5
         and unit["reduction_order"] == 6                 # 5 generates (Z/7)^x
         and unit["unit_identity_holds"]                  # (x - 1)(-1 - x) = 1 - x^2

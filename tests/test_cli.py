@@ -795,7 +795,7 @@ class TestHypothesisRecords:
     def test_failed_check_withholds_the_base_statements(self, command, capsys):
         # example-42 names its claim on the base-cert job, not that job's records
         failed = {
-            "base-cert": ["p and q are odd", "K' = K at q = 2"],
+            "base-cert": ["K' = K at q = 2"],
             "example-42": ["the base certificate gives K_Phi(A) = K = Q_Phi(A)"],
         }[command]
         argv = [command, "--p", "3", "--q", "2"]
@@ -823,7 +823,7 @@ class TestHypothesisRecords:
         ]
 
     @pytest.mark.parametrize("p, failed", [
-        (2, "p = 3 (mod 7); 7 does not divide p^2 + p + 1"),
+        (2, "p = 3 (mod 7)"),
         (5, "p = 3 (mod 7)"),
     ])
     def test_summary_names_failed_inertia_checks(self, p, failed, capsys):
@@ -831,9 +831,12 @@ class TestHypothesisRecords:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-3:] == ["assumed: class number 1", "failed: " + failed, "NOT CONCLUDED"]
         assert main(["inertia", "--p", str(p), "--json"]) == 2
-        records = json.loads(capsys.readouterr().out)["hypotheses"]
+        doc = json.loads(capsys.readouterr().out)
+        records = doc["hypotheses"]
         assert "; ".join(h["name"] for h in records if not h["holds"]) == failed
         assert all(h["kind"] == "checked" for h in records if not h["holds"])
+        # every witness at p rests on the failed congruence
+        assert doc["statements"] == []
 
 
 def _loaded_by_cli_import(*names: str) -> list[str]:

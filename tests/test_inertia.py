@@ -132,13 +132,9 @@ class TestResidueOrders:
             kitself_certificate(15)
 
 
-# the certificate's checks, each a checked record named by its statement
+# the certificate's one check, a checked record named by its statement;
+# the arithmetic at p is stated as witnesses resting on it
 CONGRUENCE = "p = 3 (mod 7)"
-INERTIA_ORDER = "#(I_p) = (p^6 - 1)/(p^2 + p + 1)"
-GCD = "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1"
-FROBENIUS = "p^3 = 6, p^4 = 4, p^5 = 5 (mod 7)"
-SEVEN = "7 does not divide p^2 + p + 1"
-ELLIPTIC = "7 does not divide p^2 - 1"
 
 
 def holds(cert, name):
@@ -158,10 +154,10 @@ class TestInertiaOrder:
         assert kitself_certificate(17).results["inertia_order"] == 78624
 
     def test_wrong_residue_rejected(self):
-        # p = 5 is inert but not 3 (mod 7): no inertia order, no verdict
+        # p = 5 is inert but not 3 (mod 7): no inertia order, no witness, no verdict
         cert = kitself_certificate(5)
-        assert cert.results["inertia_order"] is None and holds(cert, GCD) is None
-        assert holds(cert, INERTIA_ORDER) is None and cert.results["conclusion"] is None
+        assert cert.results["inertia_order"] is None and cert.statements == ()
+        assert holds(cert, CONGRUENCE) is False and cert.results["conclusion"] is None
 
     def test_identities_up_to_ten_thousand(self):
         primes = [p for p in primerange(3, 10_000) if p % 7 == 3]
@@ -172,20 +168,28 @@ class TestInertiaOrder:
             assert gcd(p**6 - 1, p**3 * q) == q
             cert = kitself_certificate(p)
             assert cert.results["inertia_order"] * q == p**6 - 1
-            assert holds(cert, INERTIA_ORDER) is True and holds(cert, GCD) is True
+            assert holds(cert, CONGRUENCE) is True
+            assert f"({p}^6 - 1)/{q} = {(p**6 - 1) // q}" in cert.statements
             assert f"gcd({p**6 - 1}, {p**3 * q}) = {q}" in cert.statements
 
 
 class TestFrobeniusExponents:
     def test_examples(self):
         for p in (3, 17):
+            assert (pow(p, 3, 7), pow(p, 4, 7), pow(p, 5, 7)) == (6, 4, 5)
             cert = kitself_certificate(p)
-            assert holds(cert, FROBENIUS) is True
+            assert holds(cert, CONGRUENCE) is True
             assert "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)" in cert.statements
+
+    def test_exponents_follow_from_the_congruence(self):
+        # (p^3, p^4, p^5) = (6, 4, 5) (mod 7) holds for p = 3 (mod 7) alone
+        for r in range(1, 7):
+            assert ((pow(r, 3, 7), pow(r, 4, 7), pow(r, 5, 7)) == (6, 4, 5)) is (r == 3)
 
     def test_wrong_residue_rejected(self):
         cert = kitself_certificate(2)
-        assert holds(cert, FROBENIUS) is None and not cert.concluded
+        assert holds(cert, CONGRUENCE) is False and not cert.concluded
+        assert not any(s.startswith("(p^3, p^4, p^5)") for s in cert.statements)
 
     def test_exponent_sum_identity(self):
         # p^3 + p^4 + p^5 = p^3 (1 + p + p^2) as polynomials
@@ -197,19 +201,20 @@ class TestSevenDivisibility:
     def test_examples(self):
         # (7 | p^2 + p + 1, 7 | p^2 - 1) at p = 3, 2, 13
         for p, divides in ((3, (False, False)), (2, (True, False)), (13, (False, True))):
-            cert = kitself_certificate(p)
-            assert (holds(cert, SEVEN) is False, holds(cert, ELLIPTIC) is False) == divides
+            assert ((p * p + p + 1) % 7 == 0, (p * p - 1) % 7 == 0) == divides
+        assert {"p^2 + p + 1 = 13", "p^2 - 1 = 8"} <= set(kitself_certificate(3).statements)
 
     def test_residue_classification(self):
         for p in primerange(3, 500):
             if p == 7:
                 continue
+            assert ((p * p + p + 1) % 7 == 0) is (p % 7 in (2, 4))
+            assert ((p * p - 1) % 7 == 0) is (p % 7 in (1, 6))
+            # the congruence excludes both classes, and both witnesses rest on it
             cert = kitself_certificate(p)
-            assert holds(cert, SEVEN) is (p % 7 not in (2, 4))
-            assert holds(cert, ELLIPTIC) is (p % 7 not in (1, 6))
-            # a witness is stated exactly when its check holds
-            assert (f"p^2 + p + 1 = {p * p + p + 1}" in cert.statements) is holds(cert, SEVEN)
-            assert (f"p^2 - 1 = {p * p - 1}" in cert.statements) is holds(cert, ELLIPTIC)
+            assert holds(cert, CONGRUENCE) is (p % 7 == 3)
+            assert (f"p^2 + p + 1 = {p * p + p + 1}" in cert.statements) is (p % 7 == 3)
+            assert (f"p^2 - 1 = {p * p - 1}" in cert.statements) is (p % 7 == 3)
 
 
 class TestUnitGenerator:
@@ -293,14 +298,11 @@ class TestCertificates:
         assert cert.concluded
         assert cert.results["conclusion"] == "K' = K"
         assert cert.results["inertia_order"] == 56
-        assert holds(cert, FROBENIUS) is True and holds(cert, ELLIPTIC) is True
         assert cert.statements == (
             "3 = 3 (mod 7)", "(3^6 - 1)/13 = 56", "gcd(728, 351) = 13",
             "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)", "p^2 + p + 1 = 13", "p^2 - 1 = 8")
-        assert cert.hypotheses == tuple(
-            Hypothesis(name, "checked", True)
-            for name in (CONGRUENCE, INERTIA_ORDER, GCD, FROBENIUS, SEVEN, ELLIPTIC)
-        ) + (Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),)
+        assert cert.hypotheses == (Hypothesis(CONGRUENCE, "checked", True),
+                                   Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True))
         assert set(cert.results) == {"p", "inertia_order", "conclusion"}
 
     def test_kitself_at_17(self):
@@ -313,9 +315,9 @@ class TestCertificates:
         assert not cert.concluded
         assert cert.results["conclusion"] is None
         failed = [h.name for h in cert.hypotheses if not h.holds]
-        assert failed == [CONGRUENCE, SEVEN]
-        # only the holding check's witness is stated
-        assert cert.statements == ("p^2 - 1 = 3",)
+        assert failed == [CONGRUENCE]
+        # every witness rests on the congruence
+        assert cert.statements == ()
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -347,9 +349,8 @@ class TestCertificates:
         assert cert.results["certificate_q"] == kitself_certificate(2).results
         assert cert.results["certificate_q"]["conclusion"] is None
         assert holds(kitself_certificate(2), CONGRUENCE) is False
-        assert {h.name for h in cert.hypotheses if not h.holds} == {
-            "p and q are odd", "K' = K at q = 2"}
-        # every statement rests on the failed checks
+        assert [h.name for h in cert.hypotheses if not h.holds] == ["K' = K at q = 2"]
+        # every statement rests on the failed check
         assert cert.statements == ()
 
     def test_one_primality_proof_per_certificate(self, monkeypatch):
@@ -375,6 +376,28 @@ class TestCertificates:
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(kitself_certificate, primes))
         assert parallel == [kitself_certificate(p) for p in primes]
+
+
+# each checked record of a certificate, by its name with the primes left
+# as fields, and the arguments at which it is the one record that fails
+FALSIFIERS = {
+    (kitself_certificate, CONGRUENCE): {"p": 5},
+    (base_certificate, "K' = K at p = {p}"): {"p": 5, "q": 3},
+    (base_certificate, "K' = K at q = {q}"): {"p": 3, "q": 5},
+}
+
+
+def test_every_checked_record_can_withhold_a_conclusion_alone():
+    # a checked record is a predicate that can fail while every other
+    # record holds, never a fact that fails only together with another one
+    for theorem, args in ((kitself_certificate, {"p": 3}), (base_certificate, {"p": 3, "q": 17}),
+                          *((theorem, args) for (theorem, _), args in FALSIFIERS.items())):
+        emitted = [h.name for h in theorem(**args).hypotheses if h.kind == "checked"]
+        assert emitted == [name.format(**args) for t, name in FALSIFIERS if t is theorem]
+    for (theorem, name), args in FALSIFIERS.items():
+        cert = theorem(**args)
+        assert [h.name for h in cert.hypotheses if not h.holds] == [name.format(**args)]
+        assert not cert.concluded and cert.statements == ()
 
 
 def test_every_inert_3_mod_7_prime_certifies():

@@ -264,13 +264,13 @@ def rationals_jobs() -> list[tuple[str, dict]]:
 
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
-    "commands": ("504f5af8191026160612842077e761aca4505acee7985460518ce7534c92cc54",
+    "commands": ("a181e228954da09c01088bd09d0ae514319849e9d9ef6e1391337f8cda53e996",
                  {0: 15, 1: 5, 2: 6}),
-    "cmtype": ("93e52b761198330f4a7be2da8baec101c1cc6af9436c4d3a869927cdd65260df",
+    "cmtype": ("8db1b90de8a91ecebc95ec425b8608f1a00162f674d8d0b7d83c14d0e2606782",
                {0: 295, 1: 9}),
-    "twists": ("aa9210d26f593fe627d3974a251c2d54c669fc887e75a8ad6cb6f8b53ce469d4",
+    "twists": ("a98bedbeb6dfaa4a30ac6eb9182d6bb599c67de27240bbc95261d1585972da39",
                {0: 90, 2: 326}),
-    "rationals": ("4485f23d3f403f61bfee7a506f6aa160ff2ab54d265c5118a87f24685e6f9b42",
+    "rationals": ("0954f705df43402912d1448290c1c213f7b564efa1b4c4f814d74474765b2e90",
                   {0: 10, 1: 3}),
 }
 
