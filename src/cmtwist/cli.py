@@ -51,7 +51,7 @@ from .twists import (
     twist_x,
 )
 
-class InputError(ValueError):
+class InputError(Exception):
     """Malformed job document; message carries the offending field path."""
 
 
@@ -202,11 +202,13 @@ def _compositum_field(parts: tuple[AbelianField, ...]) -> AbelianField:
     return out
 
 
-MAX_LITERAL_DEPTH = 500
-"""Deepest nesting of ``compositum`` literals a job may hold.  Up to Python
-3.11 ``json.load`` refuses a file about 490 levels deep and parsing a deeper
-document built in process runs out of stack; from 3.12 both may go deeper.
-The budget makes the limit the same on every version."""
+MAX_LITERAL_DEPTH = 200
+"""Deepest nesting of ``compositum`` literals a job may hold.  It binds
+before the stack on every supported Python: each level costs
+:func:`_parse_literal` two frames (one from 3.12 on, where list
+comprehensions are inlined) and :func:`_emit` two, so a job at the budget
+uses about 400 of the 1,000 default frames, and its file, about 400
+containers deep, is one that ``json.load`` reads."""
 
 
 def parse_field_literal(obj: Any, where: str = "field") -> AbelianField:
@@ -215,16 +217,15 @@ def parse_field_literal(obj: Any, where: str = "field") -> AbelianField:
 
     Fields are cached by literal value, never by ``where``, and failures are
     not cached, so every error names the path it was found at.  A literal
-    nested deeper than :data:`MAX_LITERAL_DEPTH` raises ``RecursionError``,
-    as one deeper than the stack does.
+    nested deeper than :data:`MAX_LITERAL_DEPTH` names the path ``where`` of
+    the outermost one.
     """
-    return _parse_literal(obj, where, 1)
+    return _parse_literal(obj, where, where, 1)
 
 
-def _parse_literal(obj: Any, where: str, depth: int) -> AbelianField:
+def _parse_literal(obj: Any, where: str, root: str, depth: int) -> AbelianField:
     if depth > MAX_LITERAL_DEPTH:
-        raise RecursionError(
-            f"maximum recursion depth exceeded: more than {MAX_LITERAL_DEPTH} nested field literals")
+        raise InputError(f"{root}: nested too deeply (more than {MAX_LITERAL_DEPTH} field literals)")
     obj = _require_mapping(obj, where)
     if len(obj) != 1:
         raise InputError(f"{where}: field literal must have exactly one key")
@@ -235,15 +236,11 @@ def _parse_literal(obj: Any, where: str, depth: int) -> AbelianField:
         if key == "compositum":
             if not isinstance(value, list) or not value:
                 raise InputError(f"{where}.compositum: expected a non-empty list")
-            # a list comprehension, not a generator: from Python 3.12 it is
-            # inlined, so each nesting level costs one frame
             return _compositum_field(tuple([
-                _parse_literal(v, f"{where}.compositum[{i}]", depth + 1)
+                _parse_literal(v, f"{where}.compositum[{i}]", root, depth + 1)
                 for i, v in enumerate(value)
             ]))
     except ValueError as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(f"{where}: {exc}") from exc
     raise InputError(f"{where}: unknown field literal key {key!r}")
 
@@ -613,20 +610,13 @@ def run(job: JobSpec) -> Report:
     """Dispatch a validated job to its owning module and collect the report.
 
     A library ``ValueError`` that no handler mapped is a malformed job and
-    becomes an :class:`InputError`, and so does the ``RecursionError`` of a
-    field literal nested deeper than :data:`MAX_LITERAL_DEPTH` or the stack
-    allows (a document built in process never met ``json.load``'s depth
-    limit).  A hypothesis that does not hold is no error: it is a record of
-    the report, which then does not conclude.
+    becomes an :class:`InputError`.  A hypothesis that does not hold is no
+    error: it is a record of the report, which then does not conclude.
     """
     try:
         c = _COMMANDS[job.command].run(job.payload)
-    except InputError:
-        raise
     except ValueError as exc:
         raise InputError(f"payload: {exc}") from exc
-    except RecursionError as exc:
-        raise InputError(f"{job.command}: nested too deeply ({exc})") from exc
     return Report(job.command, job.payload, *c)
 
 
@@ -664,9 +654,10 @@ def _payload_from_args(args: argparse.Namespace) -> dict:
         try:
             document = json.load(fh)
         except ValueError as exc:
-            # JSONDecodeError, UnicodeDecodeError and the int-to-str digit
-            # limit; a RecursionError (deep nesting) goes to main()
+            # JSONDecodeError, UnicodeDecodeError and the int-to-str digit limit
             raise InputError(f"{args.input}: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise InputError(f"{args.input}: nested too deeply ({exc})") from exc
     return _require_mapping(document, args.input)
 
 
@@ -696,12 +687,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except (InputError, OSError, RecursionError) as exc:
-        depth = exc if isinstance(exc, RecursionError) else exc.__cause__
-        if isinstance(depth, RecursionError):
-            # a job nested too deeply to load, parse or emit: name the file
-            # it came from, if any, rather than the field path inside it
-            exc = f"{args.input or args.command}: nested too deeply ({depth})"
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -589,56 +589,71 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("content, reason", [
         # json.load refuses this depth up to Python 3.11; from 3.12 it may
-        # load and run out of stack later, which main() reports the same way
+        # load, and then the literal depth budget refuses it
         (b'{"field": ' + b'{"compositum": [' * 600 + b'{"cyclotomic": 7}' + b']}' * 600 + b'}',
-         r"(invalid JSON|nested too deeply) \(maximum recursion depth"),
-        (b'{"p": ' + b"7" * 5000 + b'}', r"invalid JSON \(.*4300 digits"),
-        (b'{"p": 3\xff}', r"invalid JSON \(.*can't decode byte 0xff"),
+         r"({file}: nested too deeply \(maximum recursion depth"
+         r"|field: nested too deeply \(more than 200 field literals\)$)"),
+        (b'{"p": ' + b"7" * 5000 + b'}', r"{file}: invalid JSON \(.*4300 digits"),
+        (b'{"p": 3\xff}', r"{file}: invalid JSON \(.*can't decode byte 0xff"),
     ], ids=["nested-600", "digits-5000", "byte-0xff"])
     def test_undecodable_input_file_exits_1_with_a_message(self, content, reason, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_bytes(content)
         assert main(["field", "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert re.match(re.escape(f"input error: {path}: ") + reason, err), err[:300]
+        assert re.match("input error: " + reason.format(file=re.escape(str(path))), err), err[:300]
         assert "Traceback" not in err
 
-    def test_job_too_deep_for_the_stack_exits_1(self, monkeypatch, capsys):
-        # the document json.load may hand over from Python 3.12 on
-        literal = {"cyclotomic": 7}
-        for _ in range(600):
-            literal = {"compositum": [literal]}
-        monkeypatch.setattr(cli, "_payload_from_args", lambda args: {"field": literal})
-        assert main(["field"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: field: nested too deeply (maximum recursion depth"), err[:300]
-
-    def test_job_too_deep_for_the_stack_is_an_input_error_in_process(self):
-        literal = {"cyclotomic": 7}
-        for _ in range(600):
-            literal = {"compositum": [literal]}
-        job = validate_input({"command": "field", "payload": {"field": literal}})
-        with pytest.raises(InputError, match=r"^field: nested too deeply \(maximum recursion depth"):
-            run(job)
-
-    def test_literal_depth_budget_holds_whatever_the_stack(self):
-        def nested(depth):
-            literal = {"cyclotomic": 7}
+    @staticmethod
+    def _nested_job(depths: dict[str, int]) -> dict:
+        """A twist-x job whose ``base`` and ``components[0].field`` literals
+        nest as deep as ``depths`` says (1 is a bare leaf), the rest 1."""
+        def nest(leaf, depth):
             for _ in range(depth - 1):
-                literal = {"compositum": [literal]}
-            return {"command": "twist-x", "payload": {
-                "base": literal, "components": [], "character": {"order": 2}}}
+                leaf = {"compositum": [leaf]}
+            return leaf
 
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + 4 * cli.MAX_LITERAL_DEPTH)
-        try:
-            assert parse_field_literal(nested(cli.MAX_LITERAL_DEPTH)["payload"]["base"]) == cyclotomic(7)
-            with pytest.raises(InputError, match=(
-                    r"^twist-x: nested too deeply \(maximum recursion depth exceeded: "
-                    r"more than 500 nested field literals\)$")):
-                run(validate_input(nested(cli.MAX_LITERAL_DEPTH + 1)))
-        finally:
-            sys.setrecursionlimit(limit)
+        return {"command": "twist-x", "payload": {
+            "base": nest({"quadratic": -7}, depths.get("base", 1)),
+            "components": [{"field": nest({"cyclotomic": 7}, depths.get("components[0].field", 1)),
+                            "type": [1, 2, 3]}],
+            "character": {"order": 2}}}
+
+    @pytest.mark.parametrize("extra_frames", [0, 300])
+    def test_job_at_the_literal_depth_budget_runs_and_serializes(self, extra_frames):
+        depth = cli.MAX_LITERAL_DEPTH
+        assert depth == 200     # the budget README documents
+        doc = self._nested_job({"base": depth, "components[0].field": depth})
+
+        def at_depth(frames):
+            if frames:
+                return at_depth(frames - 1)
+            return run(validate_input(doc)).to_json()
+
+        text = at_depth(extra_frames)
+        shallow = run(validate_input(self._nested_job({})))
+        assert json.loads(text)["results"] == json.loads(shallow.to_json())["results"]
+
+    @pytest.mark.parametrize("command, root", [
+        ("field", "field"),
+        ("twist-x", "base"),
+        ("twist-x", "components[0].field"),
+    ])
+    def test_literal_one_level_past_the_budget_exits_1(self, command, root, tmp_path, capsys):
+        if command == "field":
+            base = self._nested_job({"base": cli.MAX_LITERAL_DEPTH + 1})["payload"]["base"]
+            doc = {"command": "field", "payload": {"field": base}}
+        else:
+            doc = self._nested_job({root: cli.MAX_LITERAL_DEPTH + 1})
+        message = f"{root}: nested too deeply (more than {cli.MAX_LITERAL_DEPTH} field literals)"
+        with pytest.raises(InputError) as refused:
+            run(validate_input(doc))
+        assert str(refused.value) == message
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc["payload"]))
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n" and captured.out == ""
 
     def test_twist_e_dimension_mismatch_is_input_error(self, tmp_path, capsys):
         # the datum has dimension 3 + 1 = 4, but dim(X) + dim(Y) = 6

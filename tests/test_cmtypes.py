@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtwist.cmtypes import (
-    WeilDatum,
     is_weil_type,
     reflex,
     restriction_multiplicities,
@@ -307,14 +307,17 @@ class TestWeilDatum:
         assert D42.dim == 4
         assert weil_r(D42) == 4
 
-    def test_non_integral_r_rejected(self):
-        # dim 3 over a quadratic base still gives the integer r = 3 (odd);
-        # genuine non-integrality needs [k:Q] not dividing 2 dim, which
-        # weil_datum never builds (each component's degree is a multiple
-        # of [k:Q]), so the datum is put together by hand
+    def test_r_is_a_positive_integer_on_every_datum(self):
+        # dim 3 over a quadratic base still gives the integer r = 3 (odd)
         assert weil_r(weil_datum(SQRT_M7, [jacobian_type()])) == 3
-        with pytest.raises(ValueError, match="not a positive integer"):
-            weil_r(WeilDatum(cyclotomic(5), (jacobian_type(),), {}))
+        for K in cm_fields(26, 8):
+            for k in subgroup_lattice_subfields(K):
+                if not is_cm(k):
+                    continue
+                for T in all_cm_types(K):
+                    D = weil_datum(k, [T])
+                    r = Fraction(2 * D.dim, k.degree)
+                    assert r.denominator == 1 and r > 0 and weil_r(D) == r
 
     def test_base_must_be_subfield(self):
         with pytest.raises(ValueError, match="not a subfield"):

@@ -5,7 +5,7 @@ The emitter must write exactly ``json.dumps(doc, sort_keys=True, indent=2)
 that form on the fixed corpora; here it is compared with the oracle on
 drawn documents and drawn reports, on bools and subclasses of the accepted
 types nested in containers, on a list nested 300 deep and on a field job
-nested about as deep as ``json.load`` accepts.
+nested as deep as ``MAX_LITERAL_DEPTH`` allows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmtwist
-from cmtwist.cli import Report, _emit, run, validate_input
+from cmtwist.cli import MAX_LITERAL_DEPTH, Report, _emit, run, validate_input
 from cmtwist.twists import Hypothesis
 from helpers import dumps_oracle, report_document
 
@@ -158,10 +158,9 @@ def test_unsupported_values_raise_type_error(doc):
 
 
 def test_deep_compositum_job_matches_the_oracle(tmp_path):
-    # 490 levels of {"compositum": [...]} is about the deepest json.load
-    # accepts under the default recursion limit; the CLI must still emit it.
-    depth = 490
-    literal = '{"compositum": [' * depth + '{"cyclotomic": 7}' + "]}" * depth
+    # a field job nested as deep as the literal depth budget allows
+    depth = MAX_LITERAL_DEPTH
+    literal = '{"compositum": [' * (depth - 1) + '{"cyclotomic": 7}' + "]}" * (depth - 1)
     path = tmp_path / "job.json"
     path.write_text('{"field": ' + literal + "}")
     src = str(Path(cmtwist.__file__).resolve().parents[1])
@@ -169,13 +168,8 @@ def test_deep_compositum_job_matches_the_oracle(tmp_path):
     out = subprocess.run([sys.executable, "-m", "cmtwist.cli", "field", "--input", str(path), "--json"],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 3 * depth)  # pytest's own frames sit below the test
-    try:
-        payload = json.loads(path.read_text())
-        report = run(validate_input({"command": "field", "payload": payload}))
-        expected = dumps_oracle(report_document(report))
-    finally:
-        sys.setrecursionlimit(limit)
+    payload = json.loads(path.read_text())
+    report = run(validate_input({"command": "field", "payload": payload}))
+    expected = dumps_oracle(report_document(report))
     assert out.stdout == expected
-    assert len(expected) > 1_500_000
+    assert expected.count('"compositum"') == depth - 1
