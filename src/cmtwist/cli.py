@@ -245,15 +245,19 @@ def _parse_literal(obj: Any, where: str, root: str, depth: int) -> AbelianField:
     raise InputError(f"{where}: unknown field literal key {key!r}")
 
 
-def _coordinate_residue(m: int, basis, coords, where: str) -> int:
+def _coordinate_residue(m: int, basis, coords: list, where: str, i: int) -> int:
+    """The residue of label ``i``, a coordinate tuple over ``basis``.  Its
+    path ``where[i]`` is built only for an error."""
     if len(coords) != len(basis):
         raise InputError(
-            f"{where}: coordinate tuple length {len(coords)} does not match "
+            f"{where}[{i}]: coordinate tuple length {len(coords)} does not match "
             f"basis rank {len(basis)}"
         )
     x = 1
-    for a, (g, d) in zip(coords, basis):
-        x = (x * pow(g, _require_int(a, where) % d, m)) % m
+    for j, (a, (g, d)) in enumerate(zip(coords, basis)):
+        if type(a) is not int:
+            _require_int(a, f"{where}[{i}][{j}]")
+        x = x * pow(g, a % d, m) % m
     return x
 
 
@@ -283,19 +287,22 @@ def parse_cm_type(K: AbelianField, labels: Any, where: str = "type") -> tuple[CM
     """CM-type from residue labels or coordinate tuples.
 
     Coordinates refer to the declared basis of Gal(K/Q), which is returned
-    alongside so callers can echo it into the report.
+    alongside so callers can echo it into the report.  Residue labels that
+    are all plain ints pass in one check; paths such as ``type[3]`` are
+    built only for an error.
     """
     if not isinstance(labels, list) or not labels:
         raise InputError(f"{where}: expected a non-empty list of labels")
-    uses_coords = any(isinstance(e, list) for e in labels)
     basis = None
-    residues = []
-    if uses_coords:
+    if all(type(e) is int for e in labels):
+        residues = labels
+    elif any(isinstance(e, list) for e in labels):
         basis = declared_basis(K)
+        residues = []
         for i, e in enumerate(labels):
             if not isinstance(e, list):
                 raise InputError(f"{where}[{i}]: mixing residues and coordinates")
-            residues.append(_coordinate_residue(K.conductor, basis, e, f"{where}[{i}]"))
+            residues.append(_coordinate_residue(K.conductor, basis, e, where, i))
     else:
         residues = [_require_int(e, f"{where}[{i}]") for i, e in enumerate(labels)]
     try:
@@ -360,7 +367,11 @@ def field_dict(K: AbelianField) -> dict:
 
 
 def _cmtype_list(T: CMType) -> list[list[int]]:
-    return [coset(T.field, g) for g in sorted(T.psi)]
+    """Each element's coset, as :func:`~cmtwist.fields.coset` lists it."""
+    m, H = T.field.conductor, T.field.fixed_group
+    if len(H) == 1:
+        return [[g] for g in sorted(T.psi)]
+    return [sorted([g * h % m for h in H]) for g in sorted(T.psi)]
 
 
 def _mults_list(k: AbelianField, counts: dict[int, int]) -> list[dict]:

@@ -62,7 +62,9 @@ class CMType(NamedTuple):
 def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
     """Check that psi and its conjugate partition Gal(K/Q); return the CM-type.
 
-    Elements of ``psi`` may be any unit residues mod m.
+    Elements of ``psi`` may be any unit residues mod m.  The coset table
+    decides that: on a CM field m >= 3, so ``rep`` holds 0 exactly off the
+    units, and a label in [0, m) is a unit when its entry is not 0.
 
     >>> from .fields import cyclotomic
     >>> T = validate_cm_type(cyclotomic(7), [1, 2, 3])
@@ -72,7 +74,11 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
     if not is_cm(K):
         raise ValueError(f"{K!r} is not a CM field")
     m, rep = K.conductor, _coset_rep(K)
-    elements = frozenset(rep[_check_unit(m, x)] for x in psi)
+    labels = list(psi)
+    elements = frozenset([rep[x] if 0 <= x < m else 0 for x in labels])
+    if 0 in elements:
+        for x in labels:
+            _check_unit(m, x)       # raises at the first label that is no unit
     half = K.degree // 2
     if len(elements) != half:
         raise ValueError(f"half-system must have {half} elements, got {len(elements)}")
@@ -120,7 +126,9 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
 
     The first type restricts {sigma^-1 : sigma in psi} to the reflex field,
     the second the conjugate half-system.  The stabilizer is a subgroup,
-    so :func:`~cmtwist.fields.field_from` takes it as it is.
+    so :func:`~cmtwist.fields.field_from` takes it as it is.  It contains
+    the fixed group H, so when both have the same size it is H, T is
+    primitive, and the reflex field is K itself, already normalized.
 
     Both are CM-types by construction.  With G = Gal(K/Q), c complex
     conjugation and S the stabilizer, psi is a union of cosets of S, and c
@@ -137,9 +145,10 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
     >>> [coset(refl, g) for g in inv.psi], [coset(refl, g) for g in conj.psi]
     ([[1, 2, 4]], [[3, 5, 6]])
     """
-    m = T.field.conductor
+    K = T.field
+    m = K.conductor
     stab = stabilizer(T)
-    refl = field_from(m, stab)
+    refl = K if len(stab) == len(K.fixed_group) else field_from(m, stab)
     m_r, rep_r = refl.conductor, _coset_rep(refl)
     inverse = frozenset(rep_r[pow(c, -1, m) % m_r] for c in T.psi)
     conjugate = frozenset(rep_r[(m - 1) * c % m_r] for c in T.psi)

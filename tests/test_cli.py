@@ -311,6 +311,35 @@ class TestReports:
         with pytest.raises(InputError, match="half-system"):
             run_command("cmtype", {"field": {"cyclotomic": 7}, "type": [1, 2]})
 
+    @pytest.mark.parametrize("field, labels, message", [
+        ({"cyclotomic": 7}, [True, 2, 3], "type[0]: expected an integer"),
+        ({"cyclotomic": 7}, [1.0, 2, 3], "type[0]: expected an integer"),
+        ({"cyclotomic": 7}, ["1", 2, 3], "type[0]: expected an integer"),
+        ({"cyclotomic": 7}, [1, 2, None], "type[2]: expected an integer"),
+        ({"cyclotomic": 21}, [3, 2, 4, 5, 8, 10], "type: 3 is not a unit residue mod 21"),
+        ({"cyclotomic": 7}, [7, 2, 3], "type: 7 is not a unit residue mod 7"),
+        ({"cyclotomic": 7}, [[0], [], [2]],
+         "type[1]: coordinate tuple length 0 does not match basis rank 1"),
+        # a non-integer coordinate names its own path
+        ({"cyclotomic": 7}, [[0], [True], [2]], "type[1][0]: expected an integer"),
+        ({"cyclotomic": 7}, [[0], [1.5], [2]], "type[1][0]: expected an integer"),
+        ({"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]},
+         [[0, 0], [0, 1], [0, 4], [0, 7], [1, 2], [1, 3], [1, 5], [1, "6"]],
+         "type[7][1]: expected an integer"),
+    ], ids=["bool", "float", "string", "null", "non-unit-21", "non-unit-7",
+            "empty-coordinates", "bool-coordinate", "float-coordinate", "string-coordinate"])
+    def test_malformed_label_is_refused_with_its_path(self, field, labels, message):
+        with pytest.raises(InputError) as refused:
+            run_command("cmtype", {"field": field, "type": labels})
+        assert str(refused.value) == message
+
+    def test_malformed_twist_label_names_its_component(self):
+        payload = {"base": {"quadratic": -7}, "character": {"order": 2},
+                   "components": [{"field": {"cyclotomic": 7}, "type": [1, False, 3]}]}
+        with pytest.raises(InputError) as refused:
+            run_command("twist-x", payload)
+        assert str(refused.value) == "components[0].type[1]: expected an integer"
+
     def test_discond_command(self):
         report = run_command("discond", {"n": 6, "d": 2})
         assert report.results["discond"]["gal_phiB_over_F"] == "Z/3"
@@ -511,6 +540,13 @@ class TestMainExitCodes:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+    def test_malformed_label_exits_1_with_its_path(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text('{"field": {"cyclotomic": 7}, "type": [true, 2, 3]}')
+        assert main(["cmtype", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "input error: type[0]: expected an integer\n"
 
     def test_hypothesis_failure_in_certificate(self, capsys):
         assert main(["base-cert", "--p", "3", "--q", "2"]) == 2

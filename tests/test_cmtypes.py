@@ -1,11 +1,13 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmtwist.cli import _cmtype_list
 from cmtwist.cmtypes import (
     is_weil_type,
     reflex,
@@ -18,6 +20,7 @@ from cmtwist.cmtypes import (
 from cmtwist.fields import (
     _coset_rep,
     compositum,
+    coset,
     cyclotomic,
     field_from,
     galois_group,
@@ -25,7 +28,7 @@ from cmtwist.fields import (
     maximal_real_subfield,
     quadratic,
 )
-from cmtwist.residues import unit_group
+from cmtwist.residues import _check_unit, unit_group
 from helpers import (
     all_cm_types,
     appended_balance_product,
@@ -90,6 +93,22 @@ class TestValidation:
     def test_non_cm_field_rejected(self):
         with pytest.raises(ValueError, match="not a CM field"):
             validate_cm_type(quadratic(5), [1])
+
+    def test_unit_labels_decided_by_the_coset_table(self):
+        # a label x joins a half-system exactly when _check_unit accepts it,
+        # and is refused with that function's message, even after valid labels
+        for K in cm_fields(40, 8)[::5]:
+            m, rep, pairs = K.conductor, _coset_rep(K), coset_mul_conjugate_pairs(K)
+            for x in range(-1, m + 1):
+                if 0 <= x < m and gcd(x, m) == 1:
+                    rest = [g for g, c in pairs if rep[x] not in (g, c)]
+                    assert validate_cm_type(K, rest + [x]).psi == {rep[x], *rest}, (K, x)
+                    continue
+                with pytest.raises(ValueError) as expected:
+                    _check_unit(m, x)
+                with pytest.raises(ValueError) as refused:
+                    validate_cm_type(K, [g for g, _ in pairs[1:]] + [x])
+                assert str(refused.value) == str(expected.value), (K, x)
 
     def test_every_half_system_partitions(self):
         for K in cm_fields(26, 8):
@@ -199,13 +218,21 @@ class TestStabilizerOnPrimeCyclotomicFields:
 
 def test_stabilizer_fields_match_the_checked_path():
     # reflex hands the stabilizer to field_from, which trusts it to be a
-    # subgroup: the closure oracle checks that it is one
-    for K in cm_fields(40, 8):
+    # subgroup: the closure oracle checks that it is one.  A primitive type's
+    # reflex field is K itself, with no field_from call; the report's coset
+    # rows of each type are expanded without coset
+    fields = cm_fields(40, 8)
+    induced = [validate_cm_type(cyclotomic(7), [1, 2, 4]),
+               validate_cm_type(compositum(quadratic(-3), cyclotomic(5)), [1, 4, 7, 13])]
+    assert all(T.field in fields and not is_primitive(T) for T in induced)
+    for K in fields:
         m = K.conductor
         for T in all_cm_types(K):
-            stab, refl, _, _ = reflex(T)
+            stab, refl, inv, conj = reflex(T)
             assert stab == stabilizer(T) == subgroup(m, stab), T
             assert refl == field_from(m, stabilizer(T)), T
+            for t in (T, inv, conj):
+                assert _cmtype_list(t) == [coset(t.field, g) for g in sorted(t.psi)], t
 
 
 class TestReflexType:
