@@ -9,12 +9,14 @@ certificate checks the congruence alone, states the arithmetic at p as
 witnesses resting on it, and concludes exactly when it holds.
 
 Primality is decided here too, with the standard library only: trial
-division by the primes below 50, then Miller-Rabin with a base set proven
-deterministic for the range of n (the smallest known sets below 2^64,
-J. Sinclair's seven bases at the top; the first 12 or 13 primes up to
-3.3e24, after Sorenson and Webster, Math. Comp. 86, 2017), and above that
-the strong Baillie-PSW test (Baillie and Wagstaff, Math. Comp. 35, 1980),
-for which no counterexample is known.
+division by the primes below 50, then Miller-Rabin to the first 13 primes
+from 2^64 to 3.3e24, where it is proven (Sorenson and Webster, Math. Comp.
+86, 2017), and the strong Baillie-PSW test elsewhere (Baillie and
+Wagstaff, Math. Comp. 35, 1980).  That test has no counterexample below
+2^64, where it has been checked exhaustively (Baillie, Fiori and
+Wagstaff, Math. Comp. 90, 2021), and none is known above 3.3e24.  Primes
+have at most MAX_PRIME_BITS bits, so that every witness prints p^6 - 1
+within CPython's default limit of 4,300 digits.
 """
 
 from __future__ import annotations
@@ -28,34 +30,20 @@ from .twists import Conclusion, Hypothesis, conclude
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-# (bound, bases): the strong probable-prime test to these bases decides
-# primality for every odd n < bound.  A base is reduced mod n first and
-# skipped when it falls below 2, as the searches that found these sets did.
-_MR_BASES = (
-    (341_531, (9345883071009581737,)),
-    (350_269_456_337, (4230279247111683200, 14694767155120705706,
-                       16641139526367750375)),
-    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117,
-                          11096072698276303650)),
-    (7_999_252_175_582_851, (2, 4130806001517, 149795463772692060,
-                             186635894390467037, 3967304179347715805)),
-    (585_226_005_592_931_977, (2, 123635709730000, 9233062284813009,
-                               43835965440333360, 761179012939631437,
-                               1263739024124850375)),
-    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
-    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES[:13]),
-)
+# (bound, bases): from 2^64 up to bound, the least strong pseudoprime to
+# the first 13 primes, the strong probable-prime test to those bases
+# decides primality.
+_MR_BASES = (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES[:13])
+
+# The largest bit length at which p^6 - 1 has at most 4,300 digits.
+MAX_PRIME_BITS = 2380
 
 
 def _strong_probable_prime(n: int, bases) -> bool:
-    """Miller-Rabin: is odd n > 2 a strong probable prime to every base?"""
+    """Miller-Rabin: is odd n, above every base, a strong probable prime to each?"""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in bases:
-        a %= n
-        if a < 2:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -120,7 +108,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def isprime(n: int) -> bool:
-    """Is n prime?  Deterministic below 3.3e24, strong Baillie-PSW above.
+    """Is n prime?  Proven below 3.3e24, strong Baillie-PSW above.
 
     >>> [n for n in range(30) if isprime(n)]
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -134,9 +122,9 @@ def isprime(n: int) -> bool:
             return n == q
     if n < 53 * 53:
         return True
-    for bound, bases in _MR_BASES:
-        if n < bound:
-            return _strong_probable_prime(n, bases)
+    bound, bases = _MR_BASES
+    if 1 << 64 <= n < bound:
+        return _strong_probable_prime(n, bases)
     return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
@@ -150,20 +138,23 @@ GOOD_REDUCTION_ASSUMPTION = "good reduction outside 7"
 def kitself_certificate(p: int) -> Conclusion:
     """Check p = 3 (mod 7) at a prime p other than 7; conclude K' = K if it holds.
 
-    p is proved prime once, here.  The congruence is the one checked
-    record.  When it holds, the arithmetic at p is stated as witnesses
-    resting on it: they are statements and not checks because the
-    congruence proves each of them.  For every p, q = p^2 + p + 1 divides
-    p^3 - 1 = (p - 1) q, so #(I_p) = (p^6 - 1)/q is an integer, and p^6 - 1
-    is prime to p, so gcd(p^6 - 1, p^3 q) = q.  The residues mod 7 of p^3,
-    p^4, p^5, p^2 + p + 1 and p^2 - 1 depend on p mod 7 alone; at 3 they
-    are 6, 4, 5, 6 and 1, so 7 divides neither of the last two.
+    p has at most MAX_PRIME_BITS bits and is proved prime once, here.  The
+    congruence is the one checked record.  When it holds, the arithmetic at
+    p is stated as witnesses resting on it: they are statements and not
+    checks because the congruence proves each of them.  For every p,
+    q = p^2 + p + 1 divides p^3 - 1 = (p - 1) q, so #(I_p) = (p^6 - 1)/q is
+    an integer, and p^6 - 1 is prime to p, so gcd(p^6 - 1, p^3 q) = q.  The
+    residues mod 7 of p^3, p^4, p^5, p^2 + p + 1 and p^2 - 1 depend on p
+    mod 7 alone; at 3 they are 6, 4, 5, 6 and 1, so 7 divides neither of
+    the last two.
 
     >>> kitself_certificate(3).results["conclusion"]
     "K' = K"
     >>> kitself_certificate(2).statements
     ()
     """
+    if p.bit_length() > MAX_PRIME_BITS:
+        raise ValueError(f"more than MAX_PRIME_BITS = {MAX_PRIME_BITS} bits")
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     if p == 7:

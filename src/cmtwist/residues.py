@@ -172,8 +172,9 @@ def _max_order_residue(m: int, H: frozenset[int]) -> tuple[int, int]:
 
     The order of xH divides n = |G/H|: start from n and strip each prime q
     while x^(e/q) still lies in H.  The maximal order is the exponent of
-    G/H, the lcm of the orders of the images of generators of (Z/m)^x, so
-    the ascending scan stops at the first residue of that order.
+    G/H, the lcm of the orders of the images of generators of (Z/m)^x, and
+    some coset has it, so the ascending scan returns the first residue of
+    that order.
     """
     n = group_order(m) // len(H)
     primes = _prime_divisors(n)
@@ -186,13 +187,9 @@ def _max_order_residue(m: int, H: frozenset[int]) -> tuple[int, int]:
         return e
 
     exponent = lcm(*(order(g) for g in _unit_generators(m)))
-    best_x, best_e = 1, 1
     for x in range(m):
-        if gcd(x, m) == 1 and (e := order(x)) > best_e:
-            best_x, best_e = x, e
-            if e == exponent:
-                break
-    return best_x, best_e
+        if gcd(x, m) == 1 and order(x) == exponent:
+            return x, exponent
 
 
 def _socle_lines(m: int, p: int, basis) -> Iterator[int]:

@@ -1,3 +1,5 @@
+import json
+import time
 from math import gcd, isqrt
 
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 from sympy import GF, Poly, Symbol, expand, primerange
 
 import cmtwist.inertia
+from cmtwist.cli import main
 from cmtwist.fields import jacobi_symbol
 from cmtwist.inertia import (
     CLASS_NUMBER_ASSUMPTION,
     GOOD_REDUCTION_ASSUMPTION,
+    MAX_PRIME_BITS,
     base_certificate,
     isprime,
     kitself_certificate,
@@ -34,6 +38,27 @@ STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 2519
                              75077, 97439)
 
 
+def chernick_base_2_strong_pseudoprimes(bound):
+    """The Chernick numbers (6k+1)(12k+1)(18k+1) below bound whose three
+    factors are prime and that are strong probable primes to base 2."""
+    k_max = 1
+    while (6 * k_max + 1) * (12 * k_max + 1) * (18 * k_max + 1) < bound:
+        k_max += 1
+    size = 18 * k_max + 2
+    sieve = bytearray([1]) * size
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(size) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, size, i)))
+    found = []
+    for k in range(1, k_max):
+        if sieve[6 * k + 1] and sieve[12 * k + 1] and sieve[18 * k + 1]:
+            n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+            if cmtwist.inertia._strong_probable_prime(n, (2,)):
+                found.append(n)
+    return found
+
+
 class TestIsPrime:
     """Differential tests against sympy.isprime, the reference."""
 
@@ -41,13 +66,24 @@ class TestIsPrime:
         assert [n for n in range(-3, 10**5) if isprime(n) != sympy.isprime(n)] == []
 
     def test_around_each_base_set_threshold(self):
-        # Each odd bound is the least strong pseudoprime to the base set
-        # used below it, so a bound moved up makes isprime(bound) wrong.
+        # Baillie-PSW decides below 2^64 and Miller-Rabin to the first 13
+        # primes from 2^64 up to psi_13, the least strong pseudoprime to those
+        # bases, so only 2^64 and psi_13 are boundaries.  The other probes
+        # sit at the bounds of smaller proven base sets.
         bounds = (53 * 53, 341531, 350269456337, 55245642489451, 7999252175582851,
                   585226005592931977, 2**64, 318665857834031151167461,
                   3317044064679887385961981)
         for n in (n for b in bounds for n in range(b - 2, b + 3)):
             assert isprime(n) == sympy.isprime(n), n
+
+    def test_chernick_base_2_strong_pseudoprimes_below_2_to_the_64(self):
+        # Carmichael numbers that pass the base-2 half of Baillie-PSW, so the
+        # strong Lucas half alone must reject them below 2^64.
+        found = chernick_base_2_strong_pseudoprimes(2**64)
+        assert len(found) == 251 and found[0] == 27278026129
+        for n in found:
+            assert not sympy.isprime(n), n
+            assert not isprime(n), n
 
     @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL + STRONG_LUCAS_PSEUDOPRIMES)
     def test_pseudoprimes_are_composite(self, n):
@@ -110,6 +146,42 @@ class TestIsPrime:
             assert sympy.isprime(p)
             assert isprime(p)
             assert isprime(p + 2) == sympy.isprime(p + 2)
+
+
+class TestPrimeBudget:
+    def test_budget_is_the_digit_limit_of_the_witnesses(self):
+        # p^6 - 1, the largest integer a witness prints, has at most 4,300
+        # digits below 2^MAX_PRIME_BITS, and can have more one bit higher
+        assert (2**MAX_PRIME_BITS - 1) ** 6 - 1 < 10**4300
+        assert (2 ** (MAX_PRIME_BITS + 1) - 1) ** 6 - 1 >= 10**4300
+
+    def test_prime_at_the_budget_concludes_and_serializes(self, tmp_path, capsys):
+        p = 2**MAX_PRIME_BITS - 2253
+        assert p.bit_length() == MAX_PRIME_BITS and p % 7 == 3 and sympy.isprime(p)
+        out = tmp_path / "report.json"
+        assert main(["inertia", "--p", str(p), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["concluded"] and f"p^2 - 1 = {p * p - 1}" in report["statements"]
+
+    @pytest.mark.parametrize("p", [
+        10**720 + 667,                            # prime, 3 (mod 7)
+        2**MAX_PRIME_BITS + 1,                    # composite
+        10**720 + 469,                            # prime, 1 (mod 7)
+        10**4000 + 1,                             # composite
+        -(10**720 + 667),
+    ], ids=["prime-3-mod-7", "composite", "prime-not-3-mod-7", "10^4000+1", "negative"])
+    def test_past_the_budget_is_refused_at_once(self, p, capsys):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^more than MAX_PRIME_BITS = {MAX_PRIME_BITS} bits$"):
+            kitself_certificate(p)
+        assert time.perf_counter() - t0 < 1.0
+        assert main(["inertia", "--p", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: p: more than MAX_PRIME_BITS = {MAX_PRIME_BITS} bits\n"
+        assert main(["base-cert", "--p", "3", "--q", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: payload: q: more than MAX_PRIME_BITS = {MAX_PRIME_BITS} bits\n")
 
 
 class TestResidueOrders:
