@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from json.encoder import encode_basestring_ascii
+from operator import getitem
 from typing import AbstractSet, Any, Callable, NamedTuple, Optional
 
 from . import __version__
@@ -245,6 +246,14 @@ def _parse_literal(obj: Any, where: str, root: str, depth: int) -> AbelianField:
     raise InputError(f"{where}: unknown field literal key {key!r}")
 
 
+def _cm_field(obj: Any, where: str) -> AbelianField:
+    """A field literal at ``where`` that must name a CM field."""
+    K = parse_field_literal(obj, where)
+    if not is_cm(K):
+        raise InputError(f"{where}: not a CM field")
+    return K
+
+
 def _coordinate_residue(m: int, basis, coords: list, where: str, i: int) -> int:
     """The residue of label ``i``, a coordinate tuple over ``basis``.  Its
     path ``where[i]`` is built only for an error."""
@@ -318,7 +327,7 @@ def _parse_components(K_base: AbelianField, obj: Any, where: str):
     for i, comp in enumerate(obj):
         comp = _require_mapping(comp, f"{where}[{i}]")
         _check_keys(comp, {"field", "type"}, set(), f"{where}[{i}]")
-        K = parse_field_literal(comp["field"], f"{where}[{i}].field")
+        K = _cm_field(comp["field"], f"{where}[{i}].field")
         T, _ = parse_cm_type(K, comp["type"], f"{where}[{i}].type")
         comps.append(T)
     try:
@@ -401,7 +410,7 @@ def _run_field(payload: dict) -> Conclusion:
 
 
 def _run_cmtype(payload: dict) -> Conclusion:
-    K = parse_field_literal(payload["field"])
+    K = _cm_field(payload["field"], "field")
     T, basis = parse_cm_type(K, payload["type"])
     stab, refl, inv, conj = reflex(T)
     results = {
@@ -439,7 +448,7 @@ def _twist_report(datum: WeilDatum, twist: Conclusion) -> Conclusion:
 
 
 def _run_twist_x(payload: dict) -> Conclusion:
-    base = parse_field_literal(payload["base"], "base")
+    base = _cm_field(payload["base"], "base")
     datum = _parse_components(base, payload["components"], "components")
     char_obj = _require_mapping(payload["character"], "character")
     _check_keys(char_obj, {"order"}, {"label"}, "character")
@@ -452,7 +461,7 @@ def _run_twist_x(payload: dict) -> Conclusion:
 
 
 def _run_twist_e(payload: dict) -> Conclusion:
-    base = parse_field_literal(payload["base"], "base")
+    base = _cm_field(payload["base"], "base")
     datum = _parse_components(base, payload["components"], "components")
     dim_x = _require_int(payload["dim_x"], "dim_x")
     dim_y = _require_int(payload["dim_y"], "dim_y")
@@ -489,12 +498,12 @@ def _run_base_cert(payload: dict) -> Conclusion:
 class _Example(NamedTuple):
     """A worked example: its jobs (command -> payload, whose keys the example's
     payload overrides), the values read from their reports (result key ->
-    command, report attribute, keys), its claims (statement, result key,
-    expected value), its assumptions, and the paper's conclusions."""
+    command, report attribute, keys), its claims (statement, keys into the
+    results, expected value), its assumptions, and the paper's conclusions."""
 
     jobs: dict[str, dict]
     reads: dict[str, tuple]
-    claims: tuple[tuple[str, str, Any], ...]
+    claims: tuple[tuple, ...]
     assumed: tuple[str, ...]
     conclusions: tuple[str, ...]
 
@@ -551,7 +560,6 @@ EXAMPLE_42 = _Example(
     },
     reads={
         "base_certificate": ("base-cert", "results", "certificate"),
-        "base_conclusion": ("base-cert", "results", "certificate", "conclusion"),
         "reflex_degree_J": ("cmtype", "results", "reflex_field", "degree"),
         "n_sigma_J": ("twist-x", "results", "multiplicities"),
         "n_sigma_product": ("twist-e", "results", "multiplicities"),
@@ -564,7 +572,7 @@ EXAMPLE_42 = _Example(
         ("appending the conjugate elliptic type balances them to (2, 2)", "n_sigma_product",
          [{"coset": [1, 2, 4], "n": 2}, {"coset": [3, 5, 6], "n": 2}]),
         ("the twist of E by d gives F_Phi(J x E^(d)) = L_d", "product_concluded", True),
-        ("the base certificate gives K_Phi(A) = K = Q_Phi(A)", "base_conclusion",
+        ("the base certificate gives K_Phi(A) = K = Q_Phi(A)", "base_certificate", "conclusion",
          "K_Phi(A) = K = Q_Phi(A)"),
     ),
     assumed=EXAMPLE_42_ASSUMED,
@@ -577,14 +585,10 @@ def _run_example(table: _Example, payload: dict) -> Conclusion:
     reports, and record each claim as a checked hypothesis."""
     reports = {command: run(JobSpec(command, {k: payload.get(k, v) for k, v in job.items()}))
                for command, job in table.jobs.items()}
-    results = {}
-    for key, (command, attribute, *path) in table.reads.items():
-        value = getattr(reports[command], attribute)
-        for step in path:
-            value = value[step]
-        results[key] = value
-    hypotheses = tuple(Hypothesis(statement, "checked", results[key] == expected)
-                       for statement, key, expected in table.claims)
+    results = {key: reduce(getitem, path, getattr(reports[command], attribute))
+               for key, (command, attribute, *path) in table.reads.items()}
+    hypotheses = tuple(Hypothesis(statement, "checked", reduce(getitem, path, results) == expected)
+                       for statement, *path, expected in table.claims)
     hypotheses += tuple(Hypothesis(name, "assumed", True) for name in table.assumed)
     every = [h.name for h in hypotheses]
     statements, concluded = conclude(hypotheses, [(c, every) for c in table.conclusions])

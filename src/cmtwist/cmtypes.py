@@ -177,9 +177,9 @@ def weil_datum(base: AbelianField, components: Iterable[CMType]) -> WeilDatum:
         raise ValueError(f"base {base!r} is not a CM field")
     if not comps:
         raise ValueError("datum needs at least one component")
-    for T in comps:
+    for i, T in enumerate(comps):
         if not is_subfield(base, T.field):
-            raise ValueError(f"base is not a subfield of component {T.field!r}")
+            raise ValueError(f"base is not a subfield of component {i}")
     return WeilDatum(base, comps, restriction_multiplicities(base, comps))
 
 

@@ -217,8 +217,6 @@ def base_certificate(p: int, q: int) -> Conclusion:
         ("no intermediate field survives the inertia bound at either prime", every),
     ))
     results = {
-        "p": p,
-        "q": q,
         "certificate_p": cert_p.results,
         "certificate_q": cert_q.results,
         "conclusion": "K_Phi(A) = K = Q_Phi(A)" if concluded else None,

@@ -95,7 +95,7 @@ def discond_groups(n: int, d: int) -> dict:
             raise ValueError(f"{key} = {value} must be positive")
     if n % d != 0:
         raise ValueError(f"d = {d} must divide n = {n}")
-    return {"n": n, "d": d, "gal_phiB_over_F": f"Z/{n // d}", "gal_M_over_phiB": f"Z/{d}"}
+    return {"gal_phiB_over_F": f"Z/{n // d}", "gal_M_over_phiB": f"Z/{d}"}
 
 
 def _leading_names(hypotheses: tuple[Hypothesis, ...]) -> list[str]:
@@ -168,14 +168,10 @@ def twist_x(
     statements, concluded = conclude(hypotheses, theorem)
     # the degree rows rest on every hypothesis: they stand iff concluded
     results = {
-        "n": n,
-        "r": r,
         "t": t,
         "w_k": w_k,
         "mu_bound": mu_bound,
-        "extension_label": label,
         "conclusions": {
-            "m_over_phiB_divisor": mu_bound if concluded else None,
             "exact_m_over_phiB": exact if concluded else None,
             "phiB_over_F_exact": phi_exact if concluded else None,
             "phiB_equals_M": concluded and mu_bound == 1,
@@ -210,11 +206,9 @@ def twist_e(
         raise ValueError(
             f"datum dimension {D.dim} does not match dim(X) + dim(Y) = {dim_x + dim_y}"
         )
-    k = D.base
     t, rem = divmod(dim_x, dim_y)
-    label = extension_label
     hypotheses = (
-        Hypothesis(HYP_DEG_K, "checked", k.degree == 2 * dim_y),
+        Hypothesis(HYP_DEG_K, "checked", D.base.degree == 2 * dim_y),
         Hypothesis(HYP_T_ODD, "checked", rem == 0 and t % 2 == 1),
         Hypothesis(HYP_WEIL_TYPE, "checked", is_weil_type(D)),
         Hypothesis(HYP_HOM_ZERO, "assumed", hom_xy_zero),
@@ -225,13 +219,6 @@ def twist_e(
     statements, concluded = conclude(hypotheses, (
         ("F = F(End(B))", leading),
         ("F(End(A)) != F_Phi(A) or F(End(B)) != F_Phi(B)", leading),
-        (f"F_Phi(B) = {label}", [h.name for h in hypotheses]),
+        (f"F_Phi(B) = {extension_label}", [h.name for h in hypotheses]),
     ))
-    results = {
-        "dim_x": dim_x,
-        "dim_y": dim_y,
-        "t": t,
-        "deg_k": k.degree,
-        "extension_label": label,
-    }
-    return Conclusion(results, hypotheses, statements, concluded)
+    return Conclusion({"t": t}, hypotheses, statements, concluded)

@@ -68,7 +68,7 @@ def check_inertia(doc: dict) -> None:
 
 def check_base_cert(doc: dict) -> None:
     cert = doc["results"]["certificate"]
-    p, q = cert["p"], cert["q"]
+    p, q = doc["payload"]["p"], doc["payload"]["q"]
     assert (cert["certificate_p"]["p"], cert["certificate_q"]["p"]) == (p, q)
     at_p, at_q = certified(cert["certificate_p"]), certified(cert["certificate_q"])
     assert doc["concluded"] is (at_p and at_q)
@@ -81,7 +81,6 @@ def check_example_42(doc: dict) -> None:
     both = certified(cert["certificate_p"]) and certified(cert["certificate_q"])
     assert doc["concluded"] is both
     assert (cert["conclusion"] is not None) is both
-    assert (doc["results"]["base_conclusion"] is not None) is both
     assert [holds for name, holds in checked(doc) if name == BASE_CLAIM] == [both]
 
 

@@ -344,6 +344,31 @@ class TestReports:
         report = run_command("discond", {"n": 6, "d": 2})
         assert report.results["discond"]["gal_phiB_over_F"] == "Z/3"
 
+    @pytest.mark.parametrize("command, payload, message", [
+        ("cmtype", {"field": {"real_subfield_of": 13}, "type": [1, 2, 3]},
+         "field: not a CM field"),
+        ("cmtype", {"field": {"cyclotomic": 1}, "type": [0]}, "field: not a CM field"),
+        ("twist-x", {"base": {"cyclotomic": 1}, "character": {"order": 2},
+                     "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]}]},
+         "base: not a CM field"),
+        ("twist-e", {"base": {"real_subfield_of": 5}, "dim_x": 2, "dim_y": 1,
+                     "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]}]},
+         "base: not a CM field"),
+        ("twist-x", {"base": {"quadratic": -7}, "character": {"order": 2},
+                     "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]},
+                                    {"field": {"quadratic": 5}, "type": [1]}]},
+         "components[1].field: not a CM field"),
+        ("twist-x", {"base": {"quadratic": -3}, "character": {"order": 2},
+                     "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]}]},
+         "components: base is not a subfield of component 0"),
+    ], ids=["cmtype-real", "cmtype-rationals", "twist-x-rationals", "twist-e-real-base",
+            "real-component", "base-not-in-component"])
+    def test_field_fault_names_its_key(self, command, payload, message):
+        # the path of the literal at fault, and no repr of the field
+        with pytest.raises(InputError) as refused:
+            run_command(command, payload)
+        assert str(refused.value) == message
+
 
 class TestExample41:
     def test_report_embeds_the_full_chain(self):
@@ -428,7 +453,7 @@ class TestExample42:
         cert = r["base_certificate"]
         assert cert["certificate_p"]["inertia_order"] == 56
         assert cert["certificate_q"]["inertia_order"] == 78624
-        assert r["base_conclusion"] == cert["conclusion"] == "K_Phi(A) = K = Q_Phi(A)"
+        assert cert["conclusion"] == "K_Phi(A) = K = Q_Phi(A)"
         assert "conclusions" not in product.results["twist"]      # it would repeat "concluded"
 
     def test_balancing_component_is_the_oracle_choice(self):
@@ -477,7 +502,7 @@ def test_example_records_are_its_claims_then_its_assumptions(command, table):
     report = run_command(command)
     assert [h._asdict() for h in report.hypotheses] == [
         {"name": statement, "kind": "checked", "holds": True}
-        for statement, _, _ in table.claims
+        for statement, *_ in table.claims
     ] + [{"name": name, "kind": "assumed", "holds": True} for name in table.assumed]
     # results hold the values read from the jobs and the conclusions
     assert set(report.results) == {"conclusions", *table.reads}
@@ -565,9 +590,8 @@ class TestMainExitCodes:
         assert {"name": "n does not divide r", "kind": "checked",
                 "holds": False} in doc["hypotheses"]
         assert doc["statements"] == [] and doc["concluded"] is False
-        twist = doc["results"]["twist"]
-        assert (twist["n"], twist["r"]) == (2, 8)
-        assert set(twist["conclusions"].values()) == {None, False}
+        assert (doc["payload"]["character"]["order"], doc["results"]["weil_r"]) == (2, 8)
+        assert set(doc["results"]["twist"]["conclusions"].values()) == {None, False}
 
     def test_json_flag_and_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -733,8 +757,8 @@ class TestMainExitCodes:
         assert [h for h in doc["hypotheses"] if not h["holds"]] == [
             {"name": "[k:Q] = 2 dim(Y)", "kind": "checked", "holds": False}]
         assert doc["statements"] == []
-        twist = doc["results"]["twist"]
-        assert (twist["deg_k"], twist["dim_x"], twist["dim_y"]) == (2, 3, 3)
+        assert (doc["results"]["base"]["degree"], doc["payload"]["dim_x"],
+                doc["payload"]["dim_y"]) == (2, 3, 3)
 
     def test_twist_x_reads_assume_before_the_character_checks(self, tmp_path, capsys):
         # order 4 is impossible over Q(sqrt -3), w = 6; a malformed assume
@@ -802,6 +826,24 @@ BASE_CERT_STATEMENTS = (
     "K(A_p) intersect K(A_q) is unramified over K away from 7",
     "no intermediate field survives the inertia bound at either prime",
 )
+
+
+@pytest.mark.parametrize("command, payload, section, keys", [
+    ("twist-x", example41_twist_job(3), "twist", {"t", "w_k", "mu_bound", "conclusions"}),
+    ("twist-e", EXAMPLE_42_TWIST_E, "twist", {"t"}),
+    ("base-cert", {"p": 3, "q": 17}, "certificate",
+     {"certificate_p", "certificate_q", "conclusion"}),
+    ("discond", {"n": 6, "d": 2}, "discond", {"gal_phiB_over_F", "gal_M_over_phiB"}),
+], ids=["twist-x", "twist-e", "base-cert", "discond"])
+def test_results_hold_each_value_once(command, payload, section, keys):
+    # a theorem's section holds what it computed; the payload is echoed
+    # once, under "payload", and no key repeats another
+    report = run_command(command, payload)
+    assert set(report.results[section]) == keys
+    if command == "twist-x":
+        assert set(report.results) == {"base", "multiplicities", "weil_r", "twist"}
+        assert set(report.results["twist"]["conclusions"]) == {
+            "exact_m_over_phiB", "phiB_over_F_exact", "phiB_equals_M"}
 
 
 class TestHypothesisRecords:

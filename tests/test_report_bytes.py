@@ -264,13 +264,13 @@ def rationals_jobs() -> list[tuple[str, dict]]:
 
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
-    "commands": ("a181e228954da09c01088bd09d0ae514319849e9d9ef6e1391337f8cda53e996",
+    "commands": ("a9fcbfa33b148c161d329a8c1868d8003c1214d787956ec9851e42fe945a1699",
                  {0: 15, 1: 5, 2: 6}),
-    "cmtype": ("8db1b90de8a91ecebc95ec425b8608f1a00162f674d8d0b7d83c14d0e2606782",
+    "cmtype": ("104027d6470c977e1dcee61ba8526aab2cd015578a9b3f461dc64d37298056e8",
                {0: 295, 1: 9}),
-    "twists": ("a98bedbeb6dfaa4a30ac6eb9182d6bb599c67de27240bbc95261d1585972da39",
+    "twists": ("13f524eb2fa47986234ee6bba9cf43ecbd96856b2f60dca22696d019a8c05b0e",
                {0: 90, 2: 326}),
-    "rationals": ("0954f705df43402912d1448290c1c213f7b564efa1b4c4f814d74474765b2e90",
+    "rationals": ("d16760923151730c5adf6be453f30d2f0eaec7efe5d99b84c59ad55af8509f30",
                   {0: 10, 1: 3}),
 }
 
