@@ -138,8 +138,10 @@ GOOD_REDUCTION_ASSUMPTION = "good reduction outside 7"
 def kitself_certificate(p: int) -> Conclusion:
     """Check p = 3 (mod 7) at a prime p other than 7; conclude K' = K if it holds.
 
-    p has at most MAX_PRIME_BITS bits and is proved prime once, here.  The
-    congruence is the one checked record.  When it holds, the arithmetic at
+    p has at most MAX_PRIME_BITS bits, and its primality is decided once,
+    here, by isprime: a proof below 3.3e24, and above it only a strong
+    Baillie-PSW probable prime, which no record of the certificate names.
+    The congruence is the one checked record.  When it holds, the arithmetic at
     p is stated as witnesses resting on it: they are statements and not
     checks because the congruence proves each of them.  For every p,
     q = p^2 + p + 1 divides p^3 - 1 = (p - 1) q, so #(I_p) = (p^6 - 1)/q is

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import sympy
 
@@ -34,6 +38,15 @@ from cmtwist.residues import (
     subgroup_generated,
     unit_group,
 )
+
+
+def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    ``cmtwist``, its output captured as text."""
+    src = str(Path(cmtwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,7 @@
 import functools
 import itertools
 import json
-import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -46,6 +43,7 @@ from helpers import (
     orders,
     peeled_invariant_factor_basis,
     report_document,
+    run_python,
     swap_loop_declared_basis,
 )
 
@@ -206,7 +204,7 @@ def test_field_jobs_never_list_the_unit_group(monkeypatch):
     literals = [
         {"cyclotomic": 999983}, {"cyclotomic": 720720}, {"cyclotomic": 51},
         {"real_subfield_of": 999983}, {"real_subfield_of": 51},
-        {"quadratic": -7}, {"quadratic": 5}, {"quadratic": 12},
+        {"quadratic": -7}, {"quadratic": 5}, {"quadratic": 12}, {"quadratic": -249999},
         {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]},
         {"compositum": [{"quadratic": -1}, {"cyclotomic": 249989}]},
     ]
@@ -509,14 +507,92 @@ def test_example_records_are_its_claims_then_its_assumptions(command, table):
     assert report.statements == table.conclusions
 
 
-class TestMainExitCodes:
-    def test_success(self, capsys):
-        assert main(["example-41"]) == 0
-        assert "concluded" in capsys.readouterr().out
+# The CLI's exit contract: 0 concludes, 2 names the hypothesis that fails,
+# 1 refuses a malformed job.  A row is (argv, payload, exit code, text).  A
+# payload is written to a file passed as --input, whose path replaces
+# {input} in the text; a string is written as it is.  The text is the exact
+# stderr line of an exit 1, and a substring of stdout for exits 0 and 2.
+EXIT_CONTRACT = [
+    pytest.param(["example-41"], None, 0, "concluded", id="example-41"),
+    pytest.param(["example-42"], None, 0, "Q_Phi(A^(d)) = L_d", id="example-42"),
+    pytest.param(["discond", "--n", "6", "--d", "2", "--json"], None, 0,
+                 '"gal_phiB_over_F": "Z/3"', id="discond-json"),
+    # a certificate checks p = 3 (mod 7) alone; its witnesses rest on that record
+    pytest.param(["inertia", "--p", "3"], None, 0, "(3^6 - 1)/13 = 56", id="inertia-3"),
+    # a prime = 3 (mod 7) below 2^64, and the least Chernick number that is
+    # a strong pseudoprime to base 2: Baillie-PSW decides both
+    pytest.param(["inertia", "--p", "1000000000121"], None, 0,
+                 "1000000000121 = 3 (mod 7)", id="inertia-below-2-64"),
+    pytest.param(["inertia", "--p", "27278026129"], None, 1,
+                 "input error: p: 27278026129 is not prime", id="inertia-chernick"),
+    pytest.param(["inertia"], None, 1, "input error: payload: missing key(s) ['p']",
+                 id="inertia-without-p"),
+    # two primes = 3 (mod 7) above 3.3e24, decided by the Baillie-PSW path
+    pytest.param(["base-cert", "--p", str(10**30 + 709), "--q", str(10**30 + 751), "--json"],
+                 None, 0, '"conclusion": "K_Phi(A) = K = Q_Phi(A)"', id="base-cert-above-psi13"),
+    pytest.param(["base-cert", "--p", "3", "--q", "2"], None, 2, "NOT CONCLUDED",
+                 id="base-cert-q-2"),
+    # w(Q(sqrt -3)) = 6, so no character of order 4 takes values in k^x
+    pytest.param(["twist-x"], example41_twist_job(4), 2, "failed: c takes values in k^x",
+                 id="twist-x-order-4"),
+    pytest.param(["twist-x", "--json"], example41_twist_job(4), 2, '"holds": false',
+                 id="twist-x-order-4-json"),
+    pytest.param(["twist-x"], example41_twist_job(1), 1,
+                 "input error: payload: character order must be at least 2, got 1",
+                 id="twist-x-order-1"),
+    # the rationals: their trivial fixed group is written as []
+    pytest.param(["field", "--json"], {"field": {"real_subfield_of": 4}}, 0,
+                 '"fixed_group": []', id="field-rationals"),
+    # an odd conductor with the even unit generator 2, and an even conductor
+    pytest.param(["field"], {"field": {"quadratic": 5}}, 0,
+                 "conductor 5, degree 2, totally real", id="field-sqrt-5"),
+    pytest.param(["field"], {"field": {"quadratic": -1}}, 0,
+                 "conductor 4, degree 2, CM", id="field-sqrt-minus-1"),
+    pytest.param(["field"], {"field": {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]}},
+                 0, "Gal = Z/2 x Z/8", id="field-example-41"),
+    pytest.param(["field"], "{nope", 1, "input error: {input}: invalid JSON "
+                 "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))",
+                 id="field-malformed-json"),
+    pytest.param(["field", "--input", "/nonexistent/job.json"], None, 1,
+                 "input error: [Errno 2] No such file or directory: '/nonexistent/job.json'",
+                 id="field-missing-input"),
+    # labels are checked against the field's coset table; each path names the label
+    pytest.param(["cmtype"], {"field": {"cyclotomic": 7}, "type": [True, 2, 3]}, 1,
+                 "input error: type[0]: expected an integer", id="cmtype-bool-label"),
+    pytest.param(["cmtype"], {"field": {"cyclotomic": 21}, "type": [3, 2, 4, 5, 8, 10]}, 1,
+                 "input error: type: 3 is not a unit residue mod 21", id="cmtype-non-unit"),
+    pytest.param(["cmtype"], {"field": {"cyclotomic": 7}, "type": [[0], [1.5], [2]]}, 1,
+                 "input error: type[1][0]: expected an integer", id="cmtype-float-coordinate"),
+    # a literal that names no CM field is refused under its own key
+    pytest.param(["cmtype"], {"field": {"real_subfield_of": 13}, "type": [1, 2, 3]}, 1,
+                 "input error: field: not a CM field", id="cmtype-real-field"),
+    pytest.param(["twist-x"], {"base": {"cyclotomic": 1}, "character": {"order": 2},
+                               "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]}]},
+                 1, "input error: base: not a CM field", id="twist-x-rational-base"),
+    pytest.param(["cmtype"], {"field": {"cyclotomic": 7}, "type": [1, 2, 4]}, 0,
+                 "valid CM-type, induced", id="cmtype-induced"),
+    # a compositum's type whose reflex field is reduced from conductor 15 to 3
+    pytest.param(["cmtype"], {"field": {"compositum": [{"quadratic": -3}, {"cyclotomic": 5}]},
+                              "type": [1, 4, 7, 13]},
+                 0, "reflex field has conductor 3", id="cmtype-reflex-conductor-3"),
+]
 
-    def test_input_error(self, capsys):
-        assert main(["inertia"]) == 1  # p missing entirely
-        assert "input error" in capsys.readouterr().err
+
+class TestMainExitCodes:
+    @pytest.mark.parametrize("argv, payload, code, text", EXIT_CONTRACT)
+    def test_exit_contract(self, argv, payload, code, text, tmp_path, capsys):
+        if payload is not None:
+            path = tmp_path / "job.json"
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            argv = [*argv, "--input", str(path)]
+            text = text.replace("{input}", str(path))
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and "AbelianField(" not in err
+        if code == 1:
+            assert (out, err) == ("", text + "\n")
+        else:
+            assert text in out and err == ""
 
     @pytest.mark.parametrize("argv", [
         ["example-41", "--p", "3"],
@@ -565,17 +641,6 @@ class TestMainExitCodes:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"input error: {message}\n"
-
-    def test_malformed_label_exits_1_with_its_path(self, tmp_path, capsys):
-        path = tmp_path / "job.json"
-        path.write_text('{"field": {"cyclotomic": 7}, "type": [true, 2, 3]}')
-        assert main(["cmtype", "--input", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "input error: type[0]: expected an integer\n"
-
-    def test_hypothesis_failure_in_certificate(self, capsys):
-        assert main(["base-cert", "--p", "3", "--q", "2"]) == 2
-        assert "NOT CONCLUDED" in capsys.readouterr().out
 
     def test_hypothesis_failure_in_twist(self, tmp_path, capsys):
         # a failed checked hypothesis gives a report, as a false flag does
@@ -626,15 +691,11 @@ class TestMainExitCodes:
         report = run_command("base-cert", {"p": 3, "q": 2})
         assert out.read_text() == report.to_json()
         assert capsys.readouterr().out == "\n".join(cli._summary_lines(report)) + "\n"
-
-    def test_malformed_json_file(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        assert main(["field", "--input", str(path)]) == 1
-        assert "invalid JSON" in capsys.readouterr().err
-
-    def test_missing_input_file(self, capsys):
-        assert main(["field", "--input", "/nonexistent/job.json"]) == 1
+        # --output writes the bytes that --json prints
+        assert main(["example-41", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["example-41", "--json"]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     @pytest.mark.parametrize("target, reason", [
         ("missing/x.json", "No such file or directory"),
@@ -774,14 +835,6 @@ class TestMainExitCodes:
         assert "failed: c takes values in k^x; n does not divide r" in out.splitlines()
         assert err == ""
 
-    def test_trivial_character_order_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(example41_twist_job(1)))
-        assert main(["twist-x", "--input", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: ") and "at least 2" in err
-        assert "Traceback" not in err
-
     def test_field_job_at_conductor_100003(self, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"field": {"cyclotomic": 100003}}))
@@ -837,7 +890,8 @@ BASE_CERT_STATEMENTS = (
 ], ids=["twist-x", "twist-e", "base-cert", "discond"])
 def test_results_hold_each_value_once(command, payload, section, keys):
     # a theorem's section holds what it computed; the payload is echoed
-    # once, under "payload", and no key repeats another
+    # once, under "payload".  Two keys still repeat another value: w_k is
+    # base.roots_of_unity, and phiB_equals_M is exact_m_over_phiB == 1
     report = run_command(command, payload)
     assert set(report.results[section]) == keys
     if command == "twist-x":
@@ -934,11 +988,9 @@ class TestHypothesisRecords:
 
 def _loaded_by_cli_import(*names: str) -> list[str]:
     """Which of ``names`` a fresh interpreter holds after ``import cmtwist.cli``."""
-    src = str(Path(cmtwist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"import sys, cmtwist.cli; print(*sorted(set({names!r}) & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    out = run_python(["-c", code], timeout=60)
+    out.check_returncode()
     return out.stdout.split()
 
 

@@ -20,7 +20,7 @@ from cmtwist.inertia import (
     kitself_certificate,
 )
 from cmtwist.twists import Hypothesis
-from helpers import _pow, element_order, galois_vs_frobenius, unit_generator_check
+from helpers import _pow, element_order, galois_vs_frobenius, run_python, unit_generator_check
 
 INERT_PRIMES_3_MOD_7 = [p for p in primerange(3, 500) if p % 7 == 3]
 
@@ -91,12 +91,20 @@ class TestIsPrime:
         assert not isprime(n)
 
     def test_lucas_half_on_its_pseudoprimes_and_on_squares(self):
-        # 1093^2 and 3511^2 are strong base-2 pseudoprimes.  A square has no
-        # D with (D/n) = -1, so the Lucas half must reject it without a
-        # search for D that would run up to its square root.
-        for n in STRONG_LUCAS_PSEUDOPRIMES + (1093**2, 3511**2, (2**61 - 1) ** 2):
+        # 1093^2 and 3511^2 are strong base-2 pseudoprimes.  The scan for D
+        # reaches +-1093 or +-3511, whose symbol is 0, within milliseconds,
+        # so they pass with or without the square guard.
+        for n in STRONG_LUCAS_PSEUDOPRIMES + (1093**2, 3511**2):
             assert (cmtwist.inertia._strong_lucas_probable_prime(n)
                     == sympy.ntheory.primetest.is_strong_lucas_prp(n)), n
+
+    def test_lucas_half_rejects_a_square_of_a_large_prime_at_once(self):
+        # A square has no D with (D/n) = -1, and the first D with symbol 0 is
+        # +-(2^61 - 1), so without the square guard the scan would not end.
+        # It runs in a subprocess, which the timeout stops.
+        code = "import cmtwist.inertia as m; print(m._strong_lucas_probable_prime((2**61 - 1) ** 2))"
+        out = run_python(["-c", code], timeout=30)
+        assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr[-2000:]
 
     def test_lucas_half_on_every_odd_n_below_20000(self):
         lucas = cmtwist.inertia._strong_lucas_probable_prime

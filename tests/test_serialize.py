@@ -11,20 +11,15 @@ nested as deep as ``MAX_LITERAL_DEPTH`` allows.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from enum import IntEnum
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cmtwist
 from cmtwist.cli import MAX_LITERAL_DEPTH, Report, _emit, run, validate_input
 from cmtwist.twists import Hypothesis
-from helpers import dumps_oracle, report_document
+from helpers import dumps_oracle, report_document, run_python
 
 
 def emit(doc) -> str:
@@ -163,10 +158,7 @@ def test_deep_compositum_job_matches_the_oracle(tmp_path):
     literal = '{"compositum": [' * (depth - 1) + '{"cyclotomic": 7}' + "]}" * (depth - 1)
     path = tmp_path / "job.json"
     path.write_text('{"field": ' + literal + "}")
-    src = str(Path(cmtwist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "cmtwist.cli", "field", "--input", str(path), "--json"],
-                         env=env, capture_output=True, text=True, timeout=120)
+    out = run_python(["-m", "cmtwist.cli", "field", "--input", str(path), "--json"], timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
     payload = json.loads(path.read_text())
     report = run(validate_input({"command": "field", "payload": payload}))
