@@ -10,13 +10,17 @@ error included.  Exit 2 always comes with a report that names what failed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import lru_cache, partial, reduce
 from json.encoder import encode_basestring_ascii
 from operator import getitem
-from typing import AbstractSet, Any, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    # imported for real in _build_parser only, so library callers of run,
+    # which parse no command line, never load argparse and its gettext
+    import argparse
 
 from . import __version__
 from .cmtypes import CMType, WeilDatum, reflex, validate_cm_type, weil_datum, weil_r
@@ -106,6 +110,9 @@ class _Newlines(dict):
 
 
 _NEWLINES = _Newlines()     # "\n" plus the indent of each depth, made on first use
+# Up to this many items, as in one-element coset rows, the item loop is no
+# slower than the type scan plus the join.
+_JOIN_MIN = 7
 
 
 def _emit(obj: Any, depth: int, out: list[str]) -> None:
@@ -114,10 +121,12 @@ def _emit(obj: Any, depth: int, out: list[str]) -> None:
     Accepts dict (``str`` keys, emitted sorted), list, tuple, str, int, bool
     and None, and raises ``TypeError`` on anything else.  Strings and keys go
     through the C ``encode_basestring_ascii`` that ``json.dumps`` uses, which
-    itself refuses a key that is not a ``str``.  A container writes its items
-    of exactly type str, int, bool or None in its own loop and recurses for
-    the rest, one frame per nesting level as in ``json``; subclasses of these
-    types take the ``isinstance`` checks.
+    itself refuses a key that is not a ``str``.  A list or tuple of more than
+    ``_JOIN_MIN`` items, all of exactly type int (a residue list), is written
+    in one ``join``.  Any other container writes its items of exactly type
+    str, int, bool or None in its own loop and recurses for the rest, one
+    frame per nesting level as in ``json``; subclasses of these types take
+    the ``isinstance`` checks.
     """
     append = out.append
     if isinstance(obj, dict):
@@ -137,6 +146,8 @@ def _emit(obj: Any, depth: int, out: list[str]) -> None:
     inner = _NEWLINES[depth + 1]
     head += inner
     comma = "," + inner
+    if not keyed and len(obj) > _JOIN_MIN and set(map(type, obj)) == {int}:
+        return append(head + comma.join(map(int.__repr__, obj)) + _NEWLINES[depth] + close)
     for x in sorted(obj) if keyed else obj:
         if keyed:
             head += encode_basestring_ascii(x) + ": "
@@ -366,8 +377,9 @@ def validate_input(document: Any) -> JobSpec:
 def field_dict(K: AbelianField) -> dict:
     return {
         "conductor": K.conductor,
-        # from format 0.2.0 on, the trivial group {0} of Q is written as []
-        "fixed_group": sorted(K.fixed_group - {0}),
+        # from format 0.2.0 on, the trivial group {0} of Q is written as [];
+        # 0 lies in H only for m = 1
+        "fixed_group": sorted(K.fixed_group) if K.conductor > 1 else [],
         "degree": K.degree,
         "is_cm": is_cm(K),
         "is_totally_real": is_totally_real(K),
@@ -639,6 +651,8 @@ def run(job: JobSpec) -> Report:
 # argparse front end.
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cmtwist",
         description="CM-type, character-twist, and inertia-certificate calculator",

@@ -319,7 +319,9 @@ def roots_of_unity_order(K: AbelianField) -> int:
     N is g = gcd(m, h - 1 for h in H).  Any root of unity zeta_N in K
     generates a cyclotomic field of conductor N, or N/2 when N = 2 mod 4,
     and that conductor divides m; so N | 2m, zeta_N lies in the group
-    generated by zeta_g and -1, and w(K) = lcm(2, g).
+    generated by zeta_g and -1, and w(K) = lcm(2, g).  The running gcd
+    only falls, so w(K) = 2 as soon as it reaches 1 or 2, and the rest of
+    H is not read.
 
     >>> roots_of_unity_order(quadratic(-3))
     6
@@ -328,5 +330,9 @@ def roots_of_unity_order(K: AbelianField) -> int:
     >>> roots_of_unity_order(quadratic(-7))
     2
     """
-    g = gcd(K.conductor, *(h - 1 for h in K.fixed_group))
+    g = K.conductor
+    for h in K.fixed_group:
+        g = gcd(g, h - 1)
+        if g <= 2:
+            return 2
     return g if g % 2 == 0 else 2 * g

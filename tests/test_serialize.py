@@ -4,8 +4,9 @@ The emitter must write exactly ``json.dumps(doc, sort_keys=True, indent=2)
 + "\\n"``.  The pinned digests of ``tests/test_report_bytes.py`` hold it to
 that form on the fixed corpora; here it is compared with the oracle on
 drawn documents and drawn reports, on bools and subclasses of the accepted
-types nested in containers, on a list nested 300 deep and on a field job
-nested as deep as ``MAX_LITERAL_DEPTH`` allows.
+types nested in containers or placed in int lists long enough for the
+emitter's join, on a list nested 300 deep and on a field job nested as deep
+as ``MAX_LITERAL_DEPTH`` allows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtwist.cli import MAX_LITERAL_DEPTH, Report, _emit, run, validate_input
+from cmtwist.cli import _JOIN_MIN, MAX_LITERAL_DEPTH, Report, _emit, run, validate_input
 from cmtwist.twists import Hypothesis
 from helpers import dumps_oracle, report_document, run_python
 
@@ -107,6 +108,28 @@ def test_subclass_and_bool_values_match_the_oracle(value):
         assert f'"a": {int.__repr__(value)}' in text
     for nested in (value, [value], (value,), {"k": value}):
         assert emit(nested) == dumps_oracle(nested)
+
+
+@pytest.mark.parametrize("length", [_JOIN_MIN, _JOIN_MIN + 1, 100])
+def test_long_int_lists_match_the_oracle(length):
+    # past _JOIN_MIN items an all-int list is written in one join
+    items = [(-1) ** i * 7**i for i in range(length)]
+    for doc in (items, tuple(items), {"k": items}, [[items], 0]):
+        assert emit(doc) == dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("value", [True, False, Order.TWO, Degree(7), 1.5])
+def test_one_odd_item_keeps_a_long_list_off_the_join(value, where):
+    # each item's type is checked, not the first item's alone
+    items = list(range(10, 10 + _JOIN_MIN + 3))
+    items[{"first": 0, "middle": len(items) // 2, "last": -1}[where]] = value
+    for doc in (items, tuple(items), {"k": items}):
+        if isinstance(value, float):
+            with pytest.raises(TypeError):
+                emit(doc)
+        else:
+            assert emit(doc) == dumps_oracle(doc)
 
 
 def test_container_subclasses_match_the_oracle():
