@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import lru_cache, partial, reduce
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import getitem
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NamedTuple, Optional
@@ -26,6 +27,7 @@ from . import __version__
 from .cmtypes import CMType, WeilDatum, reflex, validate_cm_type, weil_datum, weil_r
 from .fields import (
     AbelianField,
+    _coset_rows,
     _galois_basis,
     compositum,
     coset,
@@ -110,9 +112,29 @@ class _Newlines(dict):
 
 
 _NEWLINES = _Newlines()     # "\n" plus the indent of each depth, made on first use
-# Up to this many items, as in one-element coset rows, the item loop is no
-# slower than the type scan plus the join.
+# Up to this many items the item loop of a flat list is no slower than the
+# type scan plus the join.
 _JOIN_MIN = 7
+_INTS = {int}
+_ROWS = {list, tuple}
+
+
+def _rows_text(rows: list | tuple, depth: int) -> Optional[str]:
+    """The JSON text of a list of rows at ``depth``, or None when it is not a
+    list of non-empty rows of one width whose cells are all exactly int.
+
+    The text is one row template, ``%d`` per cell, repeated once per row and
+    filled with all the cells in one ``%`` operation.
+    """
+    widths = set(map(len, rows))
+    if len(widths) != 1 or not (width := widths.pop()):
+        return None
+    cells = tuple(chain.from_iterable(rows))
+    if set(map(type, cells)) != _INTS:
+        return None
+    cell, outer = _NEWLINES[depth + 2], _NEWLINES[depth + 1]
+    row = "[" + cell + ("%d," + cell) * (width - 1) + "%d" + outer + "]"
+    return ("[" + outer + (row + "," + outer) * (len(rows) - 1) + row + _NEWLINES[depth] + "]") % cells
 
 
 def _emit(obj: Any, depth: int, out: list[str]) -> None:
@@ -121,12 +143,16 @@ def _emit(obj: Any, depth: int, out: list[str]) -> None:
     Accepts dict (``str`` keys, emitted sorted), list, tuple, str, int, bool
     and None, and raises ``TypeError`` on anything else.  Strings and keys go
     through the C ``encode_basestring_ascii`` that ``json.dumps`` uses, which
-    itself refuses a key that is not a ``str``.  A list or tuple of more than
-    ``_JOIN_MIN`` items, all of exactly type int (a residue list), is written
-    in one ``join``.  Any other container writes its items of exactly type
-    str, int, bool or None in its own loop and recurses for the rest, one
-    frame per nesting level as in ``json``; subclasses of these types take
-    the ``isinstance`` checks.
+    itself refuses a key that is not a ``str``.  Two kinds of list or tuple
+    are written whole, from one type scan of their items: one of more than
+    ``_JOIN_MIN`` items, all of exactly type int (a residue list), in one
+    ``join``; and one of rows, each exactly a list or tuple, all of one
+    non-zero width and holding only cells of exactly type int (the cosets
+    of a CM-type), in one ``%`` operation by :func:`_rows_text`.  Any other
+    container writes its items of exactly type str, int, bool or None in
+    its own loop and recurses for the rest, one frame per nesting level as
+    in ``json``; subclasses of these types take the ``isinstance`` checks.
+    A dict or a short flat list pays no type scan.
     """
     append = out.append
     if isinstance(obj, dict):
@@ -146,8 +172,12 @@ def _emit(obj: Any, depth: int, out: list[str]) -> None:
     inner = _NEWLINES[depth + 1]
     head += inner
     comma = "," + inner
-    if not keyed and len(obj) > _JOIN_MIN and set(map(type, obj)) == {int}:
-        return append(head + comma.join(map(int.__repr__, obj)) + _NEWLINES[depth] + close)
+    if not keyed and (len(obj) > _JOIN_MIN or type(obj[0]) in _ROWS):
+        types = set(map(type, obj))
+        if types == _INTS:
+            return append(head + comma.join(map(int.__repr__, obj)) + _NEWLINES[depth] + close)
+        if types <= _ROWS and (text := _rows_text(obj, depth)) is not None:
+            return append(text)
     for x in sorted(obj) if keyed else obj:
         if keyed:
             head += encode_basestring_ascii(x) + ": "
@@ -388,11 +418,12 @@ def field_dict(K: AbelianField) -> dict:
 
 
 def _cmtype_list(T: CMType) -> list[list[int]]:
-    """Each element's coset, as :func:`~cmtwist.fields.coset` lists it."""
-    m, H = T.field.conductor, T.field.fixed_group
-    if len(H) == 1:
+    """Each element's coset, as :func:`~cmtwist.fields.coset` lists it: a new
+    list per row, read from the field's table of sorted cosets."""
+    if len(T.field.fixed_group) == 1:
         return [[g] for g in sorted(T.psi)]
-    return [sorted([g * h % m for h in H]) for g in sorted(T.psi)]
+    rows = _coset_rows(T.field)
+    return [list(rows[g]) for g in sorted(T.psi)]
 
 
 def _mults_list(k: AbelianField, counts: dict[int, int]) -> list[dict]:

@@ -18,7 +18,11 @@ its coset.  The product of g and h is ``rep[g * h % m]`` and complex
 conjugation sends g to ``rep[(m - 1) * g % m]``.  The rationals are the
 pair (1, {0}), since 0 is the one residue mod 1 and a unit: Gal(Q/Q) =
 (Z/1)^x = {0} needs no case of its own.  :func:`coset` expands an element
-to its residues, which is needed only when a report prints it.
+to its residues, ascending.  For a fixed group of more than one element it
+reads the private table ``_coset_rows(K)``, built once per field in one
+pass over (Z/m)^x, which holds every element's coset as an ascending
+tuple; the type lists of ``cmtype`` reports read the same table.  A
+cyclotomic field, where each coset is the element alone, builds none.
 
 Every constructor refuses a conductor above :data:`MAX_CONDUCTOR` before
 any unit-group work: that work is linear in phi(m) at best, and an
@@ -32,6 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .residues import (
+    _check_unit,
     _prime_divisors,
     _unit_generators,
     group_order,
@@ -301,13 +306,41 @@ def _galois_basis(K: AbelianField) -> tuple[tuple[int, int], ...]:
     return invariant_factor_basis(K.conductor, K.fixed_group)
 
 
-def coset(K: AbelianField, g: int) -> list[int]:
-    """The residues mod m of the Galois element g, ascending.
+@lru_cache(maxsize=None)
+def _coset_rows(K: AbelianField) -> dict[int, tuple[int, ...]]:
+    """Each Galois element's coset, an ascending tuple, keyed by the element.
 
-    >>> coset(quadratic(-7), 3)
-    [3, 5, 6]
+    One pass over the ascending unit group appends each unit to the row of
+    its least coset residue, so every row comes out sorted.
+
+    >>> _coset_rows(quadratic(-7))
+    {1: (1, 2, 4), 3: (3, 5, 6)}
     """
-    return sorted(g * h % K.conductor for h in K.fixed_group)
+    rep = _coset_rep(K)
+    rows: dict[int, list[int]] = {}
+    for x in unit_group(K.conductor):
+        g = rep[x]
+        if g == x:
+            rows[g] = [x]
+        else:
+            rows[g].append(x)
+    return {g: tuple(row) for g, row in rows.items()}
+
+
+def coset(K: AbelianField, g: int) -> list[int]:
+    """The residues mod m of the coset of the unit g, ascending, as a new list.
+
+    >>> coset(quadratic(-7), 3), coset(quadratic(-7), 5)
+    ([3, 5, 6], [3, 5, 6])
+    >>> coset(quadratic(-7), 0)
+    Traceback (most recent call last):
+    ...
+    ValueError: 0 is not a unit residue mod 7
+    """
+    _check_unit(K.conductor, g)
+    if len(K.fixed_group) == 1:
+        return [g]
+    return list(_coset_rows(K)[_coset_rep(K)[g]])
 
 
 @lru_cache(maxsize=None)

@@ -187,6 +187,27 @@ class TestFieldLiteralCache:
         assert _galois_basis.cache_info().hits == hits + 1
         assert field.results["invariant_factors"] == list(orders(_galois_basis(K))) == [2, 8]
 
+    def test_mutated_rows_leave_the_next_report_alone(self):
+        # type rows and multiplicity cosets are new lists over the cached
+        # table of each field's sorted cosets
+        jobs = [("cmtype", {"field": {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]},
+                            "type": [list(t) for t in EXAMPLE41_TUPLES]}),
+                ("twist-x", {"base": {"quadratic": -7}, "character": {"order": 2},
+                             "components": [{"field": {"cyclotomic": 7}, "type": [1, 2, 3]}]})]
+        for command, payload in jobs:
+            first = run_command(command, payload)
+            text = first.to_json()
+            if command == "cmtype":
+                rows = [first.results[key] for key in ("type", "reflex_type_inverse", "reflex_type_conjugate")]
+            else:
+                rows = [[entry["coset"] for entry in first.results["multiplicities"]]]
+            assert all(len(r[0]) > 1 for r in rows)
+            for r in rows:
+                r[0].append(0)
+                r[0][0] = -1
+            assert run_command(command, payload).to_json() == text
+            assert first.to_json() != text
+
     def test_caches_stay_private(self):
         # perfbench pins the set of public lru_caches; the literal caches are
         # cli's own, and the field's basis is cached under a private name

@@ -9,6 +9,7 @@ from sympy import primerange
 from cmtwist.fields import (
     MAX_CONDUCTOR,
     _coset_rep,
+    _coset_rows,
     compositum,
     coset,
     cyclotomic,
@@ -306,6 +307,33 @@ class TestCMStructure:
                     least(coset_of(k.conductor, k.fixed_group, g % k.conductor))
                     for g in galois_group(K)
                 ]
+
+    def test_coset_table_matches_brute_force(self):
+        # every Galois element of every field, the least residue of its coset
+        # or any other unit of it, against the coset listed from H
+        reals = (quadratic(5), quadratic(2), maximal_real_subfield(cyclotomic(13)),
+                 maximal_real_subfield(cyclotomic(35)), compositum(quadratic(5), quadratic(13)))
+        for K in cm_fields(40, 8) + (RATIONALS,) + reals:
+            m, H = K.conductor, K.fixed_group
+            for g in unit_group(m):
+                expected = sorted(g * h % m for h in H)
+                got = coset(K, g)
+                assert got == expected, (K, g)
+                got.append(-1)          # a new list each time
+                assert coset(K, g) == expected
+            if len(H) > 1:
+                rows = _coset_rows(K)
+                assert sorted(rows) == list(galois_group(K))
+                assert all(rows[g] == tuple(coset(K, g)) for g in rows)
+
+    def test_coset_of_a_non_unit_is_refused(self):
+        k = quadratic(-7)
+        assert coset(k, 5) == coset(k, 3) == [3, 5, 6]
+        for K, g in ((k, 0), (k, 7), (k, -1), (k, 14), (cyclotomic(12), 0), (cyclotomic(12), 2),
+                     (cyclotomic(7), 0), (quadratic(5), 5), (RATIONALS, 1)):
+            with pytest.raises(ValueError, match="is not a unit residue"):
+                coset(K, g)
+        assert coset(RATIONALS, 0) == [0]
 
     def test_every_cm_field_has_index_two_real_subfield(self):
         corpus = lattice(51) + lattice(84)

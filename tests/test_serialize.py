@@ -6,7 +6,12 @@ that form on the fixed corpora; here it is compared with the oracle on
 drawn documents and drawn reports, on bools and subclasses of the accepted
 types nested in containers or placed in int lists long enough for the
 emitter's join, on a list nested 300 deep and on a field job nested as deep
-as ``MAX_LITERAL_DEPTH`` allows.
+as ``MAX_LITERAL_DEPTH`` allows.  Lists of int rows of one width, which the
+emitter writes in one ``%`` operation, are compared at several widths,
+lengths and depths, as tuples, and drawn; ragged rows, an empty row and a
+row holding a bool or an ``IntEnum`` must keep off that path and still match,
+and a cell past the 4,300-digit limit of int-to-str conversion must raise
+the error ``json.dumps`` raises.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtwist.cli import _JOIN_MIN, MAX_LITERAL_DEPTH, Report, _emit, run, validate_input
+import cmtwist.cli as cli
+from cmtwist.cli import _JOIN_MIN, MAX_LITERAL_DEPTH, Report, _emit, _rows_text, run, validate_input
 from cmtwist.twists import Hypothesis
 from helpers import dumps_oracle, report_document, run_python
 
@@ -130,6 +136,99 @@ def test_one_odd_item_keeps_a_long_list_off_the_join(value, where):
                 emit(doc)
         else:
             assert emit(doc) == dumps_oracle(doc)
+
+
+def nest(doc, depth: int):
+    # doc as the value at the given nesting depth, under lists and dicts in turn
+    for i in range(depth):
+        doc = [doc] if i % 2 else {"k": doc}
+    return doc
+
+
+@pytest.fixture
+def rows_written(monkeypatch):
+    """Whether each call of the emitter's rows path wrote the rows."""
+    written: list[bool] = []
+
+    def recorded(rows, depth):
+        text = _rows_text(rows, depth)
+        written.append(text is not None)
+        return text
+
+    monkeypatch.setattr(cli, "_rows_text", recorded)
+    return written
+
+
+@pytest.mark.parametrize("count", [1, 2, 100])
+@pytest.mark.parametrize("width", [1, 2, 7, 8])
+def test_equal_width_rows_match_the_oracle(width, count, rows_written):
+    rows = [[(-1) ** (i + j) * 3 ** (i + j) for j in range(width)] for i in range(count)]
+    for doc in (rows, tuple(rows), [tuple(r) for r in rows], tuple(map(tuple, rows)),
+                [r if i % 2 else tuple(r) for i, r in enumerate(rows)]):
+        for depth in (0, 1, 5):
+            nested = nest(doc, depth)
+            rows_written.clear()
+            assert emit(nested) == dumps_oracle(nested)
+            assert rows_written == [True]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3]],                          # ragged
+    [[1], [2, 3], [4]],
+    [[1, 2], []],                           # an empty row
+    [[], [1, 2]],
+    [[], []],
+    [[1, 2], [3, True]],                    # a bool cell
+    [[False], [1]],
+    [[1, 2], [Order.TWO, 3]],               # an IntEnum cell
+    [[1], [2], [Order.ONE]],
+    [[1, 2], [3, [4]]],                     # a cell that is no int
+    [[1], ["2"]],
+    [[1], [None]],
+], ids=repr)
+def test_rows_off_the_path_match_the_oracle(rows, rows_written):
+    for doc in (rows, tuple(rows), {"k": rows}, nest(rows, 5)):
+        assert emit(doc) == dumps_oracle(doc)
+    assert rows_written and not any(rows_written)
+
+
+def test_row_subclass_and_mixed_items_match_the_oracle():
+    # a row that is a list subclass, or a list item that is no row, takes
+    # the loop
+    class Row(list):
+        pass
+
+    for doc in ([[1, 2], Row([3, 4])], [Row([1])], [[1, 2], 3], [[1], {"a": 1}], [[1], "x"]):
+        assert emit(doc) == dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_row_cell_at_the_digit_limit(digits):
+    cell = 10 ** (digits - 1)
+    doc = [[1, 2], [3, cell]]
+    try:
+        expected = dumps_oracle(doc)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as raised:
+            emit(doc)
+        assert str(raised.value) == str(refused)
+    else:
+        assert emit(doc) == expected
+
+
+row_lists = st.integers(min_value=1, max_value=9).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(min_value=-10**40, max_value=10**40), min_size=width, max_size=width)
+        | st.tuples(*[st.integers()] * width),
+        min_size=1, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists, st.integers(min_value=0, max_value=6))
+def test_drawn_row_lists_match_the_oracle(rows, depth):
+    assert _rows_text(rows, depth) is not None
+    doc = nest(rows, depth)
+    assert emit(doc) == dumps_oracle(doc)
 
 
 def test_container_subclasses_match_the_oracle():
