@@ -30,7 +30,6 @@ from .fields import (
     _coset_rows,
     _galois_basis,
     compositum,
-    coset,
     cyclotomic,
     is_cm,
     is_totally_real,
@@ -417,17 +416,22 @@ def field_dict(K: AbelianField) -> dict:
     }
 
 
-def _cmtype_list(T: CMType) -> list[list[int]]:
+def _coset_lists(K: AbelianField, elements: list[int]) -> list[list[int]]:
     """Each element's coset, as :func:`~cmtwist.fields.coset` lists it: a new
     list per row, read from the field's table of sorted cosets."""
-    if len(T.field.fixed_group) == 1:
-        return [[g] for g in sorted(T.psi)]
-    rows = _coset_rows(T.field)
-    return [list(rows[g]) for g in sorted(T.psi)]
+    if len(K.fixed_group) == 1:
+        return [[g] for g in elements]
+    rows = _coset_rows(K)
+    return [list(rows[g]) for g in elements]
+
+
+def _cmtype_list(T: CMType) -> list[list[int]]:
+    return _coset_lists(T.field, sorted(T.psi))
 
 
 def _mults_list(k: AbelianField, counts: dict[int, int]) -> list[dict]:
-    return [{"coset": coset(k, sigma), "n": counts[sigma]} for sigma in sorted(counts)]
+    sigmas = sorted(counts)
+    return [{"coset": row, "n": counts[sigma]} for sigma, row in zip(sigmas, _coset_lists(k, sigmas))]
 
 
 def _basis_list(basis) -> list[dict]:

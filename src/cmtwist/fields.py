@@ -17,12 +17,12 @@ table ``_coset_rep(K)`` sends every residue mod m to the least residue of
 its coset.  The product of g and h is ``rep[g * h % m]`` and complex
 conjugation sends g to ``rep[(m - 1) * g % m]``.  The rationals are the
 pair (1, {0}), since 0 is the one residue mod 1 and a unit: Gal(Q/Q) =
-(Z/1)^x = {0} needs no case of its own.  :func:`coset` expands an element
-to its residues, ascending.  For a fixed group of more than one element it
-reads the private table ``_coset_rows(K)``, built once per field in one
-pass over (Z/m)^x, which holds every element's coset as an ascending
-tuple; the type lists of ``cmtype`` reports read the same table.  A
-cyclotomic field, where each coset is the element alone, builds none.
+(Z/1)^x = {0} needs no case of its own.  :func:`coset` expands one unit
+to its coset's residues, ascending.  Reports that list the coset of every
+element of a field with a fixed group of more than one element read the
+private table ``_coset_rows(K)`` instead, built once per field in one pass
+over (Z/m)^x, which holds every element's coset as an ascending tuple.  A
+cyclotomic field, where each coset is the element alone, needs no table.
 
 Every constructor refuses a conductor above :data:`MAX_CONDUCTOR` before
 any unit-group work: that work is linear in phi(m) at best, and an
@@ -330,6 +330,9 @@ def _coset_rows(K: AbelianField) -> dict[int, tuple[int, ...]]:
 def coset(K: AbelianField, g: int) -> list[int]:
     """The residues mod m of the coset of the unit g, ascending, as a new list.
 
+    One coset costs |H| products, not the table of :func:`_coset_rows`,
+    so an error message that names one element stays cheap on a large field.
+
     >>> coset(quadratic(-7), 3), coset(quadratic(-7), 5)
     ([3, 5, 6], [3, 5, 6])
     >>> coset(quadratic(-7), 0)
@@ -337,10 +340,9 @@ def coset(K: AbelianField, g: int) -> list[int]:
     ...
     ValueError: 0 is not a unit residue mod 7
     """
-    _check_unit(K.conductor, g)
-    if len(K.fixed_group) == 1:
-        return [g]
-    return list(_coset_rows(K)[_coset_rep(K)[g]])
+    m = K.conductor
+    _check_unit(m, g)
+    return sorted(g * h % m for h in K.fixed_group)
 
 
 @lru_cache(maxsize=None)
