@@ -1,7 +1,7 @@
 """Exact arithmetic for abelian CM fields, CM-types, character twists,
 and connectedness-extension degree certificates."""
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 from .fields import (
     AbelianField,
@@ -10,7 +10,6 @@ from .fields import (
     field_from,
     is_cm,
     is_subfield,
-    is_totally_real,
     maximal_real_subfield,
     quadratic,
     roots_of_unity_order,
@@ -49,7 +48,6 @@ __all__ = [
     "field_from",
     "is_cm",
     "is_subfield",
-    "is_totally_real",
     "is_weil_type",
     "kitself_certificate",
     "maximal_real_subfield",

@@ -32,7 +32,6 @@ from .fields import (
     compositum,
     cyclotomic,
     is_cm,
-    is_totally_real,
     maximal_real_subfield,
     quadratic,
     roots_of_unity_order,
@@ -411,7 +410,6 @@ def field_dict(K: AbelianField) -> dict:
         "fixed_group": sorted(K.fixed_group) if K.conductor > 1 else [],
         "degree": K.degree,
         "is_cm": is_cm(K),
-        "is_totally_real": is_totally_real(K),
         "roots_of_unity": roots_of_unity_order(K),
     }
 
@@ -672,13 +670,14 @@ def run(job: JobSpec) -> Report:
     """Dispatch a validated job to its owning module and collect the report.
 
     A library ``ValueError`` that no handler mapped is a malformed job and
-    becomes an :class:`InputError`.  A hypothesis that does not hold is no
-    error: it is a record of the report, which then does not conclude.
+    becomes an :class:`InputError` with its message unchanged.  A
+    hypothesis that does not hold is no error: it is a record of the
+    report, which then does not conclude.
     """
     try:
         c = _COMMANDS[job.command].run(job.payload)
     except ValueError as exc:
-        raise InputError(f"payload: {exc}") from exc
+        raise InputError(str(exc)) from exc
     return Report(job.command, job.payload, *c)
 
 

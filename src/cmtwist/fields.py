@@ -251,13 +251,9 @@ def is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
     return all(h % m1 in H1 for h in K2.fixed_group)
 
 
-def is_totally_real(K: AbelianField) -> bool:
-    return (K.conductor - 1) in K.fixed_group
-
-
 def is_cm(K: AbelianField) -> bool:
     """CM = imaginary; abelian fields of degree > 1 are real or CM, never mixed."""
-    return K.degree > 1 and not is_totally_real(K)
+    return K.degree > 1 and K.conductor - 1 not in K.fixed_group
 
 
 def maximal_real_subfield(K: AbelianField) -> AbelianField:

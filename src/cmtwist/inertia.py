@@ -190,7 +190,7 @@ def base_certificate(p: int, q: int) -> Conclusion:
     statement rests on both of them and on both assumptions, so a failed
     certificate withholds them all.  A prime that
     :func:`kitself_certificate` refuses raises its ``ValueError`` prefixed
-    with the argument's name, ``p`` or ``q``.
+    with the argument's name, ``p`` or ``q``, and q = p is refused as ``q``.
 
     >>> base_certificate(3, 17).results["conclusion"]
     'K_Phi(A) = K = Q_Phi(A)'
@@ -198,7 +198,7 @@ def base_certificate(p: int, q: int) -> Conclusion:
     ()
     """
     if p == q:
-        raise ValueError("the two primes must be distinct")
+        raise ValueError("q: must differ from p")
     certs = []
     for key, prime in (("p", p), ("q", q)):
         try:

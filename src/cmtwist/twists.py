@@ -169,12 +169,10 @@ def twist_x(
     # the degree rows rest on every hypothesis: they stand iff concluded
     results = {
         "t": t,
-        "w_k": w_k,
         "mu_bound": mu_bound,
         "conclusions": {
             "exact_m_over_phiB": exact if concluded else None,
             "phiB_over_F_exact": phi_exact if concluded else None,
-            "phiB_equals_M": concluded and mu_bound == 1,
         },
     }
     return Conclusion(results, hypotheses, statements, concluded)

@@ -498,6 +498,11 @@ def conjugation_set(K: AbelianField) -> frozenset[int]:
     return coset_of(K.conductor, K.fixed_group, K.conductor - 1)
 
 
+def fixes_conjugation(K: AbelianField) -> bool:
+    """K is totally real: complex conjugation m - 1 lies in H, so its coset is H."""
+    return conjugation_set(K) == K.fixed_group
+
+
 def lift_is_subfield(K1: AbelianField, K2: AbelianField) -> bool:
     """K1 <= K2 by comparing both fixed groups lifted to the lcm conductor."""
     M = lcm(K1.conductor, K2.conductor)

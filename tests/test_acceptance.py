@@ -77,7 +77,7 @@ def test_criterion_3_cubic_twist_conclusion():
     ok = (
         weil_r(D) == 8
         and res["t"] == 1
-        and res["conclusions"]["phiB_equals_M"]
+        and res["conclusions"]["exact_m_over_phiB"] == 1
         and res["conclusions"]["phiB_over_F_exact"] == 3
     )
     _report("criterion 3: cubic twist with r = 8 gives t = 1 and "
@@ -181,7 +181,8 @@ def test_criterion_9_twist_report_sweep():
             if r % n == 0:
                 continue
             _, D = synthetic_weil_datum(n, r)
-            res = twist_x(D, n).results
+            rep = twist_x(D, n)
+            res = rep.results
             t, mu, deg = res["t"], res["mu_bound"], res["conclusions"]
             exact = deg["exact_m_over_phiB"]
             checked += 1
@@ -197,9 +198,7 @@ def test_criterion_9_twist_report_sweep():
                     mu % exact == 0
                     and exact * deg["phiB_over_F_exact"] == n
                 )
-            no_contradiction = not (
-                deg["phiB_equals_M"] and exact != 1
-            )
+            no_contradiction = (exact == 1) is (rep.concluded and mu == 1)
             if chain and exactness and no_contradiction:
                 good += 1
     ok = checked > 1000 and good == checked

@@ -402,7 +402,7 @@ class TestExample41:
         assert r["weil_r"] == 8
         twist = example_job(cli.EXAMPLE_41, "twist-x").results["twist"]
         assert twist["t"] == 1 and twist["mu_bound"] == 1
-        assert twist["conclusions"]["phiB_equals_M"] is True
+        assert twist["conclusions"]["exact_m_over_phiB"] == 1
         assert twist["conclusions"]["phiB_over_F_exact"] == r["phiB_over_F"] == 3
         assert r["conclusions"] == ["F_Phi(B) = M, [F_Phi(B):F] = 3"]
 
@@ -559,7 +559,7 @@ EXIT_CONTRACT = [
     pytest.param(["twist-x", "--json"], example41_twist_job(4), 2, '"holds": false',
                  id="twist-x-order-4-json"),
     pytest.param(["twist-x"], example41_twist_job(1), 1,
-                 "input error: payload: character order must be at least 2, got 1",
+                 "input error: character order must be at least 2, got 1",
                  id="twist-x-order-1"),
     # the rationals: their trivial fixed group is written as []
     pytest.param(["field", "--json"], {"field": {"real_subfield_of": 4}}, 0,
@@ -645,16 +645,16 @@ class TestMainExitCodes:
         assert main(["inertia", "--input", str(path)]) == 2        # the file alone runs p = 5
 
     @pytest.mark.parametrize("argv, message", [
-        (["base-cert", "--p", "3", "--q", "7"], "payload: q: must differ from 7"),
-        (["example-42", "--q", "7"], "payload: q: must differ from 7"),
-        (["base-cert", "--p", "3", "--q", "15"], "payload: q: 15 is not prime"),
-        (["base-cert", "--p", "15", "--q", "7"], "payload: p: 15 is not prime"),
-        (["base-cert", "--p", "3", "--q", "3"], "payload: the two primes must be distinct"),
+        (["base-cert", "--p", "3", "--q", "7"], "q: must differ from 7"),
+        (["example-42", "--q", "7"], "q: must differ from 7"),
+        (["base-cert", "--p", "3", "--q", "15"], "q: 15 is not prime"),
+        (["base-cert", "--p", "15", "--q", "7"], "p: 15 is not prime"),
+        (["base-cert", "--p", "3", "--q", "3"], "q: must differ from p"),
         (["inertia", "--p", "15"], "p: 15 is not prime"),
         (["inertia", "--p", "7"], "p: must differ from 7"),
-        (["discond", "--n", "-6", "--d", "-3"], "payload: n = -6 must be positive"),
-        (["discond", "--n", "6", "--d", "0"], "payload: d = 0 must be positive"),
-        (["discond", "--n", "6", "--d", "4"], "payload: d = 4 must divide n = 6"),
+        (["discond", "--n", "-6", "--d", "-3"], "n = -6 must be positive"),
+        (["discond", "--n", "6", "--d", "0"], "d = 0 must be positive"),
+        (["discond", "--n", "6", "--d", "4"], "d = 4 must divide n = 6"),
     ], ids=["base-cert-q-7", "example-42-q-7", "base-cert-q-15", "base-cert-p-15",
             "base-cert-p-equals-q", "inertia-15", "inertia-7", "discond-negative",
             "discond-d-0", "discond-d-4"])
@@ -677,7 +677,7 @@ class TestMainExitCodes:
                 "holds": False} in doc["hypotheses"]
         assert doc["statements"] == [] and doc["concluded"] is False
         assert (doc["payload"]["character"]["order"], doc["results"]["weil_r"]) == (2, 8)
-        assert set(doc["results"]["twist"]["conclusions"].values()) == {None, False}
+        assert set(doc["results"]["twist"]["conclusions"].values()) == {None}
 
     def test_json_flag_and_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -821,7 +821,7 @@ class TestMainExitCodes:
         path.write_text(json.dumps({**EXAMPLE_42_TWIST_E, "dim_x": dim_x, "dim_y": dim_y}))
         assert main(["twist-e", "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == (f"input error: payload: dimensions must be positive, "
+        assert err == (f"input error: dimensions must be positive, "
                        f"got dim(X) = {dim_x}, dim(Y) = {dim_y}\n"), err
 
     def test_twist_e_positive_degree_mismatch_is_a_hypothesis_failure(self, tmp_path, capsys):
@@ -903,7 +903,7 @@ BASE_CERT_STATEMENTS = (
 
 
 @pytest.mark.parametrize("command, payload, section, keys", [
-    ("twist-x", example41_twist_job(3), "twist", {"t", "w_k", "mu_bound", "conclusions"}),
+    ("twist-x", example41_twist_job(3), "twist", {"t", "mu_bound", "conclusions"}),
     ("twist-e", EXAMPLE_42_TWIST_E, "twist", {"t"}),
     ("base-cert", {"p": 3, "q": 17}, "certificate",
      {"certificate_p", "certificate_q", "conclusion"}),
@@ -911,14 +911,16 @@ BASE_CERT_STATEMENTS = (
 ], ids=["twist-x", "twist-e", "base-cert", "discond"])
 def test_results_hold_each_value_once(command, payload, section, keys):
     # a theorem's section holds what it computed; the payload is echoed
-    # once, under "payload".  Two keys still repeat another value: w_k is
-    # base.roots_of_unity, and phiB_equals_M is exact_m_over_phiB == 1
+    # once, under "payload"
     report = run_command(command, payload)
     assert set(report.results[section]) == keys
-    if command == "twist-x":
+    if command.startswith("twist"):
         assert set(report.results) == {"base", "multiplicities", "weil_r", "twist"}
+        assert set(report.results["base"]) == {
+            "conductor", "fixed_group", "degree", "is_cm", "roots_of_unity"}
+    if command == "twist-x":
         assert set(report.results["twist"]["conclusions"]) == {
-            "exact_m_over_phiB", "phiB_over_F_exact", "phiB_equals_M"}
+            "exact_m_over_phiB", "phiB_over_F_exact"}
 
 
 class TestHypothesisRecords:

@@ -18,7 +18,6 @@ from cmtwist.fields import (
     galois_group,
     is_cm,
     is_subfield,
-    is_totally_real,
     jacobi_symbol,
     maximal_real_subfield,
     quadratic,
@@ -41,6 +40,7 @@ from helpers import (
     coset_of,
     divisor_scan_field,
     example41_field,
+    fixes_conjugation,
     is_squarefree,
     kronecker_scan_quadratic_kernel,
     least,
@@ -267,9 +267,9 @@ class TestCMStructure:
     def test_predicates(self):
         assert is_cm(cyclotomic(7))
         assert not is_cm(RATIONALS)
-        assert is_totally_real(maximal_real_subfield(cyclotomic(17)))
-        assert is_totally_real(RATIONALS)
-        assert not is_cm(quadratic(5)) and is_totally_real(quadratic(5))
+        assert fixes_conjugation(maximal_real_subfield(cyclotomic(17)))
+        assert fixes_conjugation(RATIONALS) and not fixes_conjugation(cyclotomic(7))
+        assert not is_cm(quadratic(5)) and fixes_conjugation(quadratic(5))
 
     def test_real_subfield_of_seventh_cyclotomic(self):
         # adjoin -1 = 6 to the trivial fixed group
@@ -341,14 +341,14 @@ class TestCMStructure:
         assert cm_fields
         for K in cm_fields:
             L = maximal_real_subfield(K)
-            assert is_totally_real(L)
+            assert fixes_conjugation(L)
             assert K.degree == 2 * L.degree
             assert is_subfield(L, K)
 
     def test_exactly_one_of_cm_or_real(self):
         for K in lattice(51) + lattice(84):
             if K.degree > 1:
-                assert is_cm(K) != is_totally_real(K)
+                assert is_cm(K) != fixes_conjugation(K)
 
 
 class TestRootsOfUnity:
@@ -387,7 +387,7 @@ class TestRootsOfUnity:
 
     def test_real_fields_have_only_plus_minus_one(self):
         for K in lattice(84):
-            if is_totally_real(K):
+            if fixes_conjugation(K):
                 assert roots_of_unity_order(K) == 2
 
 

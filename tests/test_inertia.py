@@ -189,7 +189,7 @@ class TestPrimeBudget:
         assert captured.err == f"input error: p: more than MAX_PRIME_BITS = {MAX_PRIME_BITS} bits\n"
         assert main(["base-cert", "--p", "3", "--q", str(p)]) == 1
         assert capsys.readouterr().err == (
-            f"input error: payload: q: more than MAX_PRIME_BITS = {MAX_PRIME_BITS} bits\n")
+            f"input error: q: more than MAX_PRIME_BITS = {MAX_PRIME_BITS} bits\n")
 
 
 class TestResidueOrders:
@@ -417,7 +417,7 @@ class TestCertificates:
         assert len(cert.statements) == 3
 
     def test_base_certificate_shared_prime_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="^q: must differ from p$"):
             base_certificate(3, 3)
 
     def test_base_certificate_fails_at_2(self):

@@ -264,13 +264,13 @@ def rationals_jobs() -> list[tuple[str, dict]]:
 
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
-    "commands": ("a9fcbfa33b148c161d329a8c1868d8003c1214d787956ec9851e42fe945a1699",
+    "commands": ("4635b531519d3865a322512ce34c3a49a6111e27223df57863f2268f79cf97be",
                  {0: 15, 1: 5, 2: 6}),
-    "cmtype": ("104027d6470c977e1dcee61ba8526aab2cd015578a9b3f461dc64d37298056e8",
+    "cmtype": ("94ee63c5625a4b3ee3895fd001c710a416c695aeb8fd496c55f1786fe1c3c3b0",
                {0: 295, 1: 9}),
-    "twists": ("13f524eb2fa47986234ee6bba9cf43ecbd96856b2f60dca22696d019a8c05b0e",
+    "twists": ("b4033ce0d971736d9a97e06182d60e85fc0553f07bde9840102faf6b22debea6",
                {0: 90, 2: 326}),
-    "rationals": ("d16760923151730c5adf6be453f30d2f0eaec7efe5d99b84c59ad55af8509f30",
+    "rationals": ("65ed1c43728cbfdef695dedd6dc67c22c97d179991ccd95f40683340275d541f",
                   {0: 10, 1: 3}),
 }
 

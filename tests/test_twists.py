@@ -28,7 +28,7 @@ from helpers import example41_type, synthetic_weil_datum
 LEADING_X = ("F = F(End(B))", "F != F_Phi(A) or F != F_Phi(B)")
 LEADING_E = ("F = F(End(B))", "F(End(A)) != F_Phi(A) or F(End(B)) != F_Phi(B)")
 # twist_x's degrees when the report does not conclude
-NO_DEGREES = {"exact_m_over_phiB": None, "phiB_over_F_exact": None, "phiB_equals_M": False}
+NO_DEGREES = {"exact_m_over_phiB": None, "phiB_over_F_exact": None}
 
 
 def datum_41():
@@ -80,7 +80,7 @@ class TestMakeCharacter:
 
     def test_cubic_over_sqrt_minus3(self):
         rep = twist_x(datum_41(), 3)
-        assert rep.results["w_k"] == 6
+        assert roots_of_unity_order(datum_41().base) == 6
         assert Hypothesis(HYP_VALUES_IN_K, "checked", True) in rep.hypotheses
 
     def test_quadratic_always_possible(self):
@@ -97,7 +97,7 @@ class TestMakeCharacter:
         # w(Q(sqrt -7)) = 2, so no cubic values exist (3 does not divide r = 4)
         rep = twist_x(datum_42(), 3)
         refuted(rep, HYP_VALUES_IN_K)
-        assert (rep.results["w_k"], weil_r(datum_42())) == (2, 4)
+        assert (roots_of_unity_order(datum_42().base), weil_r(datum_42())) == (2, 4)
         assert rep.results["conclusions"] == NO_DEGREES
 
     def test_order_below_two_rejected(self):
@@ -110,9 +110,9 @@ class TestMakeCharacter:
         for n in range(3, 20):
             k, D = synthetic_weil_datum(n, 2)
             assert D.base == k == cyclotomic(2 * n)
-            res = twist_x(D, n).results
-            assert res["w_k"] == roots_of_unity_order(k)
-            assert res["w_k"] % n == 0
+            rep = twist_x(D, n)
+            assert roots_of_unity_order(k) % n == 0
+            assert Hypothesis(HYP_VALUES_IN_K, "checked", True) in rep.hypotheses
 
 
 def layer_orders(res: dict) -> tuple[int, int]:
@@ -151,7 +151,7 @@ class TestTwistX:
         res, deg = rep.results, rep.results["conclusions"]
         assert (weil_r(datum_41()), res["t"]) == (8, 1)
         assert res["mu_bound"] == 1
-        assert deg["phiB_equals_M"]
+        assert deg["exact_m_over_phiB"] == 1
         assert deg["phiB_over_F_exact"] == 3
         assert rep.concluded and all(h.holds for h in rep.hypotheses)
         assert rep.statements[:2] == LEADING_X
@@ -164,7 +164,6 @@ class TestTwistX:
         assert res["t"] == 2
         assert deg["exact_m_over_phiB"] == 2
         assert deg["phiB_over_F_exact"] == 3
-        assert not deg["phiB_equals_M"]
 
     def test_order_ten_fifth_cyclotomic(self):
         k = cyclotomic(5)
@@ -232,7 +231,7 @@ class TestTwistX:
         k, D = synthetic_weil_datum(9, 4)
         res = twist_x(D, 9).results
         deg = res["conclusions"]
-        assert res["t"] == 1 and deg["phiB_equals_M"] and deg["phiB_over_F_exact"] == 9
+        assert res["t"] == 1 and deg["exact_m_over_phiB"] == 1 and deg["phiB_over_F_exact"] == 9
 
     def test_deterministic_reports(self):
         rep1 = twist_x(datum_41(), 3)
@@ -336,7 +335,8 @@ class TestReportInvariants:
                 if r % n == 0:
                     continue
                 _, D = synthetic_weil_datum(n, r)
-                res = twist_x(D, n).results
+                rep = twist_x(D, n)
+                res = rep.results
                 t, mu, deg = res["t"], res["mu_bound"], res["conclusions"]
                 exact = deg["exact_m_over_phiB"]
                 assert t == gcd(n, 2 * r)
@@ -345,7 +345,8 @@ class TestReportInvariants:
                 if exact is not None:
                     assert mu % exact == 0
                     assert exact * deg["phiB_over_F_exact"] == n
-                assert not (deg["phiB_equals_M"] and exact != 1)
+                # F_Phi(B) = M is stated exactly when the report concludes with mu = 1
+                assert (exact == 1) is (rep.concluded and mu == 1)
 
     def test_character_existence_makes_mu_bound_t(self):
         # t | n | w(k) collapses the refinement onto t itself
