@@ -1,7 +1,7 @@
 """Exact arithmetic for abelian CM fields, CM-types, character twists,
 and connectedness-extension degree certificates."""
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 from .fields import (
     AbelianField,

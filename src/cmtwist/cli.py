@@ -415,8 +415,8 @@ def field_dict(K: AbelianField) -> dict:
 
 
 def _coset_lists(K: AbelianField, elements: list[int]) -> list[list[int]]:
-    """Each element's coset, as :func:`~cmtwist.fields.coset` lists it: a new
-    list per row, read from the field's table of sorted cosets."""
+    """Each element's coset, ascending: a new list per row, read from the
+    field's table of sorted cosets."""
     if len(K.fixed_group) == 1:
         return [[g] for g in elements]
     rows = _coset_rows(K)
@@ -462,13 +462,12 @@ def _run_cmtype(payload: dict) -> Conclusion:
         "field": field_dict(K),
         "type": _cmtype_list(T),
         "stabilizer": sorted(stab),
-        "primitive": stab == K.fixed_group,
         "reflex_field": field_dict(refl),
         "reflex_type_inverse": _cmtype_list(inv),
         "reflex_type_conjugate": _cmtype_list(conj),
     }
     statements = [
-        f"valid CM-type, {'primitive' if results['primitive'] else 'induced'}",
+        f"valid CM-type, {'primitive' if stab == K.fixed_group else 'induced'}",
         f"reflex field has conductor {refl.conductor} and degree {refl.degree}",
     ]
     if basis is not None:
@@ -544,13 +543,15 @@ class _Example(NamedTuple):
     """A worked example: its jobs (command -> payload, whose keys the example's
     payload overrides), the values read from their reports (result key ->
     command, report attribute, keys), its claims (statement, keys into the
-    results, expected value), its assumptions, and the paper's conclusions."""
+    results, expected value), its assumptions, the paper's conclusions, and
+    the jobs whose other assumed records it carries over."""
 
     jobs: dict[str, dict]
     reads: dict[str, tuple]
     claims: tuple[tuple, ...]
     assumed: tuple[str, ...]
     conclusions: tuple[str, ...]
+    carried: tuple[str, ...] = ()
 
 
 _K_41 = {"compositum": [{"quadratic": -3}, {"real_subfield_of": 17}]}
@@ -568,7 +569,6 @@ EXAMPLE_41 = _Example(
     },
     reads={
         "invariant_factors": ("field", "results", "invariant_factors"),
-        "primitive": ("cmtype", "results", "primitive"),
         "reflex_degree": ("cmtype", "results", "reflex_field", "degree"),
         "n_sigma": ("twist-x", "results", "multiplicities"),
         "weil_r": ("twist-x", "results", "weil_r"),
@@ -576,8 +576,9 @@ EXAMPLE_41 = _Example(
     },
     claims=(
         ("Gal(K/Q) = Z/2 x Z/8", "invariant_factors", [2, 8]),
-        ("Phi is primitive", "primitive", True),
-        # the reflex field is a subfield of K, so K when their degrees agree
+        # the reflex field is a subfield of K, so K when their degrees agree,
+        # and Phi is primitive exactly when its reflex field is K
+        ("Phi is primitive", "reflex_degree", 16),
         ("the reflex field of Phi is K", "reflex_degree", 16),
         ("n_sigma = 4 for both embeddings of k", "n_sigma",
          [{"coset": [1], "n": 4}, {"coset": [2], "n": 4}]),
@@ -622,12 +623,15 @@ EXAMPLE_42 = _Example(
     ),
     assumed=EXAMPLE_42_ASSUMED,
     conclusions=("K_Phi(A) = K", "Q_Phi(A^(d)) = L_d"),
+    # a prime at or above psi_13 is only a probable prime
+    carried=("base-cert",),
 )
 
 
 def _run_example(table: _Example, payload: dict) -> Conclusion:
     """Run the example's jobs through :func:`run`, read its values from their
-    reports, and record each claim as a checked hypothesis."""
+    reports, and record each claim as a checked hypothesis, then its own
+    assumptions and the carried jobs' other assumed records."""
     reports = {command: run(JobSpec(command, {k: payload.get(k, v) for k, v in job.items()}))
                for command, job in table.jobs.items()}
     results = {key: reduce(getitem, path, getattr(reports[command], attribute))
@@ -635,6 +639,8 @@ def _run_example(table: _Example, payload: dict) -> Conclusion:
     hypotheses = tuple(Hypothesis(statement, "checked", reduce(getitem, path, results) == expected)
                        for statement, *path, expected in table.claims)
     hypotheses += tuple(Hypothesis(name, "assumed", True) for name in table.assumed)
+    hypotheses += tuple(h for command in table.carried for h in reports[command].hypotheses
+                        if h.kind == "assumed" and h.name not in table.assumed)
     every = [h.name for h in hypotheses]
     statements, concluded = conclude(hypotheses, [(c, every) for c in table.conclusions])
     results["conclusions"] = list(statements)

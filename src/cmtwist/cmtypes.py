@@ -15,8 +15,8 @@ ints and the multiplicity keys are ints.  Products, conjugates and
 restrictions are single lookups in the field's table ``rep`` of least
 residues (``fields._coset_rep``): g*c is ``rep[g * c % m]``, the conjugate
 of c is ``rep[(m - 1) * c % m]``, and c restricts to the subfield k as
-``rep_k[c % m_k]``.  Elements become residue lists only in reports and
-error messages.
+``rep_k[c % m_k]``.  Elements become residue lists only in reports;
+error messages name them by their least residues.
 
 A type fixes its reflex field, the fixed field of its stabilizer, so
 :func:`reflex` takes the type alone and returns the stabilizer, the
@@ -31,7 +31,6 @@ from .fields import (
     AbelianField,
     _coset_rep,
     _galois_basis,
-    coset,
     field_from,
     galois_group,
     is_cm,
@@ -64,12 +63,13 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
 
     Elements of ``psi`` may be any unit residues mod m.  The coset table
     decides that: on a CM field m >= 3, so ``rep`` holds 0 exactly off the
-    units, and a label in [0, m) is a unit when its entry is not 0.
+    units, and a label in [0, m) is a unit when its entry is not 0.  A
+    message names a Galois element by its least residue, as the type's
+    ``repr`` does, so its length does not grow with the fixed group.
 
-    >>> from .fields import cyclotomic
-    >>> T = validate_cm_type(cyclotomic(7), [1, 2, 3])
-    >>> [coset(T.field, g) for g in sorted(T.psi)]
-    [[1], [2], [3]]
+    >>> from .fields import quadratic
+    >>> validate_cm_type(quadratic(-7), [5]).psi
+    frozenset({3})
     """
     if not is_cm(K):
         raise ValueError(f"{K!r} is not a CM field")
@@ -84,9 +84,7 @@ def validate_cm_type(K: AbelianField, psi: Iterable[int]) -> CMType:
         raise ValueError(f"half-system must have {half} elements, got {len(elements)}")
     for g in sorted(elements):
         if rep[(m - 1) * g % m] in elements:
-            raise ValueError(
-                f"not a half-system: {coset(K, g)} appears together with its conjugate"
-            )
+            raise ValueError(f"not a half-system: {g} appears together with its conjugate")
     return CMType(K, elements)
 
 
@@ -142,8 +140,8 @@ def reflex(T: CMType) -> tuple[frozenset[int], AbelianField, CMType, CMType]:
     >>> stab, refl, inv, conj = reflex(validate_cm_type(cyclotomic(7), [1, 2, 4]))
     >>> sorted(stab), refl.degree
     ([1, 2, 4], 2)
-    >>> [coset(refl, g) for g in inv.psi], [coset(refl, g) for g in conj.psi]
-    ([[1, 2, 4]], [[3, 5, 6]])
+    >>> sorted(inv.psi), sorted(conj.psi)
+    ([1], [3])
     """
     K = T.field
     m = K.conductor

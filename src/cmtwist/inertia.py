@@ -6,7 +6,9 @@ order (p^6 - 1)/(p^2 + p + 1); the Frobenius powers p^3, p^4, p^5 realize
 the Galois elements of exponents 6, 4, 5; and neither p^2 + p + 1 nor
 p^2 - 1 is divisible by 7.  All of them follow from the congruence, so a
 certificate checks the congruence alone, states the arithmetic at p as
-witnesses resting on it, and concludes exactly when it holds.
+witnesses resting on it, and concludes exactly when it holds.  The
+witnesses are formulas in p: the one number they name, the inertia
+order, is written once, in the certificate's results.
 
 Primality is decided here too, with the standard library only: trial
 division by the primes below 50, then Miller-Rabin to the first 13 primes
@@ -14,15 +16,17 @@ from 2^64 to 3.3e24, where it is proven (Sorenson and Webster, Math. Comp.
 86, 2017), and the strong Baillie-PSW test elsewhere (Baillie and
 Wagstaff, Math. Comp. 35, 1980).  That test has no counterexample below
 2^64, where it has been checked exhaustively (Baillie, Fiori and
-Wagstaff, Math. Comp. 90, 2021), and none is known above 3.3e24.  Primes
-have at most MAX_PRIME_BITS bits, so that every witness prints p^6 - 1
-within CPython's default limit of 4,300 digits.
+Wagstaff, Math. Comp. 90, 2021), and none is known above 3.3e24, so a
+certificate at a prime from 3.3e24 on rests on an assumed record that
+the prime is one.  Primes have at most MAX_PRIME_BITS bits: there
+:func:`isprime` takes about 0.11 s in process, and the largest number a
+report prints, the inertia order, below p^4, has at most 2,866 digits,
+within CPython's default limit of 4,300.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-from typing import Optional
+from math import isqrt
 
 from .fields import jacobi_symbol
 from .twists import Conclusion, Hypothesis, conclude
@@ -35,7 +39,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # decides primality.
 _MR_BASES = (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES[:13])
 
-# The largest bit length at which p^6 - 1 has at most 4,300 digits.
+# isprime takes about 0.11 s at this bit length (Python 3.11, 2-vCPU host),
+# and the inertia order, below p^4, prints in at most 2,866 digits.
 MAX_PRIME_BITS = 2380
 
 
@@ -134,21 +139,38 @@ def isprime(n: int) -> bool:
 CLASS_NUMBER_ASSUMPTION = "class number 1"
 GOOD_REDUCTION_ASSUMPTION = "good reduction outside 7"
 
+# The arithmetic at p that p = 3 (mod 7) proves, written as formulas in p.
+_WITNESSES = (
+    "(p^6 - 1)/(p^2 + p + 1) = inertia_order",
+    "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1",
+    "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)",
+    "(p^2 + p + 1, p^2 - 1) = (6, 1) (mod 7)",
+)
+
+
+def _probable_primes(**primes: int) -> tuple[Hypothesis, ...]:
+    """An assumed record for each named prime at or above psi_13, the bound
+    of :data:`_MR_BASES`, where :func:`isprime` proves nothing: its verdict
+    there is a strong Baillie-PSW probable prime."""
+    return tuple(Hypothesis(f"{key} is prime (strong Baillie-PSW probable prime)", "assumed", True)
+                 for key, n in primes.items() if n >= _MR_BASES[0])
+
 
 def kitself_certificate(p: int) -> Conclusion:
     """Check p = 3 (mod 7) at a prime p other than 7; conclude K' = K if it holds.
 
     p has at most MAX_PRIME_BITS bits, and its primality is decided once,
     here, by isprime: a proof below 3.3e24, and above it only a strong
-    Baillie-PSW probable prime, which no record of the certificate names.
-    The congruence is the one checked record.  When it holds, the arithmetic at
-    p is stated as witnesses resting on it: they are statements and not
-    checks because the congruence proves each of them.  For every p,
-    q = p^2 + p + 1 divides p^3 - 1 = (p - 1) q, so #(I_p) = (p^6 - 1)/q is
-    an integer, and p^6 - 1 is prime to p, so gcd(p^6 - 1, p^3 q) = q.  The
+    Baillie-PSW probable prime, which an assumed record then names.  The
+    congruence is the one checked record.  When it holds, the arithmetic at
+    p is stated as witnesses resting on it (and on the primality record,
+    when there is one): they are statements and not checks because the
+    congruence proves each of them.  For every p, q = p^2 + p + 1 divides
+    p^3 - 1 = (p - 1) q, so #(I_p) = (p^6 - 1)/q = (p - 1)(p^3 + 1) is an
+    integer, and p^6 - 1 is prime to p, so gcd(p^6 - 1, p^3 q) = q.  The
     residues mod 7 of p^3, p^4, p^5, p^2 + p + 1 and p^2 - 1 depend on p
     mod 7 alone; at 3 they are 6, 4, 5, 6 and 1, so 7 divides neither of
-    the last two.
+    the last two.  The witnesses name no number that depends on p.
 
     >>> kitself_certificate(3).results["conclusion"]
     "K' = K"
@@ -162,24 +184,15 @@ def kitself_certificate(p: int) -> Conclusion:
     if p == 7:
         raise ValueError("must differ from 7")
     congruence = Hypothesis("p = 3 (mod 7)", "checked", p % 7 == 3)
-    hypotheses = (congruence, Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True))
-    order: Optional[int] = None
-    witnesses = []
-    if congruence.holds:
-        q = p * p + p + 1
-        big = p**6 - 1
-        order = big // q
-        frob = (pow(p, 3, 7), pow(p, 4, 7), pow(p, 5, 7))
-        witnesses = [
-            f"{p} = {p % 7} (mod 7)",
-            f"({p}^6 - 1)/{q} = {order}",
-            f"gcd({big}, {p**3 * q}) = {gcd(big, p**3 * q)}",
-            f"(p^3, p^4, p^5) = {frob} (mod 7)",
-            f"p^2 + p + 1 = {q}",
-            f"p^2 - 1 = {p * p - 1}",
-        ]
-    statements, concluded = conclude(hypotheses, [(w, [congruence.name]) for w in witnesses])
-    results = {"p": p, "inertia_order": order, "conclusion": "K' = K" if concluded else None}
+    primality = _probable_primes(p=p)
+    hypotheses = (congruence, Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True), *primality)
+    rests_on = [congruence.name, *(h.name for h in primality)]
+    statements, concluded = conclude(hypotheses, [(w, rests_on) for w in _WITNESSES])
+    results = {
+        "p": p,
+        "inertia_order": (p - 1) * (p**3 + 1) if congruence.holds else None,
+        "conclusion": "K' = K" if concluded else None,
+    }
     return Conclusion(results, hypotheses, statements, concluded)
 
 
@@ -187,7 +200,8 @@ def base_certificate(p: int, q: int) -> Conclusion:
     """Certify K_Phi(A) = K from inertia certificates at two distinct primes.
 
     The two per-prime certificates are checked hypotheses, and every
-    statement rests on both of them and on both assumptions, so a failed
+    statement rests on both of them, on both assumptions and on the
+    primality record of each prime at or above 3.3e24, so a failed
     certificate withholds them all.  A prime that
     :func:`kitself_certificate` refuses raises its ``ValueError`` prefixed
     with the argument's name, ``p`` or ``q``, and q = p is refused as ``q``.
@@ -211,6 +225,7 @@ def base_certificate(p: int, q: int) -> Conclusion:
         Hypothesis(f"K' = K at q = {q}", "checked", cert_q.concluded),
         Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True),
         Hypothesis(GOOD_REDUCTION_ASSUMPTION, "assumed", True),
+        *_probable_primes(p=p, q=q),
     )
     every = [h.name for h in hypotheses]
     statements, concluded = conclude(hypotheses, (

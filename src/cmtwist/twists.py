@@ -132,7 +132,7 @@ def twist_x(
     3
     """
     if n < 2:
-        raise ValueError(f"character order must be at least 2, got {n}")
+        raise ValueError(f"character.order: must be at least 2, got {n}")
     w_k = roots_of_unity_order(D.base)
     r = weil_r(D)
     t = gcd(n, 2 * r)
@@ -192,18 +192,17 @@ def twist_e(
     by a character with values in k^x, k = D.base.
 
     A dimension below 1, or a datum whose dimension is not dim(X) + dim(Y),
-    raises ``ValueError``.  The checked hypotheses [k:Q] = 2 dim(Y), t odd
+    raises ``ValueError`` with a message led by ``dim_x`` or ``dim_y``.  The checked hypotheses [k:Q] = 2 dim(Y), t odd
     and the Weil balance are computed, and every hypothesis is recorded as
     in :func:`twist_x`.  By construction c takes values in k^x and is the
     non-trivial character of M/F, so neither fact is a record.
     """
-    if dim_x < 1 or dim_y < 1:
-        raise ValueError(
-            f"dimensions must be positive, got dim(X) = {dim_x}, dim(Y) = {dim_y}")
+    for key, dim in (("dim_x", dim_x), ("dim_y", dim_y)):
+        if dim < 1:
+            raise ValueError(f"{key}: must be positive, got {dim}")
     if D.dim != dim_x + dim_y:
-        raise ValueError(
-            f"datum dimension {D.dim} does not match dim(X) + dim(Y) = {dim_x + dim_y}"
-        )
+        raise ValueError(f"dim_x: dim(X) + dim(Y) = {dim_x + dim_y} does not match "
+                         f"the datum dimension {D.dim}")
     t, rem = divmod(dim_x, dim_y)
     hypotheses = (
         Hypothesis(HYP_DEG_K, "checked", D.base.degree == 2 * dim_y),

@@ -21,7 +21,6 @@ from cmtwist.fields import (
     AbelianField,
     _coset_rep,
     compositum,
-    coset,
     cyclotomic,
     field_from,
     galois_group,
@@ -520,9 +519,7 @@ def coset_mul_validate_cm_type(K: AbelianField, psi) -> CMType:
     conj = conjugation_set(K)
     for c in sorted(cosets, key=min):
         if coset_mul(K.conductor, conj, c) in cosets:
-            raise ValueError(
-                f"not a half-system: {sorted(c)} appears together with its conjugate"
-            )
+            raise ValueError(f"not a half-system: {least(c)} appears together with its conjugate")
     return CMType(K, frozenset(map(least, cosets)))
 
 
@@ -606,7 +603,8 @@ def appended_balance_product(D: WeilDatum):
 
 def sorted_cosets(T: CMType) -> tuple[tuple[int, ...], ...]:
     """The cosets of psi as ascending residue tuples, by least residue."""
-    return tuple(tuple(coset(T.field, g)) for g in sorted(T.psi))
+    K = T.field
+    return tuple(tuple(sorted(coset_of(K.conductor, K.fixed_group, g))) for g in sorted(T.psi))
 
 
 def induced_cm_type(K: AbelianField, T_small: CMType) -> CMType:

@@ -104,14 +104,14 @@ def test_criterion_5_inertia_arithmetic_at_3():
     unit = unit_generator_check()
     ok = (
         checks == {"p = 3 (mod 7)": True}
-        and cert.results["inertia_order"] == 56
-        and "(3^6 - 1)/13 = 56" in cert.statements
+        and cert.results["inertia_order"] == 56 == (3**6 - 1) // 13
+        and "(p^6 - 1)/(p^2 + p + 1) = inertia_order" in cert.statements
         and gcd(3**6 - 1, 3**3 * 13) == 13
-        and "gcd(728, 351) = 13" in cert.statements
+        and "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1" in cert.statements
         and (pow(3, 3, 7), pow(3, 4, 7), pow(3, 5, 7)) == (6, 4, 5)
         and "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)" in cert.statements
-        and 13 % 7 != 0 and "p^2 + p + 1 = 13" in cert.statements
-        and 8 % 7 != 0 and "p^2 - 1 = 8" in cert.statements
+        and (13 % 7, 8 % 7) == (6, 1)
+        and "(p^2 + p + 1, p^2 - 1) = (6, 1) (mod 7)" in cert.statements
         and unit["reduction_value_mod_7"] == 5
         and unit["reduction_order"] == 6                 # 5 generates (Z/7)^x
         and unit["unit_identity_holds"]                  # (x - 1)(-1 - x) = 1 - x^2

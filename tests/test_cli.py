@@ -310,7 +310,8 @@ class TestReports:
             "cmtype", {"field": {"cyclotomic": 7}, "type": [1, 2, 3]}
         )
         r = report.results
-        assert r["primitive"] is True
+        assert report.statements[0] == "valid CM-type, primitive"
+        assert r["stabilizer"] == r["field"]["fixed_group"]
         assert r["reflex_type_inverse"] == [[1], [4], [5]]
         assert r["reflex_type_conjugate"] == [[4], [5], [6]]
 
@@ -322,7 +323,8 @@ class TestReports:
         }
         report = run_command("cmtype", payload)
         r = report.results
-        assert r["primitive"] is True
+        assert "valid CM-type, primitive" in report.statements
+        assert r["stabilizer"] == r["field"]["fixed_group"]
         assert r["reflex_field"]["degree"] == 16
         assert r["coordinate_basis"][0] == {"generator": 50, "order": 2}
 
@@ -395,9 +397,11 @@ class TestExample41:
         r = report.results
         assert report.concluded
         assert r["invariant_factors"] == [2, 8]
-        assert r["primitive"] and r["reflex_degree"] == example41_field().degree
-        cmtype = example_job(cli.EXAMPLE_41, "cmtype").results
-        assert cmtype["reflex_field"] == cmtype["field"]            # the reflex field is K
+        # Phi is primitive exactly when its reflex field is K
+        assert "primitive" not in r and r["reflex_degree"] == example41_field().degree
+        cmtype = example_job(cli.EXAMPLE_41, "cmtype")
+        assert cmtype.results["reflex_field"] == cmtype.results["field"]    # the reflex field is K
+        assert cmtype.statements[0] == "valid CM-type, primitive"
         assert [e["n"] for e in r["n_sigma"]] == [4, 4]
         assert r["weil_r"] == 8
         twist = example_job(cli.EXAMPLE_41, "twist-x").results["twist"]
@@ -538,12 +542,14 @@ EXIT_CONTRACT = [
     pytest.param(["example-42"], None, 0, "Q_Phi(A^(d)) = L_d", id="example-42"),
     pytest.param(["discond", "--n", "6", "--d", "2", "--json"], None, 0,
                  '"gal_phiB_over_F": "Z/3"', id="discond-json"),
-    # a certificate checks p = 3 (mod 7) alone; its witnesses rest on that record
-    pytest.param(["inertia", "--p", "3"], None, 0, "(3^6 - 1)/13 = 56", id="inertia-3"),
+    # a certificate checks p = 3 (mod 7) alone; its witnesses, formulas in p,
+    # rest on that record
+    pytest.param(["inertia", "--p", "3"], None, 0, "(p^6 - 1)/(p^2 + p + 1) = inertia_order",
+                 id="inertia-3"),
     # a prime = 3 (mod 7) below 2^64, and the least Chernick number that is
     # a strong pseudoprime to base 2: Baillie-PSW decides both
     pytest.param(["inertia", "--p", "1000000000121"], None, 0,
-                 "1000000000121 = 3 (mod 7)", id="inertia-below-2-64"),
+                 "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)", id="inertia-below-2-64"),
     pytest.param(["inertia", "--p", "27278026129"], None, 1,
                  "input error: p: 27278026129 is not prime", id="inertia-chernick"),
     pytest.param(["inertia"], None, 1, "input error: payload: missing key(s) ['p']",
@@ -551,6 +557,10 @@ EXIT_CONTRACT = [
     # two primes = 3 (mod 7) above 3.3e24, decided by the Baillie-PSW path
     pytest.param(["base-cert", "--p", str(10**30 + 709), "--q", str(10**30 + 751), "--json"],
                  None, 0, '"conclusion": "K_Phi(A) = K = Q_Phi(A)"', id="base-cert-above-psi13"),
+    # above 3.3e24 a prime is only a strong Baillie-PSW probable prime, a record assumed
+    pytest.param(["inertia", "--p", str(10**30 + 709)], None, 0,
+                 "assumed: class number 1; p is prime (strong Baillie-PSW probable prime)",
+                 id="inertia-above-psi13"),
     pytest.param(["base-cert", "--p", "3", "--q", "2"], None, 2, "NOT CONCLUDED",
                  id="base-cert-q-2"),
     # w(Q(sqrt -3)) = 6, so no character of order 4 takes values in k^x
@@ -559,7 +569,7 @@ EXIT_CONTRACT = [
     pytest.param(["twist-x", "--json"], example41_twist_job(4), 2, '"holds": false',
                  id="twist-x-order-4-json"),
     pytest.param(["twist-x"], example41_twist_job(1), 1,
-                 "input error: character order must be at least 2, got 1",
+                 "input error: character.order: must be at least 2, got 1",
                  id="twist-x-order-1"),
     # the rationals: their trivial fixed group is written as []
     pytest.param(["field", "--json"], {"field": {"real_subfield_of": 4}}, 0,
@@ -596,6 +606,12 @@ EXIT_CONTRACT = [
     pytest.param(["cmtype"], {"field": {"compositum": [{"quadratic": -3}, {"cyclotomic": 5}]},
                               "type": [1, 4, 7, 13]},
                  0, "reflex field has conductor 3", id="cmtype-reflex-conductor-3"),
+    # a pair of conjugates on Q(sqrt -3, sqrt -83333), m = 999,996 and |H| = 82,668:
+    # the message names the Galois element by its least residue, not its coset
+    pytest.param(["cmtype"], {"field": {"compositum": [{"quadratic": -3}, {"quadratic": -83333}]},
+                              "type": [1, 999995]},
+                 1, "input error: type: not a half-system: 1 appears together with its conjugate",
+                 id="cmtype-conjugate-pair-at-the-conductor-budget"),
 ]
 
 
@@ -812,7 +828,8 @@ class TestMainExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["twist-e", "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("input error: ") and "datum dimension 4" in err
+        assert err == ("input error: dim_x: dim(X) + dim(Y) = 6 does not match "
+                       "the datum dimension 4\n"), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("dim_x, dim_y", [(3, 0), (3, -1), (0, 1)])
@@ -821,8 +838,8 @@ class TestMainExitCodes:
         path.write_text(json.dumps({**EXAMPLE_42_TWIST_E, "dim_x": dim_x, "dim_y": dim_y}))
         assert main(["twist-e", "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == (f"input error: dimensions must be positive, "
-                       f"got dim(X) = {dim_x}, dim(Y) = {dim_y}\n"), err
+        key, dim = ("dim_x", dim_x) if dim_x < 1 else ("dim_y", dim_y)
+        assert err == f"input error: {key}: must be positive, got {dim}\n", err
 
     def test_twist_e_positive_degree_mismatch_is_a_hypothesis_failure(self, tmp_path, capsys):
         # the Jacobian and its conjugate, dim 6 = 3 + 3, but [k:Q] = 2 != 6

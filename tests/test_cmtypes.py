@@ -20,7 +20,6 @@ from cmtwist.cmtypes import (
 from cmtwist.fields import (
     _coset_rep,
     compositum,
-    coset,
     cyclotomic,
     field_from,
     galois_group,
@@ -43,6 +42,7 @@ from helpers import (
     coset_mul_stabilizer,
     coset_mul_translate,
     coset_mul_validate_cm_type,
+    coset_of,
     element_set,
     example41_field,
     example41_type,
@@ -220,7 +220,7 @@ def test_stabilizer_fields_match_the_checked_path():
     # reflex hands the stabilizer to field_from, which trusts it to be a
     # subgroup: the closure oracle checks that it is one.  A primitive type's
     # reflex field is K itself, with no field_from call; the report's coset
-    # rows of each type are expanded without coset
+    # rows of each type are the cosets listed from H
     fields = cm_fields(40, 8)
     induced = [validate_cm_type(cyclotomic(7), [1, 2, 4]),
                validate_cm_type(compositum(quadratic(-3), cyclotomic(5)), [1, 4, 7, 13])]
@@ -232,7 +232,8 @@ def test_stabilizer_fields_match_the_checked_path():
             assert stab == stabilizer(T) == subgroup(m, stab), T
             assert refl == field_from(m, stabilizer(T)), T
             for t in (T, inv, conj):
-                assert _cmtype_list(t) == [coset(t.field, g) for g in sorted(t.psi)], t
+                m_t, H_t = t.field.conductor, t.field.fixed_group
+                assert _cmtype_list(t) == [sorted(coset_of(m_t, H_t, g)) for g in sorted(t.psi)], t
 
 
 class TestReflexType:

@@ -10,10 +10,10 @@ exactly when the degree exceeds 1 and complex conjugation m - 1 lies
 outside H, and w(K) is a brute-force count of the roots of unity.  A
 ``field`` report's invariant factors must give the element-order
 histogram of (Z/m)^x/H.  A ``cmtype`` report must hold the payload's
-half-system as sorted cosets, the stabilizer of ``scan_stabilizer``,
-``primitive`` exactly when that stabilizer is H, its fixed field as the
-reflex field, and both reflex types as recomputed here: the image in the
-reflex field of psi^-1 and of the conjugate c psi.  A change of field or
+half-system as sorted cosets, the stabilizer of ``scan_stabilizer``, its
+fixed field as the reflex field, both reflex types as recomputed here (the
+image in the reflex field of psi^-1 and of the conjugate c psi), and a
+statement that says "primitive" exactly when that stabilizer is H.  A change of field or
 CM-type report bytes, and the re-pin of their digests, is judged by this
 test.
 """
@@ -47,7 +47,7 @@ from test_report_bytes import (  # noqa: F401
 from test_twist_reports import component_type, degree, literal_field, roots_of_unity_count
 
 FIELD_KEYS = {"conductor", "fixed_group", "degree", "is_cm", "roots_of_unity"}
-CMTYPE_KEYS = {"field", "type", "stabilizer", "primitive", "reflex_field",
+CMTYPE_KEYS = {"field", "type", "stabilizer", "reflex_field",
                "reflex_type_inverse", "reflex_type_conjugate"}
 
 
@@ -115,7 +115,6 @@ def check_cmtype_report(payload: dict, doc: dict, field_of) -> None:
     assert res["type"] == rows and is_half_system(m, H, rows)
     stab = scan_stabilizer(CMType(K, frozenset(row[0] for row in rows)))
     assert res["stabilizer"] == sorted(stab)
-    assert res["primitive"] is (stab == H)
     assert reflex == divisor_scan_field(m, stab)
     psi = [x for row in rows for x in row]
     m_r, H_r = reflex.conductor, reflex.fixed_group

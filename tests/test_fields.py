@@ -11,7 +11,6 @@ from cmtwist.fields import (
     _coset_rep,
     _coset_rows,
     compositum,
-    coset,
     cyclotomic,
     factorint,
     field_from,
@@ -155,7 +154,7 @@ class TestConstructors:
     def test_rationals_are_the_pair_one_and_zero(self):
         # Gal(Q/Q) is the unit 0 of (Z/1)^x, a coset of its own fixed group
         assert galois_group(RATIONALS) == unit_group(1) == (0,)
-        assert coset(RATIONALS, 0) == [0] and _coset_rep(RATIONALS) == (0,)
+        assert coset_of(1, RATIONALS.fixed_group, 0) == {0} and _coset_rep(RATIONALS) == (0,)
         for m in (1, 2, 3, 4, 6):
             assert maximal_real_subfield(cyclotomic(m)) == RATIONALS
         assert field_from(12, unit_group(12)) == RATIONALS
@@ -287,7 +286,7 @@ class TestCMStructure:
         K = cyclotomic(7)
         assert conj(K) == 6
         k = quadratic(-7)
-        assert conj(k) == 3 and coset(k, 3) == [3, 5, 6]
+        assert conj(k) == 3 and coset_of(7, k.fixed_group, 3) == {3, 5, 6}
         assert conj(maximal_real_subfield(K)) == 1
         assert conj(RATIONALS) == 0
 
@@ -299,7 +298,7 @@ class TestCMStructure:
             assert galois_group(K) == tuple(map(least, cosets))
             where = {x: least(c) for c in cosets for x in c}
             assert _coset_rep(K) == tuple(where.get(x, 0) for x in range(m))
-            assert all(coset(K, least(c)) == sorted(c) for c in cosets)
+            assert all(coset_of(m, K.fixed_group, least(c)) == c for c in cosets)
             assert _coset_rep(K)[m - 1] == least(conjugation_set(K))
             for k in subgroup_lattice_subfields(K):
                 rep_k = _coset_rep(k)
@@ -309,9 +308,9 @@ class TestCMStructure:
                 ]
 
     def test_coset_table_matches_brute_force(self):
-        # every unit of every field, the least residue of its coset or any
-        # other, against the coset listed from H; the table of sorted cosets
-        # holds exactly the Galois elements, each with its listed coset
+        # every unit of every field, through the least residue of its coset,
+        # against the coset listed from H: the table of sorted cosets holds
+        # exactly the Galois elements, each with its listed coset
         reals = (quadratic(5), quadratic(2), maximal_real_subfield(cyclotomic(13)),
                  maximal_real_subfield(cyclotomic(35)), compositum(quadratic(5), quadratic(13)))
         for K in cm_fields(40, 8) + (RATIONALS,) + reals:
@@ -320,20 +319,7 @@ class TestCMStructure:
             assert list(rows) == list(galois_group(K))
             for g in unit_group(m):
                 expected = sorted(g * h % m for h in H)
-                got = coset(K, g)
-                assert got == expected, (K, g)
-                got.append(-1)          # a new list each time
-                assert coset(K, g) == expected
                 assert rows[_coset_rep(K)[g]] == tuple(expected), (K, g)
-
-    def test_coset_of_a_non_unit_is_refused(self):
-        k = quadratic(-7)
-        assert coset(k, 5) == coset(k, 3) == [3, 5, 6]
-        for K, g in ((k, 0), (k, 7), (k, -1), (k, 14), (cyclotomic(12), 0), (cyclotomic(12), 2),
-                     (cyclotomic(7), 0), (quadratic(5), 5), (RATIONALS, 1)):
-            with pytest.raises(ValueError, match="is not a unit residue"):
-                coset(K, g)
-        assert coset(RATIONALS, 0) == [0]
 
     def test_every_cm_field_has_index_two_real_subfield(self):
         corpus = lattice(51) + lattice(84)

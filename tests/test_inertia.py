@@ -157,19 +157,26 @@ class TestIsPrime:
 
 
 class TestPrimeBudget:
-    def test_budget_is_the_digit_limit_of_the_witnesses(self):
-        # p^6 - 1, the largest integer a witness prints, has at most 4,300
-        # digits below 2^MAX_PRIME_BITS, and can have more one bit higher
-        assert (2**MAX_PRIME_BITS - 1) ** 6 - 1 < 10**4300
-        assert (2 ** (MAX_PRIME_BITS + 1) - 1) ** 6 - 1 >= 10**4300
+    def test_largest_printed_number_at_the_budget(self):
+        # the inertia order (p - 1)(p^3 + 1) < p^4 is the largest integer a
+        # certificate prints: at most 2,866 digits below 2^MAX_PRIME_BITS,
+        # within CPython's 4,300, and 2,866 at the budget's prime
+        assert (2**MAX_PRIME_BITS) ** 4 < 10**2866 < 10**4300
+        p = 2**MAX_PRIME_BITS - 2253
+        order = kitself_certificate(p).results["inertia_order"]
+        assert order < p**4 and len(str(order)) == 2866
 
     def test_prime_at_the_budget_concludes_and_serializes(self, tmp_path, capsys):
         p = 2**MAX_PRIME_BITS - 2253
         assert p.bit_length() == MAX_PRIME_BITS and p % 7 == 3 and sympy.isprime(p)
         out = tmp_path / "report.json"
         assert main(["inertia", "--p", str(p), "--output", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["concluded"] and f"p^2 - 1 = {p * p - 1}" in report["statements"]
+        text = out.read_text()
+        report = json.loads(text)
+        assert report["concluded"] and report["statements"] == WITNESSES
+        # each number once: p in the payload and the certificate, the order
+        assert report["results"]["certificate"]["inertia_order"] == (p**6 - 1) // (p * p + p + 1)
+        assert len(text) <= 6000 and text.count(str(p)) == 2
 
     @pytest.mark.parametrize("p", [
         10**720 + 667,                            # prime, 3 (mod 7)
@@ -213,8 +220,14 @@ class TestResidueOrders:
 
 
 # the certificate's one check, a checked record named by its statement;
-# the arithmetic at p is stated as witnesses resting on it
+# the arithmetic at p is stated as witnesses resting on it, formulas in p
 CONGRUENCE = "p = 3 (mod 7)"
+WITNESSES = [
+    "(p^6 - 1)/(p^2 + p + 1) = inertia_order",
+    "gcd(p^6 - 1, p^3 (p^2 + p + 1)) = p^2 + p + 1",
+    "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)",
+    "(p^2 + p + 1, p^2 - 1) = (6, 1) (mod 7)",
+]
 
 
 def holds(cert, name):
@@ -249,8 +262,7 @@ class TestInertiaOrder:
             cert = kitself_certificate(p)
             assert cert.results["inertia_order"] * q == p**6 - 1
             assert holds(cert, CONGRUENCE) is True
-            assert f"({p}^6 - 1)/{q} = {(p**6 - 1) // q}" in cert.statements
-            assert f"gcd({p**6 - 1}, {p**3 * q}) = {q}" in cert.statements
+            assert list(cert.statements) == WITNESSES
 
 
 class TestFrobeniusExponents:
@@ -282,7 +294,7 @@ class TestSevenDivisibility:
         # (7 | p^2 + p + 1, 7 | p^2 - 1) at p = 3, 2, 13
         for p, divides in ((3, (False, False)), (2, (True, False)), (13, (False, True))):
             assert ((p * p + p + 1) % 7 == 0, (p * p - 1) % 7 == 0) == divides
-        assert {"p^2 + p + 1 = 13", "p^2 - 1 = 8"} <= set(kitself_certificate(3).statements)
+        assert "(p^2 + p + 1, p^2 - 1) = (6, 1) (mod 7)" in kitself_certificate(3).statements
 
     def test_residue_classification(self):
         for p in primerange(3, 500):
@@ -290,11 +302,11 @@ class TestSevenDivisibility:
                 continue
             assert ((p * p + p + 1) % 7 == 0) is (p % 7 in (2, 4))
             assert ((p * p - 1) % 7 == 0) is (p % 7 in (1, 6))
-            # the congruence excludes both classes, and both witnesses rest on it
+            # the congruence excludes both classes, and the witness rests on it
+            assert ((p * p + p + 1) % 7, (p * p - 1) % 7) == (6, 1) or p % 7 != 3
             cert = kitself_certificate(p)
             assert holds(cert, CONGRUENCE) is (p % 7 == 3)
-            assert (f"p^2 + p + 1 = {p * p + p + 1}" in cert.statements) is (p % 7 == 3)
-            assert (f"p^2 - 1 = {p * p - 1}" in cert.statements) is (p % 7 == 3)
+            assert (WITNESSES[3] in cert.statements) is (p % 7 == 3)
 
 
 class TestUnitGenerator:
@@ -378,9 +390,7 @@ class TestCertificates:
         assert cert.concluded
         assert cert.results["conclusion"] == "K' = K"
         assert cert.results["inertia_order"] == 56
-        assert cert.statements == (
-            "3 = 3 (mod 7)", "(3^6 - 1)/13 = 56", "gcd(728, 351) = 13",
-            "(p^3, p^4, p^5) = (6, 4, 5) (mod 7)", "p^2 + p + 1 = 13", "p^2 - 1 = 8")
+        assert list(cert.statements) == WITNESSES
         assert cert.hypotheses == (Hypothesis(CONGRUENCE, "checked", True),
                                    Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True))
         assert set(cert.results) == {"p", "inertia_order", "conclusion"}
@@ -456,6 +466,51 @@ class TestCertificates:
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(kitself_certificate, primes))
         assert parallel == [kitself_certificate(p) for p in primes]
+
+
+class TestProbablePrimeRecord:
+    """isprime proves primality below psi_13, the least strong pseudoprime
+    to the first 13 prime bases, and from there on finds only a strong
+    Baillie-PSW probable prime, which a certificate then assumes."""
+
+    PSI_13 = STRONG_PSEUDOPRIMES[-1]
+    BELOW = sympy.prevprime(PSI_13)             # 3 (mod 7)
+    ABOVE = sympy.nextprime(PSI_13)             # 5 (mod 7)
+    ABOVE_3 = 3317044064679887385962177         # the least prime = 3 (mod 7) above
+
+    @staticmethod
+    def record(key):
+        return Hypothesis(f"{key} is prime (strong Baillie-PSW probable prime)", "assumed", True)
+
+    def test_the_largest_prime_below_has_none_and_the_least_above_has_one(self):
+        assert self.BELOW % 7 == 3 and self.ABOVE % 7 == 5 and sympy.isprime(self.ABOVE_3)
+        assert not any(p % 7 == 3 for p in sympy.primerange(self.ABOVE, self.ABOVE_3))
+        class_number = Hypothesis(CLASS_NUMBER_ASSUMPTION, "assumed", True)
+        assert kitself_certificate(self.BELOW).hypotheses == (
+            Hypothesis(CONGRUENCE, "checked", True), class_number)
+        assert kitself_certificate(self.ABOVE).hypotheses == (
+            Hypothesis(CONGRUENCE, "checked", False), class_number, self.record("p"))
+        cert = kitself_certificate(self.ABOVE_3)
+        assert cert.hypotheses[-1] == self.record("p") and cert.concluded
+        assert list(cert.statements) == WITNESSES
+
+    def test_every_statement_rests_on_the_record(self, monkeypatch):
+        # the record always holds; were it false, it alone would withhold
+        # every witness, and with the certificate at that prime every
+        # statement of a base certificate
+        real = cmtwist.inertia._probable_primes
+        monkeypatch.setattr(cmtwist.inertia, "_probable_primes", lambda **primes: tuple(
+            h._replace(holds=False) for h in real(**primes)))
+        cert = kitself_certificate(self.ABOVE_3)
+        assert [h.name for h in cert.hypotheses if not h.holds] == [self.record("p").name]
+        assert cert.statements == () and not cert.concluded
+        for cert, key in ((base_certificate(3, self.ABOVE_3), "q"),
+                          (base_certificate(self.ABOVE_3, 17), "p")):
+            assert [h.name for h in cert.hypotheses if not h.holds] == [
+                f"K' = K at {key} = {self.ABOVE_3}", self.record(key).name]
+            assert cert.statements == () and not cert.concluded
+        assert kitself_certificate(self.BELOW).concluded
+        assert base_certificate(self.BELOW, 17).statements
 
 
 # each checked record of a certificate, by its name with the primes left

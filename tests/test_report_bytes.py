@@ -264,13 +264,13 @@ def rationals_jobs() -> list[tuple[str, dict]]:
 
 # corpus: (SHA-256 of its output, jobs per exit code)
 PINNED = {
-    "commands": ("4635b531519d3865a322512ce34c3a49a6111e27223df57863f2268f79cf97be",
+    "commands": ("85406c3ea96c5b4a9af00560e68388c2dc755a0185c5413f7a52ea13ddc5c604",
                  {0: 15, 1: 5, 2: 6}),
-    "cmtype": ("94ee63c5625a4b3ee3895fd001c710a416c695aeb8fd496c55f1786fe1c3c3b0",
+    "cmtype": ("5c831a5bdcf92f4d7a0bb2620465823ba0ffd7c629179518bc8e6092a17d5a58",
                {0: 295, 1: 9}),
-    "twists": ("b4033ce0d971736d9a97e06182d60e85fc0553f07bde9840102faf6b22debea6",
+    "twists": ("e815a43d0160c95ec1051c1f1b266c7058cb66d5ff73ab603d73837e42480a78",
                {0: 90, 2: 326}),
-    "rationals": ("65ed1c43728cbfdef695dedd6dc67c22c97d179991ccd95f40683340275d541f",
+    "rationals": ("9149f6fda8cf9c9f674eb6fd844bbcb018fc19e7069534ca289c23a5500bec77",
                   {0: 10, 1: 3}),
 }
 
