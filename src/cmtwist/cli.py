@@ -376,8 +376,6 @@ def _parse_components(K_base: AbelianField, obj: Any, where: str):
 
 
 def _parse_assume(obj: Any, allowed: set[str], where: str) -> dict[str, bool]:
-    if obj is None:
-        return {}
     obj = _require_mapping(obj, where)
     _check_keys(obj, set(), allowed, where)
     for key, value in obj.items():
@@ -500,7 +498,7 @@ def _run_twist_x(payload: dict) -> Conclusion:
     if not isinstance(label, str):
         raise InputError("character.label: expected a string")
     order = _require_int(char_obj["order"], "character.order")
-    assume = _parse_assume(payload.get("assume"), _TWIST_X_ASSUME, "assume")
+    assume = _parse_assume(payload.get("assume", {}), _TWIST_X_ASSUME, "assume")
     return _twist_report(datum, twist_x(datum, order, label, **assume))
 
 
@@ -512,7 +510,7 @@ def _run_twist_e(payload: dict) -> Conclusion:
     label = payload.get("label", "M")
     if not isinstance(label, str):
         raise InputError("label: expected a string")
-    assume = _parse_assume(payload.get("assume"), _TWIST_E_ASSUME, "assume")
+    assume = _parse_assume(payload.get("assume", {}), _TWIST_E_ASSUME, "assume")
     return _twist_report(datum, twist_e(dim_x, dim_y, datum, extension_label=label, **assume))
 
 

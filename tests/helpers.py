@@ -601,10 +601,13 @@ def appended_balance_product(D: WeilDatum):
     return None
 
 
-def sorted_cosets(T: CMType) -> tuple[tuple[int, ...], ...]:
-    """The cosets of psi as ascending residue tuples, by least residue."""
-    K = T.field
-    return tuple(tuple(sorted(coset_of(K.conductor, K.fixed_group, g))) for g in sorted(T.psi))
+def coset_rows(m: int, H: frozenset[int], residues=None) -> list[list[int]]:
+    """The cosets of H that the residues meet, every coset if none are
+    given, each as an ascending list, by least residue: how reports write
+    a set of Galois elements."""
+    if residues is None:
+        return [sorted(c) for c in quotient_cosets(m, H)]
+    return sorted(sorted(c) for c in {coset_of(m, H, x % m) for x in residues})
 
 
 def induced_cm_type(K: AbelianField, T_small: CMType) -> CMType:

@@ -571,6 +571,10 @@ EXIT_CONTRACT = [
     pytest.param(["twist-x"], example41_twist_job(1), 1,
                  "input error: character.order: must be at least 2, got 1",
                  id="twist-x-order-1"),
+    # a null is no object, as for the payload itself: it is not "no flags"
+    pytest.param(["twist-x"], {**example41_twist_job(3), "assume": None}, 1,
+                 "input error: assume: expected an object, got NoneType",
+                 id="twist-x-null-assume"),
     # the rationals: their trivial fixed group is written as []
     pytest.param(["field", "--json"], {"field": {"real_subfield_of": 4}}, 0,
                  '"fixed_group": []', id="field-rationals"),

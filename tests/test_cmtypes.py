@@ -43,6 +43,7 @@ from helpers import (
     coset_mul_translate,
     coset_mul_validate_cm_type,
     coset_of,
+    coset_rows,
     element_set,
     example41_field,
     example41_type,
@@ -52,7 +53,6 @@ from helpers import (
     quotient_cosets,
     reflex_field,
     scan_stabilizer,
-    sorted_cosets,
     subgroup,
     subgroup_lattice_subfields,
 )
@@ -76,7 +76,7 @@ class TestValidation:
 
     def test_paper_42_half_system(self):
         T = jacobian_type()
-        assert sorted_cosets(T) == ((1,), (2,), (3,))
+        assert coset_rows(7, T.field.fixed_group, T.psi) == [[1], [2], [3]]
 
     def test_full_pair_rejected(self):
         with pytest.raises(ValueError, match="half-system"):
@@ -243,8 +243,8 @@ class TestReflexType:
         assert pow(2, -1, 7) == 4 and pow(3, -1, 7) == 5
         _, refl, inv, conj = reflex(T)
         assert refl == reflex_field(T) == T.field
-        assert sorted_cosets(inv) == ((1,), (4,), (5,))
-        assert sorted_cosets(conj) == ((4,), (5,), (6,))
+        assert coset_rows(7, inv.field.fixed_group, inv.psi) == [[1], [4], [5]]
+        assert coset_rows(7, conj.field.fixed_group, conj.psi) == [[4], [5], [6]]
 
     def test_quadratic_reflex(self):
         T = validate_cm_type(SQRT_M7, [1])
@@ -373,7 +373,7 @@ class TestBalanceProduct:
         D = weil_datum(SQRT_M7, [jacobian_type()])
         choice = appended_balance_product(D)
         assert choice is not None
-        assert sorted_cosets(choice) == ((3, 5, 6),)
+        assert coset_rows(7, choice.field.fixed_group, choice.psi) == [[3, 5, 6]]
         assert is_weil_type(weil_datum(SQRT_M7, [jacobian_type(), choice]))
 
     def test_impossible_when_gap_exceeds_one(self):

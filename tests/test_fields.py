@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -384,6 +384,18 @@ def test_large_quadratic_conductor():
     assert roots_of_unity_order(K) == 2
 
 
+def smallest_prime_factors(limit: int) -> list[int]:
+    """The least prime factor of each n below the limit, by the sieve of
+    Eratosthenes; entries 0 and 1 are themselves."""
+    spf = list(range(limit))
+    for p in range(2, isqrt(limit - 1) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
+
+
 def test_factorint_and_squarefree_match_sympy_below_ten_to_the_five(monkeypatch):
     # quadratic refuses a non-squarefree d right after the conductor budget;
     # a d that passes reaches _unit_generators, patched here to raise, so
@@ -398,8 +410,16 @@ def test_factorint_and_squarefree_match_sympy_below_ten_to_the_five(monkeypatch)
     # the sweep runs uncached, so the suite is not left holding 10^5 entries
     prime_divisors = _prime_divisors.__wrapped__
     monkeypatch.setattr(fields, "_prime_divisors", prime_divisors)
+    # the exact reference: each n divided down by its sieved least prime
+    # factors; the sieve finds pi(10^5) = 9,592 primes
+    spf = smallest_prime_factors(10**5)
+    assert sum(spf[p] == p for p in range(2, 10**5)) == 9592
     for n in range(1, 10**5):
-        factors = sympy.factorint(n)
+        factors: dict[int, int] = {}
+        k = n
+        while k > 1:
+            factors[spf[k]] = factors.get(spf[k], 0) + 1
+            k //= spf[k]
         assert factorint(n) == factors and prime_divisors(n) == tuple(sorted(factors)), n
         squarefree = all(e == 1 for e in factors.values())
         for d in (n, -n) if n > 1 else (-1,):
